@@ -14,12 +14,7 @@ import math
 import numpy as np
 
 from stormcover.harness import DEFAULT_SATELLITES
-from stormcover.mcrp import (
-    ReconfigPlan,
-    active_point_of_step,
-    build_reward_matrix,
-    score_plan,
-)
+from stormcover.mcrp import ReconfigPlan, build_reward_matrix, score_plan
 from stormcover.orbits import TimeGrid
 from stormcover.tracks import synthesize_track, target_eci_table, track_to_targets
 from stormcover.visibility import FovSpec, compute_vtw_tensor
@@ -33,27 +28,23 @@ print(f"  end   {math.degrees(last.lat_rad):+7.2f} deg lat, {math.degrees(last.l
 # Score on a 900 s grid with one stage (nobody maneuvers in this demo).
 grid = TimeGrid(track.duration_seconds, step=900.0, control_step=1800.0, num_stages=1)
 targets = track_to_targets(track, grid)
-table = target_eci_table(targets, grid)
+table = target_eci_table(targets, grid)  # (T, 3): the active cell of each step
 print(f"grid: {grid.num_steps} steps, {targets.num_points} target cells")
 
 # Visibility tensor for the stay-only constellation: one slot per
-# satellite, 45 degree nadir cone.
+# satellite, 45 degree nadir cone, one target column (the active cell).
 slots = [[[sc.elements]] for sc in DEFAULT_SATELLITES]
 fov = FovSpec(math.radians(45.0))
-tensor = compute_vtw_tensor(slots, table, grid, fov)
+tensor = compute_vtw_tensor(slots, table[:, None, :], grid, fov)
 
-full = tensor.unpack()  # (S, K, J, T_s, P) booleans
-active = np.array(
-    [active_point_of_step(t, grid.num_steps, targets.num_points) for t in range(grid.num_steps)]
-)
-per_sat = full[0, :, 0, np.arange(grid.num_steps), active]  # (T, K) active-cell hits
+per_sat = tensor.unpack()[0, :, 0, :, 0]  # (K, T) active-cell hits
 print("\nactive-cell sightings per satellite:")
 for k, sc in enumerate(DEFAULT_SATELLITES):
-    print(f"  {sc.name:<12s} {int(per_sat[:, k].sum()):4d} of {grid.num_steps} steps")
+    print(f"  {sc.name:<12s} {int(per_sat[k].sum()):4d} of {grid.num_steps} steps")
 
 # The baseline reward is the same count taken across the whole
 # constellation: steps where at least one satellite sees the active cell.
-rewards = build_reward_matrix(grid.num_steps, targets.num_points, grid.num_stages)
+rewards = build_reward_matrix(grid.num_steps, 1, grid.num_stages)
 stay = ReconfigPlan(
     paths=tuple((0, 0) for _ in DEFAULT_SATELLITES),
     per_stage_cost=np.zeros((len(DEFAULT_SATELLITES), 1)),

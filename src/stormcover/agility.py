@@ -10,7 +10,6 @@ total slew magnitude grows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -105,14 +104,6 @@ class SlewSchedule:
                 return False
             prev = row
         return True
-
-    def to_csv(self, path) -> None:
-        """Write `tau, alpha_deg, beta_deg, gamma_deg` rows, tau counted from 1."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "alpha_deg", "beta_deg", "gamma_deg"])
-            for i, (a, b, g) in enumerate(self.angles, start=1):
-                writer.writerow([i, repr(math.degrees(a)), repr(math.degrees(b)), repr(math.degrees(g))])
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,12 @@ deduplicating steps where two satellites observe at once; its reward is
 an observation count rather than a coverage count, which can favour A in
 dense constellations and is noted wherever the numbers are reported.
 
-Within one track evaluation every visibility tensor is propagated on the
-finest stage partition any requested model uses and coarser models get
-bit-rearranged merges of it.  The vectorized Kepler solve iterates until
-the whole batch converges, so identical orbits propagated in differently
-blocked batches can drift by an ulp; sharing one partition removes that
-source of disagreement and makes "the baseline is the slot-0 row of every
-tensor" an exact statement, not an approximate one.
+Every grid step rewards one cell, the storm's active target, so the
+visibility of a slot family is one (satellite, slot, step) array over
+the whole horizon, built against the (step, 3) active-target table.
+Each stage count's tensor is a reshape of that array, so every concept
+sharing a slot family reads the very same bits, and "the baseline is the
+slot-0 row of every tensor" is an exact statement.
 
 Later concepts are warm-started from earlier winners mapped onto their
 grid.  Phase doubling lands on bitwise-identical slot angles and stage
@@ -93,7 +92,6 @@ __all__ = [
     "default_corpus",
     "parse_config",
     "load_config",
-    "merge_tensor_stages",
     "ModelResult",
     "evaluate_track",
     "run_corpus",
@@ -400,36 +398,6 @@ def load_config(path) -> Tuple[ScenarioConfig, Tuple[TcTrack, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Tensor plumbing
-# ---------------------------------------------------------------------------
-
-
-def merge_tensor_stages(tensor: VisibilityTensor, factor: int) -> VisibilityTensor:
-    """Concatenate runs of ``factor`` consecutive stages into one.
-
-    Pure bit rearrangement: the merged tensor holds exactly the bits of
-    the original, so slicing by coarser stages afterwards is bit-for-bit
-    identical to having propagated on the coarse partition blocks.
-    """
-    s, k, j, t_stage, p = tensor.dims
-    if factor < 1 or s % factor != 0:
-        raise ValueError(f"cannot merge {s} stages in runs of {factor}")
-    if factor == 1:
-        return tensor
-    full = tensor.unpack()
-    full = full.reshape(s // factor, factor, k, j, t_stage, p)
-    full = full.transpose(0, 2, 3, 1, 4, 5).reshape(s // factor, k, j, factor * t_stage, p)
-    bits = np.packbits(full.reshape(-1).astype(np.uint8), bitorder="little")
-    counts = None
-    if tensor.slot_counts is not None:
-        # identical slot lists per stage, so any stage of the run speaks for it
-        counts = tensor.slot_counts.reshape(s // factor, factor, k)[:, 0, :].copy()
-    return VisibilityTensor(
-        dims=(s // factor, k, j, factor * t_stage, p), bits=bits, slot_counts=counts
-    )
-
-
-# ---------------------------------------------------------------------------
 # Single-track evaluation
 # ---------------------------------------------------------------------------
 
@@ -454,19 +422,15 @@ class ModelResult:
 class _TrackWorkspace:
     """Shared per-track caches: grids, tensors, rewards, cost matrices."""
 
-    def __init__(self, track: TcTrack, config: ScenarioConfig, models: Sequence[str]):
+    def __init__(self, track: TcTrack, config: ScenarioConfig):
         self.track = track
         self.config = config
-        self.models = tuple(models)
         self._grids: Dict[int, TimeGrid] = {}
         self._slots: Dict[Tuple[int, int], List[List[ClassicalOrbitalElements]]] = {}
-        self._top_tensors: Dict[Tuple[int, int], VisibilityTensor] = {}
+        self._visible: Dict[Tuple[int, int], np.ndarray] = {}
         self._tensors: Dict[Tuple[int, int, int], VisibilityTensor] = {}
         self._rewards: Dict[int, RewardMatrix] = {}
         self._costs: Dict[Tuple[int, int, int], CostMatrix] = {}
-        # every tensor is propagated on the finest requested partition so
-        # differently blocked Kepler batches cannot disagree by an ulp
-        self.top_stages = max(MODEL_MATRIX[m].num_stages for m in self.models)
         base = self.grid_for(1)
         self.targets = track_to_targets(track, base)
         self.table = target_eci_table(self.targets, base)
@@ -492,23 +456,26 @@ class _TrackWorkspace:
     def tensor_for(self, spec: ModelSpec) -> VisibilityTensor:
         key = spec.family + (spec.num_stages,)
         if key not in self._tensors:
-            if spec.family not in self._top_tensors:
-                slots = self.family_slots(spec)
-                per_sat = [[slot_list] * self.top_stages for slot_list in slots]
-                self._top_tensors[spec.family] = compute_vtw_tensor(
-                    per_sat, self.table, self.grid_for(self.top_stages), self.config.fov
+            if spec.family not in self._visible:
+                # one stage, one target column: (K, J, T) over the whole horizon
+                per_sat = [[slot_list] for slot_list in self.family_slots(spec)]
+                tensor = compute_vtw_tensor(
+                    per_sat, self.table[:, None, :], self.grid_for(1), self.config.fov
                 )
-            self._tensors[key] = merge_tensor_stages(
-                self._top_tensors[spec.family], self.top_stages // spec.num_stages
+                self._visible[spec.family] = tensor.unpack()[0, :, :, :, 0]
+            visible = self._visible[spec.family]
+            n_sats, n_slots, _ = visible.shape
+            n_stages = spec.num_stages
+            t_stage = self.grid_for(n_stages).steps_per_stage
+            full = visible.reshape(n_sats, n_slots, n_stages, t_stage, 1).transpose(2, 0, 1, 3, 4)
+            self._tensors[key] = VisibilityTensor(
+                dims=full.shape, bits=np.packbits(full, bitorder="little")
             )
         return self._tensors[key]
 
     def rewards_for(self, stages: int) -> RewardMatrix:
         if stages not in self._rewards:
-            grid = self.grid_for(stages)
-            self._rewards[stages] = build_reward_matrix(
-                grid.num_steps, self.targets.num_points, stages
-            )
+            self._rewards[stages] = build_reward_matrix(self.grid_for(stages).num_steps, 1, stages)
         return self._rewards[stages]
 
     def costs_for(self, spec: ModelSpec) -> CostMatrix:
@@ -551,10 +518,7 @@ def _run_agile(ws: _TrackWorkspace) -> ModelResult:
     grid = ws.grid_for(1)
     n_steps = grid.num_steps
     n_points = ws.targets.num_points
-    active = np.array(
-        [active_point_of_step(t, n_steps, n_points) for t in range(n_steps)]
-    )
-    step_targets = ws.table[np.arange(n_steps), active]
+    active = [active_point_of_step(t, n_steps, n_points) for t in range(n_steps)]
 
     spo = grid.steps_per_opportunity
     opp_targets = []
@@ -562,7 +526,7 @@ def _run_agile(ws: _TrackWorkspace) -> ModelResult:
         lo = i * spo
         hi = min(lo + spo, n_steps)
         when = grid.opportunity_time(i)
-        points = sorted(set(active[lo:hi].tolist()))
+        points = sorted(set(active[lo:hi]))
         opp_targets.append(
             np.array([geodetic_to_eci(ws.targets.points[p], when) for p in points])
         )
@@ -573,7 +537,7 @@ def _run_agile(ws: _TrackWorkspace) -> ModelResult:
     for sc in config.satellites:
         schedule = optimize_slew_schedule(sc.elements, opp_targets, acfg, grid)
         visible = slewed_step_visibility(
-            sc.elements, schedule, step_targets, config.fov_half_angle, grid
+            sc.elements, schedule, ws.table, config.fov_half_angle, grid
         )
         total += score_agility(schedule, visible, acfg, grid).total_reward
         schedules.append(schedule)
@@ -660,7 +624,7 @@ def evaluate_track(
     results: Dict[str, ModelResult] = {}
     if not ordered:
         return results
-    ws = _TrackWorkspace(track, config, ordered)
+    ws = _TrackWorkspace(track, config)
     for name in ordered:
         spec = MODEL_MATRIX[name]
         if spec.kind == "baseline":
@@ -689,10 +653,19 @@ def run_corpus(
 
     threads > 1 fans tracks out to worker processes (the solves are CPU
     bound); results are gathered in track order either way, so the report
-    does not depend on scheduling.
+    does not depend on scheduling.  Every (track, model) time grid is
+    built first, so a grid that does not fit fails before any compute,
+    naming the track and the model.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    for track in tracks:
+        for name in config.models:
+            stages = MODEL_MATRIX[name].num_stages
+            try:
+                TimeGrid(track.duration_seconds, config.step, config.control_step, stages)
+            except ValueError as exc:
+                raise ValueError(f"track {track.name!r}, model {name}: {exc}") from None
     jobs = [(track, config) for track in tracks]
     if threads == 1 or len(jobs) <= 1:
         all_results = [_evaluate_job(job) for job in jobs]

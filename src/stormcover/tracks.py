@@ -160,9 +160,12 @@ def parse_track_csv(data: bytes) -> TcTrack:
         if not -90.0 <= lat_deg <= 90.0:
             raise ValueError(f"line {line_no}: latitude {lat_deg} outside [-90, 90]")
         lon = math.radians(lon_deg)
-        lon = math.atan2(math.sin(lon), math.cos(lon))  # wrap to (-pi, pi]
-        if lon >= math.pi:
-            lon = -math.pi
+        if not -math.pi <= lon < math.pi:
+            # wrap only what is out of range: the atan2 round trip can move
+            # an in-range value by an ulp
+            lon = math.atan2(math.sin(lon), math.cos(lon))
+            if lon >= math.pi:
+                lon = -math.pi
         samples.append(
             TrackSample(
                 time_s=_fix_time(hours * 3600.0),
@@ -251,20 +254,19 @@ def track_to_targets(track: TcTrack, grid: TimeGrid) -> TargetSet:
 def target_eci_table(
     targets: TargetSet, grid: TimeGrid, earth: EarthModel = EARTH
 ) -> np.ndarray:
-    """Inertial positions, shape (num_steps, num_points, 3).
+    """Inertial position of the active target at every step, shape (num_steps, 3).
 
-    Every point is evaluated at every step time; activity windows only
-    matter to the reward side, so the table stays rectangular.
+    Row t is the point whose activity window holds step t, evaluated at
+    the step time; the other points are inactive then and earn nothing.
     """
     if targets.num_steps != grid.num_steps:
         raise ValueError(
             f"target windows cover {targets.num_steps} steps, grid has {grid.num_steps}"
         )
-    out = np.empty((grid.num_steps, targets.num_points, 3))
-    for t in range(grid.num_steps):
-        when = t * grid.step
-        for p, point in enumerate(targets.points):
-            out[t, p] = geodetic_to_eci(point, when, earth=earth)
+    out = np.empty((grid.num_steps, 3))
+    for point, (lo, hi) in zip(targets.points, targets.windows):
+        for t in range(lo, hi):
+            out[t] = geodetic_to_eci(point, t * grid.step, earth=earth)
     return out
 
 

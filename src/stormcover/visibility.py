@@ -9,10 +9,9 @@ either this tensor or the vectorised mask it is built from.
 
 from __future__ import annotations
 
-import enum
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from .orbits import EARTH, ClassicalOrbitalElements, EarthModel, StateVector, TimeGrid, eci_positions
 
 __all__ = [
-    "ConeAxisMode",
     "FovSpec",
     "VisibilityTensor",
     "target_pointing",
@@ -35,25 +33,15 @@ _COINCIDENT_KM = 1e-9
 _HEADER = struct.Struct("<5q")
 
 
-class ConeAxisMode(enum.Enum):
-    """What the sensor cone is aligned with."""
-
-    NADIR = "nadir"
-    POINTING = "pointing-direction"
-
-
 @dataclass(frozen=True)
 class FovSpec:
     """Conical field of view, described by its half-angle.
 
     Attributes:
         half_angle: Cone half-angle in radians, strictly inside (0, pi/2).
-        axis_mode: NADIR aligns the cone with the local vertical; POINTING
-            defers to an explicitly supplied axis (the slewed boresight).
     """
 
     half_angle: float
-    axis_mode: ConeAxisMode = ConeAxisMode.NADIR
 
     def __post_init__(self) -> None:
         if not 0.0 < self.half_angle < math.pi / 2.0:
@@ -186,7 +174,6 @@ class VisibilityTensor:
 
     dims: tuple  # (S, K, J_max, T_s, P)
     bits: np.ndarray  # packed uint8
-    slot_counts: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.dims) != 5 or any(int(d) < 0 for d in self.dims):
@@ -207,10 +194,6 @@ class VisibilityTensor:
         idx = (((s * dims[1] + k) * dims[2] + j) * dims[3] + t) * dims[4] + p
         byte = self.bits[idx >> 3]
         return bool((byte >> (idx & 7)) & 1)
-
-    def window_rows(self, s: int, k: int, j: int) -> np.ndarray:
-        """Boolean (T_s, P) slab for one slot in one stage."""
-        return self.unpack()[s, k, j]
 
     def count(self) -> int:
         """Total number of set bits."""
@@ -248,10 +231,10 @@ def compute_vtw_tensor(
             stage s.  Lists may have different lengths; shorter ones are
             zero-padded in the tensor.
         targets: (num_steps, P, 3) target ECI positions over the whole
-            scenario; stage s consumes its contiguous block of steps.
+            scenario; stage s consumes its contiguous block of steps.  The
+            harness passes P = 1: the active target of each step.
         grid: scenario time discretisation.
-        fov: cone description (the axis mode is ignored here; this tensor is
-            defined for the nadir-pointing case).
+        fov: cone description.
 
     Returns:
         VisibilityTensor with dims (S, K, J_max, steps_per_stage, P).
@@ -273,20 +256,14 @@ def compute_vtw_tensor(
     n_targets = targets.shape[1]
 
     full = np.zeros((n_stages, n_sats, j_max, t_stage, n_targets), dtype=bool)
-    counts = np.zeros((n_stages, n_sats), dtype=np.int64)
     for s in range(n_stages):
         lo, hi = grid.stage_step_range(s)
         times = np.arange(lo, hi, dtype=float) * grid.step
         block = targets[lo:hi]
         for k in range(n_sats):
-            counts[s, k] = len(slots[k][s])
             for j, coe in enumerate(slots[k][s]):
                 pos = eci_positions(coe, times, earth=earth)
                 full[s, k, j] = visibility_mask(pos, block, fov.half_angle, earth=earth)
 
     bits = np.packbits(full.reshape(-1).astype(np.uint8), bitorder="little")
-    return VisibilityTensor(
-        dims=(n_stages, n_sats, j_max, t_stage, n_targets),
-        bits=bits,
-        slot_counts=counts,
-    )
+    return VisibilityTensor(dims=(n_stages, n_sats, j_max, t_stage, n_targets), bits=bits)

@@ -276,6 +276,17 @@ def score_plan_loops(
     return z
 
 
+def merge_stages(full: np.ndarray, factor: int) -> np.ndarray:
+    """Join runs of ``factor`` consecutive stages of a bool (S, K, J, T_s, P)
+    visibility array end to end in time, giving S / factor coarser stages."""
+    n_stages = full.shape[0]
+    groups = [
+        np.concatenate(list(full[lo : lo + factor]), axis=2)
+        for lo in range(0, n_stages, factor)
+    ]
+    return np.stack(groups)
+
+
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float, radius: float = R_EARTH) -> float:
     """Great-circle distance between two lat/lon points in radians."""
     dlat = lat2 - lat1

@@ -290,17 +290,3 @@ class TestSlewedVisibility:
         for t in range(grid.num_steps):
             state = coe_to_state(propagate(orbit, t * grid.step))
             assert vis[t] == is_visible(state, step_targets[t], FovSpec(45 * DEG))
-
-
-class TestScheduleCsv:
-    def test_round_trip_bytes_stable(self, tmp_path):
-        sched = SlewSchedule(np.array([[0.1, -0.2, 0.3], [0.0, ZETA, -ZETA]]))
-        path = tmp_path / "schedule.csv"
-        sched.to_csv(path)
-        first = path.read_bytes()
-        sched.to_csv(path)
-        assert path.read_bytes() == first
-        lines = first.decode().strip().splitlines()
-        assert lines[0] == "tau,alpha_deg,beta_deg,gamma_deg"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,")

@@ -130,6 +130,17 @@ class TestFailures:
         assert code == 1
         assert "unknown model" in captured.err
 
+    def test_grid_misfit_named_before_any_compute(self, tmp_path, capsys):
+        # 2.75 days at 7200 s steps is 33 steps, which two stages cannot split
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text("step_s = 7200\ncontrol_step_s = 7200\ntracks = synthetic:2\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "track 'synth-01', model P1:" in captured.err
+        assert "num_steps 33 is not divisible by num_stages 2" in captured.err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_threads(self, scenario_dir, tmp_path, capsys):
         code = main(
             ["run", "--config", str(scenario_dir / "run.cfg"), "--out", str(tmp_path / "o"),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracles
 from stormcover.harness import (
     DEFAULT_SATELLITES,
     MODEL_MATRIX,
@@ -17,21 +18,24 @@ from stormcover.harness import (
     ComparisonReport,
     ModelSpec,
     ScenarioConfig,
+    _TrackWorkspace,
     _map_flat,
     _safe_name,
+    _warm_candidates,
     build_report,
     default_corpus,
     emit_report,
     evaluate_track,
     load_config,
-    merge_tensor_stages,
     parse_config,
     parse_models,
     run_corpus,
     write_outputs,
 )
-from stormcover.tracks import parse_track_csv, serialize_track
-from stormcover.visibility import VisibilityTensor
+from stormcover.mcrp import active_point_of_step, build_reward_matrix, score_plan, solve_mcrp
+from stormcover.orbits import TimeGrid, geodetic_to_eci
+from stormcover.tracks import parse_track_csv, serialize_track, track_to_targets
+from stormcover.visibility import VisibilityTensor, compute_vtw_tensor
 
 
 def short_track(name="TINY", samples=4, lat0=15.0, lon0=-55.0) -> bytes:
@@ -282,18 +286,28 @@ class TestParseConfig:
         assert [t.name for t in tracks] == ["STORM"]
 
 
-def pack_tensor(full: np.ndarray, slot_counts=None) -> VisibilityTensor:
-    bits = np.packbits(full.reshape(-1).astype(np.uint8), bitorder="little")
-    return VisibilityTensor(dims=full.shape, bits=bits, slot_counts=slot_counts)
+def dense_fine_tensor(track, config, slots):
+    """The all-points visibility path: a (T, P, 3) table and a bool tensor
+    on the four-stage partition, shaped (4, K, J, T / 4, P)."""
+    grid = TimeGrid(track.duration_seconds, config.step, config.control_step, 4)
+    targets = track_to_targets(track, grid)
+    table = np.array(
+        [
+            [geodetic_to_eci(point, t * grid.step) for point in targets.points]
+            for t in range(grid.num_steps)
+        ]
+    )
+    return compute_vtw_tensor([[s] * 4 for s in slots], table, grid, config.fov).unpack()
 
 
 class TestMergeTensorStages:
+    """The stage-merge oracle that the dense reference path relies on."""
+
     def test_known_rearrangement(self):
         rng = np.random.default_rng(3)
         full = rng.random((4, 2, 3, 5, 2)) < 0.3
-        merged = merge_tensor_stages(pack_tensor(full), 2)
-        assert merged.dims == (2, 2, 3, 10, 2)
-        got = merged.unpack()
+        got = oracles.merge_stages(full, 2)
+        assert got.shape == (2, 2, 3, 10, 2)
         # merged stage m stacks original stages 2m and 2m+1 along time
         for m in range(2):
             for a in range(2):
@@ -303,28 +317,14 @@ class TestMergeTensorStages:
     def test_merge_to_single_stage_concatenates_time(self):
         rng = np.random.default_rng(4)
         full = rng.random((4, 1, 2, 3, 2)) < 0.5
-        merged = merge_tensor_stages(pack_tensor(full), 4)
-        got = merged.unpack()
+        got = oracles.merge_stages(full, 4)
         assert got.shape == (1, 1, 2, 12, 2)
         for s in range(4):
             assert np.array_equal(got[0, :, :, 3 * s : 3 * (s + 1)], full[s])
 
     def test_factor_one_is_identity(self):
-        tensor = pack_tensor(np.zeros((2, 1, 1, 4, 1), dtype=bool))
-        assert merge_tensor_stages(tensor, 1) is tensor
-
-    def test_slot_counts_survive(self):
-        counts = np.array([[3, 2], [3, 2], [3, 2], [3, 2]])
-        tensor = pack_tensor(np.zeros((4, 2, 3, 2, 1), dtype=bool), slot_counts=counts)
-        merged = merge_tensor_stages(tensor, 2)
-        assert np.array_equal(merged.slot_counts, [[3, 2], [3, 2]])
-
-    def test_bad_factor(self):
-        tensor = pack_tensor(np.zeros((4, 1, 1, 2, 1), dtype=bool))
-        with pytest.raises(ValueError, match="merge 4 stages in runs of 3"):
-            merge_tensor_stages(tensor, 3)
-        with pytest.raises(ValueError, match="runs of 0"):
-            merge_tensor_stages(tensor, 0)
+        full = np.random.default_rng(5).random((2, 1, 2, 4, 3)) < 0.5
+        assert np.array_equal(oracles.merge_stages(full, 1), full)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -339,10 +339,51 @@ class TestMergeTensorStages:
         # merging may not invent or drop a single observation bit
         rng = np.random.default_rng(seed)
         full = rng.random((6, k, j, t_stage, p)) < 0.4
-        merged = merge_tensor_stages(pack_tensor(full), factor)
-        assert merged.unpack().sum() == full.sum()
+        merged = oracles.merge_stages(full, factor)
+        assert merged.sum() == full.sum()
         per_slot = full.sum(axis=(0, 3, 4))
-        assert np.array_equal(merged.unpack().sum(axis=(0, 3, 4)), per_slot)
+        assert np.array_equal(merged.sum(axis=(0, 3, 4)), per_slot)
+
+
+class TestActiveTargetTensor:
+    """The one-target tensors against the dense path they replaced."""
+
+    @pytest.mark.parametrize("fov_deg", [45.0, 30.0])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_matches_dense_path(self, index, fov_deg):
+        track = default_corpus(20)[index]
+        config = ScenarioConfig(fov_half_angle=math.radians(fov_deg))
+        models = parse_models("B,P1..U2")
+        results = evaluate_track(track, config, models)
+        ws = _TrackWorkspace(track, config)
+        fine = {}
+        for name in models:
+            spec = MODEL_MATRIX[name]
+            if spec.family not in fine:
+                fine[spec.family] = dense_fine_tensor(track, config, ws.family_slots(spec))
+            full = oracles.merge_stages(fine[spec.family], 4 // spec.num_stages)
+            dense = VisibilityTensor(dims=full.shape, bits=np.packbits(full, bitorder="little"))
+            n_stages, _, _, t_stage, n_points = full.shape
+            n_steps = n_stages * t_stage
+            rewards = build_reward_matrix(n_steps, n_points, n_stages)
+
+            tensor = ws.tensor_for(spec)
+            assert tensor.dims == full.shape[:4] + (1,)
+            active = [active_point_of_step(t, n_steps, n_points) for t in range(n_steps)]
+            active = np.array(active).reshape(n_stages, 1, 1, t_stage, 1)
+            cells = np.take_along_axis(full, active, axis=4)
+            assert np.array_equal(tensor.unpack(), cells), name
+
+            got = results[name].plan
+            if spec.kind == "baseline":
+                assert score_plan(got, dense, rewards) == got.objective
+                continue
+            costs = ws.costs_for(spec)
+            warm = _warm_candidates(spec, results, costs, len(config.satellites))
+            ref = solve_mcrp(dense, rewards, costs, node_limit=config.node_limit, warm_starts=warm)
+            assert ref.paths == got.paths, name
+            assert ref.objective == got.objective, name
+            assert ref.proven_optimal == got.proven_optimal, name
 
 
 class TestWarmMapping:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
+from stormcover.harness import default_corpus
+from stormcover.mcrp import active_point_of_step
 from stormcover.orbits import EARTH, TimeGrid, geodetic_to_eci
 from stormcover.tracks import (
     SAMPLE_INTERVAL_S,
@@ -117,8 +119,8 @@ class TestSerialize:
         assert twice == once
 
     def test_byte_stable_on_synthetic(self):
-        for seed in range(1, 8):
-            track = synthesize_track(seed, 4.0, "east-hemisphere")
+        tracks = [synthesize_track(seed, 4.0, "east-hemisphere") for seed in range(1, 8)]
+        for track in tracks + list(default_corpus(20)):
             once = serialize_track(track)
             assert serialize_track(parse_track_csv(once)) == once
             assert parse_track_csv(once) == track
@@ -165,13 +167,12 @@ class TestTargets:
         grid = TimeGrid(duration=43200.0, step=300.0, control_step=1800.0, num_stages=2)
         targets = track_to_targets(track, grid)
         table = target_eci_table(targets, grid)
-        assert table.shape == (144, 3, 3)
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            t = int(rng.integers(0, 144))
-            p = int(rng.integers(0, 3))
+        assert table.shape == (144, 3)
+        # row t is the active point of step t, at the step time
+        for t in range(144):
+            p = active_point_of_step(t, 144, 3)
             ref = geodetic_to_eci(targets.points[p], t * grid.step)
-            assert np.array_equal(table[t, p], ref)
+            assert np.array_equal(table[t], ref)
         norms = np.linalg.norm(table, axis=-1)
         assert np.allclose(norms, EARTH.radius_km, atol=1e-9)
 
@@ -239,4 +240,4 @@ class TestSynthesize:
         targets = track_to_targets(track, grid)
         assert targets.num_points == 12
         table = target_eci_table(targets, grid)
-        assert table.shape == (792, 12, 3)
+        assert table.shape == (792, 3)

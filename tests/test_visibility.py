@@ -19,7 +19,6 @@ from stormcover.orbits import (
     propagate,
 )
 from stormcover.visibility import (
-    ConeAxisMode,
     FovSpec,
     VisibilityTensor,
     compute_vtw_tensor,
@@ -295,6 +294,3 @@ class TestFovSpecValidation:
     def test_half_angle_range(self, bad):
         with pytest.raises(ValueError):
             FovSpec(bad)
-
-    def test_axis_mode_enum(self):
-        assert FovSpec(0.5, ConeAxisMode.POINTING).axis_mode.value == "pointing-direction"
