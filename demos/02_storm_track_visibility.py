@@ -17,7 +17,7 @@ from stormcover.harness import DEFAULT_SATELLITES
 from stormcover.mcrp import ReconfigPlan, build_reward_matrix, score_plan
 from stormcover.orbits import TimeGrid
 from stormcover.tracks import synthesize_track, target_eci_table, track_to_targets
-from stormcover.visibility import FovSpec, compute_vtw_tensor
+from stormcover.visibility import FovSpec, slot_visibility
 
 track = synthesize_track(seed=7, duration_days=4.0)
 first, last = track.samples[0], track.samples[-1]
@@ -31,13 +31,13 @@ targets = track_to_targets(track, grid)
 table = target_eci_table(targets, grid)  # (T, 3): the active cell of each step
 print(f"grid: {grid.num_steps} steps, {targets.num_points} target cells")
 
-# Visibility tensor for the stay-only constellation: one slot per
-# satellite, 45 degree nadir cone, one target column (the active cell).
-slots = [[[sc.elements]] for sc in DEFAULT_SATELLITES]
+# Visibility for the stay-only constellation: one slot per satellite,
+# 45 degree nadir cone, against the active cell of each step.
+slots = [[sc.elements] for sc in DEFAULT_SATELLITES]
 fov = FovSpec(math.radians(45.0))
-tensor = compute_vtw_tensor(slots, table[:, None, :], grid, fov)
+visible = slot_visibility(slots, table, grid, fov)  # (K, J, T) booleans
 
-per_sat = tensor.unpack()[0, :, 0, :, 0]  # (K, T) active-cell hits
+per_sat = visible[:, 0, :]  # (K, T) active-cell hits
 print("\nactive-cell sightings per satellite:")
 for k, sc in enumerate(DEFAULT_SATELLITES):
     print(f"  {sc.name:<12s} {int(per_sat[k].sum()):4d} of {grid.num_steps} steps")
@@ -50,6 +50,7 @@ stay = ReconfigPlan(
     per_stage_cost=np.zeros((len(DEFAULT_SATELLITES), 1)),
     objective=0.0,
 )
-z = score_plan(stay, tensor, rewards)
+# The solver side reads (stage, satellite, slot, step, target) arrays.
+z = score_plan(stay, visible[None, :, :, :, None], rewards)
 print(f"\nconstellation baseline reward: {z:.0f} of {grid.num_steps} steps "
       f"({100.0 * z / grid.num_steps:.1f}% of the storm's lifetime)")

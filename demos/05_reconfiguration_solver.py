@@ -19,23 +19,18 @@ from stormcover.mcrp import (
     solve_mcrp,
     solve_mcrp_exhaustive,
 )
-from stormcover.visibility import VisibilityTensor
 
 # One satellite, two stages, three slots, four steps per stage, and two
 # target cells (the first four steps activate cell 0, the rest cell 1).
 S, K, J, T, P = 2, 1, 3, 4, 2
 
-full = np.zeros((S, K, J, T, P), dtype=bool)
+visible = np.zeros((S, K, J, T, P), dtype=bool)
 # stage 1: home slot sees one step of cell 0, slot 1 sees three
-full[0, 0, 0, 0, 0] = True
-full[0, 0, 1, :3, 0] = True
+visible[0, 0, 0, 0, 0] = True
+visible[0, 0, 1, :3, 0] = True
 # stage 2: slot 1 again sees one step, slot 2 sees all four of cell 1
-full[1, 0, 1, 0, 1] = True
-full[1, 0, 2, :, 1] = True
-tensor = VisibilityTensor(
-    dims=(S, K, J, T, P),
-    bits=np.packbits(full.reshape(-1).astype(np.uint8), bitorder="little"),
-)
+visible[1, 0, 1, 0, 1] = True
+visible[1, 0, 2, :, 1] = True
 rewards = build_reward_matrix(S * T, P, S)
 
 # Stage-entry costs: stage 1 departs the single initial orbit; staying
@@ -50,7 +45,7 @@ costs = CostMatrix(
     strategy_codes=(np.zeros_like(stage1, int), np.zeros_like(stage2, int)),
 )
 
-plan = solve_mcrp(tensor, rewards, costs)
+plan = solve_mcrp(visible, rewards, costs)
 print(f"optimal objective: {plan.objective:.0f} cells  "
       f"(proven optimal: {plan.proven_optimal})")
 for k, path in enumerate(plan.paths):
@@ -59,23 +54,23 @@ for k, path in enumerate(plan.paths):
           f"spent {spent:.2f} of {costs.budget[k]:.2f} km/s")
 
 # The y profile shows which (stage, step) slices were actually covered.
-y = compute_coverage(plan.paths, tensor, rewards).y
+y = compute_coverage(plan.paths, visible, rewards)
 print("coverage by stage and step (cell index in brackets):")
 for s in range(S):
-    row = " ".join(f"{int(y[s, t, :].max())}[{int(np.argmax(full[s, 0, plan.paths[0][s + 1], t, :]))}]"
+    row = " ".join(f"{int(y[s, t, :].max())}[{int(np.argmax(visible[s, 0, plan.paths[0][s + 1], t, :]))}]"
                    if y[s, t, :].any() else "0[-]" for t in range(T))
     print(f"  stage {s + 1}: {row}")
 
 # Enumeration over all 3^2 joint paths agrees.
-reference = solve_mcrp_exhaustive(tensor, rewards, costs)
+reference = solve_mcrp_exhaustive(visible, rewards, costs)
 print(f"exhaustive check: {reference.objective:.0f} cells, paths {reference.paths}")
 assert plan.objective == reference.objective
-assert score_plan(plan, tensor, rewards) == plan.objective
+assert score_plan(plan, visible, rewards) == plan.objective
 
 # The winning route spends 0.5 + 0.6 = 1.1 km/s across both hops.
 # Tighten the budget below that and the planner has to keep the middle
 # slot, trading away the rich stage-2 position:
 tight = CostMatrix(costs.stages, np.array([1.0]), costs.strategy_codes)
-squeezed = solve_mcrp(tensor, rewards, tight)
+squeezed = solve_mcrp(visible, rewards, tight)
 print(f"\nwith a 1.0 km/s budget: objective {squeezed.objective:.0f}, "
       f"paths {squeezed.paths}")

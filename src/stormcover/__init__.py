@@ -46,7 +46,7 @@ from .mcrp import (
 )
 from .orbits import EARTH, ClassicalOrbitalElements, EarthModel, TimeGrid, propagate
 from .tracks import TcTrack, parse_track_csv, serialize_track, synthesize_track
-from .visibility import FovSpec, VisibilityTensor, compute_vtw_tensor
+from .visibility import FovSpec
 
 __version__ = "0.1.0"
 
@@ -71,11 +71,9 @@ __all__ = [
     "TimeGrid",
     "TransferCost",
     "TransferStrategy",
-    "VisibilityTensor",
     "build_cost_matrix",
     "build_reward_matrix",
     "calibrate_plane_spans",
-    "compute_vtw_tensor",
     "default_corpus",
     "emit_report",
     "evaluate_track",

@@ -49,8 +49,8 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ from .mcrp import (
 )
 from .orbits import ClassicalOrbitalElements, TimeGrid, geodetic_to_eci
 from .tracks import TcTrack, parse_track_csv, serialize_track, synthesize_track, target_eci_table, track_to_targets
-from .visibility import FovSpec, VisibilityTensor, compute_vtw_tensor
+from .visibility import FovSpec, slot_visibility
 
 __all__ = [
     "Spacecraft",
@@ -231,6 +231,8 @@ class ScenarioConfig:
     budget_km_s: float = 2.0
     max_revs: int = 4
     node_limit: int = DEFAULT_NODE_LIMIT
+    fov: FovSpec = field(init=False, repr=False, compare=False)
+    agility: AgilityConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.satellites:
@@ -248,20 +250,25 @@ class ScenarioConfig:
         if self.node_limit < 0:
             raise ValueError("node_limit must be non-negative")
         if self.budget_km_s < 0.0:
-            raise ValueError("budget must be non-negative")
-        # angles and grid spacings are validated by FovSpec, AgilityConfig
-        # and TimeGrid when first used; duplicating their rules here would
-        # just let the copies drift
-
-    @property
-    def fov(self) -> FovSpec:
-        return FovSpec(self.fov_half_angle)
-
-    @property
-    def agility(self) -> AgilityConfig:
-        return AgilityConfig(
-            self.max_rate, self.max_rate, self.max_rate, self.max_slew, self.control_step
-        )
+            raise ValueError("budget_km_s must be non-negative")
+        # the cone and slew rules live in FovSpec and AgilityConfig; building
+        # both here fails a bad value before any compute, named by its key
+        try:
+            fov = FovSpec(self.fov_half_angle)
+        except ValueError as exc:
+            raise ValueError(f"fov_deg {math.degrees(self.fov_half_angle):g}: {exc}") from None
+        try:
+            agility = AgilityConfig(
+                self.max_rate, self.max_rate, self.max_rate, self.max_slew, self.control_step
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"max_rate_deg_s {math.degrees(self.max_rate):g}, "
+                f"max_slew_deg {math.degrees(self.max_slew):g}, "
+                f"control_step_s {self.control_step:g}: {exc}"
+            ) from None
+        object.__setattr__(self, "fov", fov)
+        object.__setattr__(self, "agility", agility)
 
 
 def default_corpus(count: int = 20) -> Tuple[TcTrack, ...]:
@@ -282,20 +289,24 @@ def default_corpus(count: int = 20) -> Tuple[TcTrack, ...]:
     return tuple(tracks)
 
 
-_CONFIG_KEYS = frozenset(
-    {
-        "fov_deg",
-        "step_s",
-        "control_step_s",
-        "max_rate_deg_s",
-        "max_slew_deg",
-        "budget_km_s",
-        "max_revs",
-        "node_limit",
-        "models",
-        "tracks",
-    }
-)
+def _radians(text: str) -> float:
+    return math.radians(float(text))
+
+
+# config key -> (ScenarioConfig field, parser of the written value)
+_CONFIG_FIELDS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "fov_deg": ("fov_half_angle", _radians),
+    "step_s": ("step", float),
+    "control_step_s": ("control_step", float),
+    "max_rate_deg_s": ("max_rate", _radians),
+    "max_slew_deg": ("max_slew", _radians),
+    "budget_km_s": ("budget_km_s", float),
+    "max_revs": ("max_revs", int),
+    "node_limit": ("node_limit", int),
+    "models": ("models", parse_models),
+}
+
+_CONFIG_KEYS = frozenset(_CONFIG_FIELDS) | {"tracks"}
 
 
 def parse_config(
@@ -327,44 +338,22 @@ def parse_config(
             raise ValueError(f"config line {lineno}: empty value for {key!r}")
         values[key] = (lineno, val)
 
-    def take(key: str, conv):
+    kwargs = {}
+    for key, (name, conv) in _CONFIG_FIELDS.items():
         if key not in values:
-            return None
-        lineno, val = values.pop(key)
+            continue
+        lineno, val = values[key]
         try:
-            return conv(val)
+            kwargs[name] = conv(val)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad {key}: {exc}") from None
-
-    kwargs = {}
-    fov = take("fov_deg", float)
-    if fov is not None:
-        kwargs["fov_half_angle"] = math.radians(fov)
-    step = take("step_s", float)
-    if step is not None:
-        kwargs["step"] = step
-    control = take("control_step_s", float)
-    if control is not None:
-        kwargs["control_step"] = control
-    rate = take("max_rate_deg_s", float)
-    if rate is not None:
-        kwargs["max_rate"] = math.radians(rate)
-    slew = take("max_slew_deg", float)
-    if slew is not None:
-        kwargs["max_slew"] = math.radians(slew)
-    budget = take("budget_km_s", float)
-    if budget is not None:
-        kwargs["budget_km_s"] = budget
-    revs = take("max_revs", int)
-    if revs is not None:
-        kwargs["max_revs"] = revs
-    nodes = take("node_limit", int)
-    if nodes is not None:
-        kwargs["node_limit"] = nodes
-    models = take("models", parse_models)
-    if models is not None:
-        kwargs["models"] = models
-    tracks_spec = values.pop("tracks", None)
+        try:
+            # the config's own rules on this value alone, whose messages
+            # name the key, so a bad value is reported against its line
+            ScenarioConfig(**{name: kwargs[name]})
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
+    tracks_spec = values.get("tracks")
     config = ScenarioConfig(**kwargs)
     tracks = _load_tracks(tracks_spec[1] if tracks_spec else "synthetic:20", base_dir)
     return config, tracks
@@ -386,7 +375,11 @@ def _load_tracks(spec: str, base_dir: Optional[str]) -> Tuple[TcTrack, ...]:
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         with open(path, "rb") as fh:
-            tracks.append(parse_track_csv(fh.read()))
+            raw = fh.read()
+        try:
+            tracks.append(parse_track_csv(raw))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return tuple(tracks)
 
 
@@ -428,7 +421,6 @@ class _TrackWorkspace:
         self._grids: Dict[int, TimeGrid] = {}
         self._slots: Dict[Tuple[int, int], List[List[ClassicalOrbitalElements]]] = {}
         self._visible: Dict[Tuple[int, int], np.ndarray] = {}
-        self._tensors: Dict[Tuple[int, int, int], VisibilityTensor] = {}
         self._rewards: Dict[int, RewardMatrix] = {}
         self._costs: Dict[Tuple[int, int, int], CostMatrix] = {}
         base = self.grid_for(1)
@@ -453,25 +445,17 @@ class _TrackWorkspace:
             ]
         return self._slots[key]
 
-    def tensor_for(self, spec: ModelSpec) -> VisibilityTensor:
-        key = spec.family + (spec.num_stages,)
-        if key not in self._tensors:
-            if spec.family not in self._visible:
-                # one stage, one target column: (K, J, T) over the whole horizon
-                per_sat = [[slot_list] for slot_list in self.family_slots(spec)]
-                tensor = compute_vtw_tensor(
-                    per_sat, self.table[:, None, :], self.grid_for(1), self.config.fov
-                )
-                self._visible[spec.family] = tensor.unpack()[0, :, :, :, 0]
-            visible = self._visible[spec.family]
-            n_sats, n_slots, _ = visible.shape
-            n_stages = spec.num_stages
-            t_stage = self.grid_for(n_stages).steps_per_stage
-            full = visible.reshape(n_sats, n_slots, n_stages, t_stage, 1).transpose(2, 0, 1, 3, 4)
-            self._tensors[key] = VisibilityTensor(
-                dims=full.shape, bits=np.packbits(full, bitorder="little")
+    def tensor_for(self, spec: ModelSpec) -> np.ndarray:
+        """The family's (K, J, T) visibility viewed as (S, K, J, T_s, 1)."""
+        if spec.family not in self._visible:
+            self._visible[spec.family] = slot_visibility(
+                self.family_slots(spec), self.table, self.grid_for(1), self.config.fov
             )
-        return self._tensors[key]
+        visible = self._visible[spec.family]
+        n_sats, n_slots, _ = visible.shape
+        n_stages = spec.num_stages
+        t_stage = self.grid_for(n_stages).steps_per_stage
+        return visible.reshape(n_sats, n_slots, n_stages, t_stage, 1).transpose(2, 0, 1, 3, 4)
 
     def rewards_for(self, stages: int) -> RewardMatrix:
         if stages not in self._rewards:

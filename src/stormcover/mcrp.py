@@ -42,11 +42,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .maneuvers import CostMatrix
-from .visibility import VisibilityTensor
 
 __all__ = [
     "RewardMatrix",
-    "CoverageProfile",
     "ReconfigPlan",
     "active_windows",
     "active_point_of_step",
@@ -145,13 +143,6 @@ def build_reward_matrix(track_length_steps: int, num_points: int, num_stages: in
 
 
 @dataclass(frozen=True)
-class CoverageProfile:
-    """Realized coverage y[s][t][p] of one plan."""
-
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReconfigPlan:
     """One slot path per satellite plus its cost breakdown and score.
 
@@ -225,17 +216,39 @@ def _satellite_totals(stage_costs: np.ndarray) -> List[float]:
     return totals
 
 
-def compute_coverage(
-    paths: Sequence[Sequence[int]], tensor: VisibilityTensor, rewards: RewardMatrix
-) -> CoverageProfile:
-    """Coverage y implied by explicit paths: count of seeing satellites
-    meets the requirement."""
-    n_stages, n_sats, j_max, t_stage, n_points = tensor.dims
+def _check_visibility(visible: np.ndarray, rewards: RewardMatrix) -> Tuple[int, ...]:
+    """Shape (S, K, J, T_s, P) of a boolean visibility array that matches
+    the rewards' (S, T_s, P)."""
+    if visible.dtype != bool or visible.ndim != 5:
+        raise ValueError(
+            "visibility must be a boolean (S, K, J, T_s, P) array, "
+            f"got {visible.dtype} {visible.shape}"
+        )
+    n_stages, _, _, t_stage, n_points = visible.shape
     if rewards.dims != (n_stages, t_stage, n_points):
-        raise ValueError(f"rewards shaped {rewards.dims}, tensor expects {(n_stages, t_stage, n_points)}")
+        raise ValueError(
+            f"rewards shaped {rewards.dims}, visibility expects {(n_stages, t_stage, n_points)}"
+        )
+    return visible.shape
+
+
+def compute_coverage(
+    paths: Sequence[Sequence[int]], visible: np.ndarray, rewards: RewardMatrix
+) -> np.ndarray:
+    """Coverage y[s][t][p] implied by explicit paths: the count of seeing
+    satellites meets the requirement.
+
+    Args:
+        paths: one slot path of length S + 1 per satellite, start first.
+        visible: boolean (S, K, J, T_s, P) visibility.
+        rewards: requirements, shaped (S, T_s, P).
+
+    Returns:
+        Boolean array of shape (S, T_s, P).
+    """
+    n_stages, n_sats, j_max, t_stage, n_points = _check_visibility(visible, rewards)
     if len(paths) != n_sats:
         raise ValueError(f"expected {n_sats} paths, got {len(paths)}")
-    full = tensor.unpack()
     counts = np.zeros((n_stages, t_stage, n_points), dtype=np.int64)
     for k, path in enumerate(paths):
         if len(path) != n_stages + 1:
@@ -244,13 +257,13 @@ def compute_coverage(
             j = path[s + 1]
             if not 0 <= j < j_max:
                 raise ValueError(f"slot {j} out of range for satellite {k}, stage {s}")
-            counts[s] += full[s, k, j]
-    return CoverageProfile(y=counts >= rewards.coverage_req)
+            counts[s] += visible[s, k, j]
+    return counts >= rewards.coverage_req
 
 
-def score_plan(plan: ReconfigPlan, tensor: VisibilityTensor, rewards: RewardMatrix) -> float:
+def score_plan(plan: ReconfigPlan, visible: np.ndarray, rewards: RewardMatrix) -> float:
     """Objective of a plan: rewards collected where coverage is met."""
-    y = compute_coverage(plan.paths, tensor, rewards).y
+    y = compute_coverage(plan.paths, visible, rewards)
     return float(rewards.pi[y].sum())
 
 
@@ -273,18 +286,14 @@ def _pack_words(vec: np.ndarray) -> np.ndarray:
 class _Instance:
     """Preprocessed solver input shared by both solve routes."""
 
-    def __init__(self, tensor: VisibilityTensor, rewards: RewardMatrix, costs: CostMatrix):
-        n_stages, n_sats, j_max, t_stage, n_points = tensor.dims
-        if rewards.dims != (n_stages, t_stage, n_points):
-            raise ValueError(
-                f"rewards shaped {rewards.dims}, tensor expects {(n_stages, t_stage, n_points)}"
-            )
+    def __init__(self, visible: np.ndarray, rewards: RewardMatrix, costs: CostMatrix):
+        n_stages, n_sats, j_max, _, _ = _check_visibility(visible, rewards)
         if costs.num_stages != n_stages or costs.num_satellites != n_sats:
-            raise ValueError("cost matrix dimensions disagree with the visibility tensor")
+            raise ValueError("cost matrix dimensions disagree with the visibility array")
         self.S, self.K = n_stages, n_sats
         self.J = costs.stages[-1].shape[2]
         if self.J > j_max:
-            raise ValueError(f"cost matrix offers {self.J} slots, tensor holds {j_max}")
+            raise ValueError(f"cost matrix offers {self.J} slots, visibility holds {j_max}")
         self.costs = costs
         self.budget = np.asarray(costs.budget, dtype=float)
 
@@ -296,8 +305,7 @@ class _Instance:
             np.all(np.isin(rewards.pi, (0.0, 1.0)))
         )
 
-        full = tensor.unpack()[:, :, : self.J]
-        rows = np.transpose(full, (1, 2, 0, 3, 4))[:, :, act]  # (K, J, W)
+        rows = np.transpose(visible[:, :, : self.J], (1, 2, 0, 3, 4))[:, :, act]  # (K, J, W)
         cell_stage = np.nonzero(act)[0]
         bounds = np.searchsorted(cell_stage, np.arange(n_stages + 1))
         self.masks = np.zeros((n_sats, n_stages, self.J, max(self.W, 1)), dtype=bool)
@@ -767,17 +775,17 @@ class _GeneralSearch:
 
 
 def solve_mcrp(
-    tensor: VisibilityTensor,
+    visible: np.ndarray,
     rewards: RewardMatrix,
     costs: CostMatrix,
     node_limit: int = DEFAULT_NODE_LIMIT,
     warm_starts: Sequence[Sequence[int]] = (),
-    _force_general: bool = False,
 ) -> ReconfigPlan:
     """Exact multistage reconfiguration solve.
 
     Args:
-        tensor: visibility over (stage, satellite, slot, step, target).
+        visible: boolean visibility over (stage, satellite, slot, step,
+            target).
         rewards: rewards and coverage requirements.
         costs: per-stage transfer costs with the per-satellite budget.
         node_limit: search nodes before giving up on the proof; the
@@ -795,9 +803,8 @@ def solve_mcrp(
         run to run, but when several plans share the optimal objective no
         promise is made about which one comes back.
     """
-    inst = _Instance(tensor, rewards, costs)
-    use_fast = inst.binary and not _force_general
-    search = _Search(inst, node_limit) if use_fast else _GeneralSearch(inst, node_limit)
+    inst = _Instance(visible, rewards, costs)
+    search = _Search(inst, node_limit) if inst.binary else _GeneralSearch(inst, node_limit)
 
     all_stay = tuple([0] * (inst.K * inst.S))
     _validate_start(inst, all_stay, "all-stay start")
@@ -815,7 +822,7 @@ def solve_mcrp(
 
 
 def solve_mcrp_exhaustive(
-    tensor: VisibilityTensor,
+    visible: np.ndarray,
     rewards: RewardMatrix,
     costs: CostMatrix,
 ) -> ReconfigPlan:
@@ -824,7 +831,7 @@ def solve_mcrp_exhaustive(
     Raises:
         ValueError: when the joint path count exceeds 10^7.
     """
-    inst = _Instance(tensor, rewards, costs)
+    inst = _Instance(visible, rewards, costs)
     per_sat_paths: List[List[tuple]] = []
     for k in range(inst.K):
         paths_k = []
@@ -872,17 +879,18 @@ def solve_mcrp_exhaustive(
 # ---------------------------------------------------------------------------
 
 
-def dump_instance(path, tensor: VisibilityTensor, rewards: RewardMatrix, costs: CostMatrix) -> None:
+def dump_instance(path, visible: np.ndarray, rewards: RewardMatrix, costs: CostMatrix) -> None:
     """Write one solver instance to a binary container.
 
     Layout, all little-endian: five int64 dimensions (S, K, J, T_s, P);
     K float64 budgets; the stage-0 cost block (K, 1, J) then S-1 square
     blocks (K, J, J) as float64 with matching int8 strategy codes after
     each block; rewards pi (S, T_s, P) float64; coverage requirements
-    (S, T_s, P) int64; finally the visibility tensor in its own dump
-    format (5 int64 dims + packed bits).
+    (S, T_s, P) int64; finally the visibility array's five int64
+    dimensions and its bits in C order, packed eight to a byte with the
+    first bit lowest.
     """
-    inst = _Instance(tensor, rewards, costs)
+    inst = _Instance(visible, rewards, costs)
     with open(path, "wb") as fh:
         fh.write(_INSTANCE_HEADER.pack(inst.S, inst.K, inst.J, rewards.dims[1], rewards.dims[2]))
         fh.write(np.asarray(costs.budget, dtype="<f8").tobytes())
@@ -891,11 +899,11 @@ def dump_instance(path, tensor: VisibilityTensor, rewards: RewardMatrix, costs: 
             fh.write(np.asarray(costs.strategy_codes[s], dtype=np.int8).tobytes())
         fh.write(np.asarray(rewards.pi, dtype="<f8").tobytes())
         fh.write(np.asarray(rewards.coverage_req, dtype="<i8").tobytes())
-        fh.write(_INSTANCE_HEADER.pack(*tensor.dims))
-        fh.write(tensor.bits.tobytes())
+        fh.write(_INSTANCE_HEADER.pack(*visible.shape))
+        fh.write(np.packbits(visible.reshape(-1), bitorder="little").tobytes())
 
 
-def load_instance(path) -> Tuple[VisibilityTensor, RewardMatrix, CostMatrix]:
+def load_instance(path) -> Tuple[np.ndarray, RewardMatrix, CostMatrix]:
     """Read a container written by dump_instance."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -918,8 +926,11 @@ def load_instance(path) -> Tuple[VisibilityTensor, RewardMatrix, CostMatrix]:
     req = take(n_stages * t_stage * n_points, "<i8").reshape(n_stages, t_stage, n_points).copy()
     dims = _INSTANCE_HEADER.unpack_from(raw, off)
     off += _INSTANCE_HEADER.size
-    bits = np.frombuffer(raw, dtype=np.uint8, offset=off).copy()
-    tensor = VisibilityTensor(dims=tuple(int(d) for d in dims), bits=bits)
+    bits = np.frombuffer(raw, dtype=np.uint8, offset=off)
+    count = math.prod(dims)
+    if min(dims) < 0 or bits.size != (count + 7) // 8:
+        raise ValueError(f"visibility holds {bits.size} bytes, dims {dims} need {(count + 7) // 8}")
+    visible = np.unpackbits(bits, count=count, bitorder="little").astype(bool).reshape(dims)
     rewards = RewardMatrix(pi=pi, coverage_req=req)
     costs = CostMatrix(stages=tuple(stages), budget=budget, strategy_codes=tuple(codes))
-    return tensor, rewards, costs
+    return visible, rewards, costs

@@ -1,16 +1,16 @@
-"""Pointing geometry and the packed visibility tensor.
+"""Pointing geometry and slot visibility.
 
-The tensor answers one question for every (stage, satellite, slot, time,
-target) tuple: does the sensor cone of that slot, pointed at nadir, contain
-the target, with an unobstructed line of sight?  Everything downstream (the
-reconfiguration solver, the agility scorer, the comparison harness) consumes
-either this tensor or the vectorised mask it is built from.
+The question answered here, for every (satellite, slot, step): does the
+sensor cone of that slot, pointed at nadir, contain the step's active
+target, with an unobstructed line of sight?  The answer is a plain boolean
+(K, J, T) array over the whole horizon; the comparison harness reshapes it
+per stage count for the reconfiguration solver, and the agility scorer
+uses the vectorised mask it is built from.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,17 +20,14 @@ from .orbits import EARTH, ClassicalOrbitalElements, EarthModel, StateVector, Ti
 
 __all__ = [
     "FovSpec",
-    "VisibilityTensor",
     "target_pointing",
     "is_visible",
     "visibility_mask",
-    "compute_vtw_tensor",
+    "slot_visibility",
 ]
 
 # Treat satellite and target as coincident below this separation (km).
 _COINCIDENT_KM = 1e-9
-
-_HEADER = struct.Struct("<5q")
 
 
 @dataclass(frozen=True)
@@ -162,108 +159,37 @@ def visibility_mask(
     return in_cone & ~blocked & (dd > 0.0)
 
 
-@dataclass(frozen=True)
-class VisibilityTensor:
-    """Bit-packed visibility over (stage, satellite, slot, step, target).
-
-    Bits are packed in index order [s][k][j][t][p] with the target index
-    fastest, little-endian bit order within each byte.  Slots beyond a
-    satellite's actual slot count for a stage are zero-filled so the array
-    is rectangular.
-    """
-
-    dims: tuple  # (S, K, J_max, T_s, P)
-    bits: np.ndarray  # packed uint8
-
-    def __post_init__(self) -> None:
-        if len(self.dims) != 5 or any(int(d) < 0 for d in self.dims):
-            raise ValueError(f"dims must be five non-negative sizes, got {self.dims!r}")
-        expected = (int(np.prod(self.dims)) + 7) // 8
-        if self.bits.size != expected:
-            raise ValueError(f"packed size {self.bits.size} does not match dims {self.dims}")
-
-    def unpack(self) -> np.ndarray:
-        """Expand to a boolean array of shape dims."""
-        total = int(np.prod(self.dims))
-        flat = np.unpackbits(self.bits, count=total, bitorder="little")
-        return flat.astype(bool).reshape(self.dims)
-
-    def value(self, s: int, k: int, j: int, t: int, p: int) -> bool:
-        """Single entry lookup without unpacking the whole tensor."""
-        dims = self.dims
-        idx = (((s * dims[1] + k) * dims[2] + j) * dims[3] + t) * dims[4] + p
-        byte = self.bits[idx >> 3]
-        return bool((byte >> (idx & 7)) & 1)
-
-    def count(self) -> int:
-        """Total number of set bits."""
-        return int(np.unpackbits(self.bits, count=int(np.prod(self.dims)), bitorder="little").sum())
-
-    def dump(self, path) -> None:
-        """Write the five dimensions (little-endian int64) then the bitset."""
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(*(int(d) for d in self.dims)))
-            fh.write(self.bits.tobytes())
-
-    @classmethod
-    def load(cls, path) -> "VisibilityTensor":
-        with open(path, "rb") as fh:
-            dims = _HEADER.unpack(fh.read(_HEADER.size))
-            payload = fh.read()
-        expected = (int(np.prod(dims)) + 7) // 8
-        bits = np.frombuffer(payload, dtype=np.uint8)
-        if bits.size != expected:
-            raise ValueError(f"bitset holds {bits.size} bytes, dims {dims} need {expected}")
-        return cls(dims=tuple(int(d) for d in dims), bits=bits.copy())
-
-
-def compute_vtw_tensor(
-    slots: Sequence[Sequence[Sequence[ClassicalOrbitalElements]]],
+def slot_visibility(
+    slots: Sequence[Sequence[ClassicalOrbitalElements]],
     targets: np.ndarray,
     grid: TimeGrid,
     fov: FovSpec,
     earth: EarthModel = EARTH,
-) -> VisibilityTensor:
-    """Build the full visibility tensor with a nadir cone axis.
+) -> np.ndarray:
+    """Nadir-cone visibility of each step's active target from every slot.
 
     Args:
-        slots: slots[k][s] lists the candidate orbits of satellite k during
-            stage s.  Lists may have different lengths; shorter ones are
-            zero-padded in the tensor.
-        targets: (num_steps, P, 3) target ECI positions over the whole
-            scenario; stage s consumes its contiguous block of steps.  The
-            harness passes P = 1: the active target of each step.
-        grid: scenario time discretisation.
+        slots: slots[k] lists the candidate orbits of satellite k; every
+            satellite lists the same number of slots.
+        targets: (num_steps, 3) ECI position of each step's active target.
+        grid: scenario time discretisation; only its steps are used, so
+            every stage count reads the same array.
         fov: cone description.
 
     Returns:
-        VisibilityTensor with dims (S, K, J_max, steps_per_stage, P).
+        Boolean array of shape (K, J, num_steps).
     """
     targets = np.asarray(targets, dtype=float)
-    if targets.ndim != 3 or targets.shape[2] != 3:
-        raise ValueError(f"targets must be (num_steps, P, 3), got {targets.shape}")
-    if targets.shape[0] != grid.num_steps:
-        raise ValueError(
-            f"targets cover {targets.shape[0]} steps, grid has {grid.num_steps}"
-        )
-    n_sats = len(slots)
-    n_stages = grid.num_stages
-    for k in range(n_sats):
-        if len(slots[k]) != n_stages:
-            raise ValueError(f"satellite {k} lists {len(slots[k])} stages, grid has {n_stages}")
-    j_max = max((len(slots[k][s]) for k in range(n_sats) for s in range(n_stages)), default=0)
-    t_stage = grid.steps_per_stage
-    n_targets = targets.shape[1]
-
-    full = np.zeros((n_stages, n_sats, j_max, t_stage, n_targets), dtype=bool)
-    for s in range(n_stages):
-        lo, hi = grid.stage_step_range(s)
-        times = np.arange(lo, hi, dtype=float) * grid.step
-        block = targets[lo:hi]
-        for k in range(n_sats):
-            for j, coe in enumerate(slots[k][s]):
-                pos = eci_positions(coe, times, earth=earth)
-                full[s, k, j] = visibility_mask(pos, block, fov.half_angle, earth=earth)
-
-    bits = np.packbits(full.reshape(-1).astype(np.uint8), bitorder="little")
-    return VisibilityTensor(dims=(n_stages, n_sats, j_max, t_stage, n_targets), bits=bits)
+    if targets.shape != (grid.num_steps, 3):
+        raise ValueError(f"targets shaped {targets.shape}, grid needs ({grid.num_steps}, 3)")
+    n_slots = {len(slot_list) for slot_list in slots}
+    if len(n_slots) > 1:
+        raise ValueError(f"satellites list unequal slot counts {sorted(n_slots)}")
+    times = np.arange(grid.num_steps, dtype=float) * grid.step
+    column = targets[:, None, :]
+    visible = np.zeros((len(slots), n_slots.pop() if n_slots else 0, grid.num_steps), dtype=bool)
+    for k, slot_list in enumerate(slots):
+        for j, coe in enumerate(slot_list):
+            pos = eci_positions(coe, times, earth=earth)
+            visible[k, j] = visibility_mask(pos, column, fov.half_angle, earth=earth)[:, 0]
+    return visible

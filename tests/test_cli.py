@@ -141,6 +141,36 @@ class TestFailures:
         assert "num_steps 33 is not divisible by num_stages 2" in captured.err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "cfg_line,flags",
+        [("fov_deg = 95\n", []), ("", ["--fov-deg", "0"])],
+        ids=["config-95", "flag-0"],
+    )
+    def test_cone_out_of_range_named_before_any_compute(self, tmp_path, capsys, cfg_line, flags):
+        # the agile model alone never built a cone, so a bad one went unseen
+        (tmp_path / "tiny.csv").write_bytes(short_track())
+        cfg = tmp_path / "cone.cfg"
+        cfg.write_text("step_s = 900\nmodels = A\n" + cfg_line + "tracks = tiny.csv\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "fov_deg" in captured.err
+        if cfg_line:
+            assert "config line 3:" in captured.err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_track_csv_names_the_file(self, tmp_path, capsys):
+        rows = short_track().decode().splitlines()
+        rows[2] = "TINY,6.0,north,-55.9"
+        (tmp_path / "bad.csv").write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "bad_track.cfg"
+        cfg.write_text("tracks = bad.csv\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad.csv: line 3:" in captured.err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_threads(self, scenario_dir, tmp_path, capsys):
         code = main(
             ["run", "--config", str(scenario_dir / "run.cfg"), "--out", str(tmp_path / "o"),

@@ -33,9 +33,9 @@ from stormcover.harness import (
     write_outputs,
 )
 from stormcover.mcrp import active_point_of_step, build_reward_matrix, score_plan, solve_mcrp
-from stormcover.orbits import TimeGrid, geodetic_to_eci
+from stormcover.orbits import TimeGrid, eci_positions, geodetic_to_eci
 from stormcover.tracks import parse_track_csv, serialize_track, track_to_targets
-from stormcover.visibility import VisibilityTensor, compute_vtw_tensor
+from stormcover.visibility import visibility_mask
 
 
 def short_track(name="TINY", samples=4, lat0=15.0, lon0=-55.0) -> bytes:
@@ -288,7 +288,12 @@ class TestParseConfig:
 
 def dense_fine_tensor(track, config, slots):
     """The all-points visibility path: a (T, P, 3) table and a bool tensor
-    on the four-stage partition, shaped (4, K, J, T / 4, P)."""
+    on the four-stage partition, shaped (4, K, J, T / 4, P).
+
+    Each stage block propagates every slot in its own batch of step times
+    and tests it against every target point, as the packed-tensor path
+    did before visibility collapsed to the active target.
+    """
     grid = TimeGrid(track.duration_seconds, config.step, config.control_step, 4)
     targets = track_to_targets(track, grid)
     table = np.array(
@@ -297,7 +302,17 @@ def dense_fine_tensor(track, config, slots):
             for t in range(grid.num_steps)
         ]
     )
-    return compute_vtw_tensor([[s] * 4 for s in slots], table, grid, config.fov).unpack()
+    j_max = max(len(slot_list) for slot_list in slots)
+    t_stage = grid.steps_per_stage
+    full = np.zeros((4, len(slots), j_max, t_stage, targets.num_points), dtype=bool)
+    for s in range(4):
+        lo, hi = grid.stage_step_range(s)
+        times = np.arange(lo, hi, dtype=float) * grid.step
+        for k, slot_list in enumerate(slots):
+            for j, coe in enumerate(slot_list):
+                pos = eci_positions(coe, times)
+                full[s, k, j] = visibility_mask(pos, table[lo:hi], config.fov.half_angle)
+    return full
 
 
 class TestMergeTensorStages:
@@ -362,25 +377,25 @@ class TestActiveTargetTensor:
             if spec.family not in fine:
                 fine[spec.family] = dense_fine_tensor(track, config, ws.family_slots(spec))
             full = oracles.merge_stages(fine[spec.family], 4 // spec.num_stages)
-            dense = VisibilityTensor(dims=full.shape, bits=np.packbits(full, bitorder="little"))
             n_stages, _, _, t_stage, n_points = full.shape
             n_steps = n_stages * t_stage
             rewards = build_reward_matrix(n_steps, n_points, n_stages)
 
             tensor = ws.tensor_for(spec)
-            assert tensor.dims == full.shape[:4] + (1,)
+            assert tensor.shape == full.shape[:4] + (1,)
             active = [active_point_of_step(t, n_steps, n_points) for t in range(n_steps)]
             active = np.array(active).reshape(n_stages, 1, 1, t_stage, 1)
             cells = np.take_along_axis(full, active, axis=4)
-            assert np.array_equal(tensor.unpack(), cells), name
+            assert tensor.dtype == bool
+            assert np.array_equal(tensor, cells), name
 
             got = results[name].plan
             if spec.kind == "baseline":
-                assert score_plan(got, dense, rewards) == got.objective
+                assert score_plan(got, full, rewards) == got.objective
                 continue
             costs = ws.costs_for(spec)
             warm = _warm_candidates(spec, results, costs, len(config.satellites))
-            ref = solve_mcrp(dense, rewards, costs, node_limit=config.node_limit, warm_starts=warm)
+            ref = solve_mcrp(full, rewards, costs, node_limit=config.node_limit, warm_starts=warm)
             assert ref.paths == got.paths, name
             assert ref.objective == got.objective, name
             assert ref.proven_optimal == got.proven_optimal, name

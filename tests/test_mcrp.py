@@ -5,6 +5,7 @@ instances, with keys compared whole (objective, fuel, path vector) so
 tie-breaking is pinned down, not just the optimum value.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,13 +26,6 @@ from stormcover.mcrp import (
     solve_mcrp,
     solve_mcrp_exhaustive,
 )
-from stormcover.visibility import VisibilityTensor
-
-
-def pack_tensor(full: np.ndarray) -> VisibilityTensor:
-    full = np.asarray(full, dtype=bool)
-    bits = np.packbits(full.reshape(-1).astype(np.uint8), bitorder="little")
-    return VisibilityTensor(dims=full.shape, bits=bits)
 
 
 def make_costs(rng, n_sats, n_stages, n_slots, budget_range=(0.3, 2.0), levels=None):
@@ -71,7 +65,7 @@ def random_instance(rng, n_sats, n_stages, n_slots, t_stage, n_points,
         req = rng.integers(1, max_req + 1, size=pi.shape)
     rewards = RewardMatrix(pi=pi, coverage_req=req)
     costs = make_costs(rng, n_sats, n_stages, n_slots, levels=levels)
-    return pack_tensor(full), rewards, costs
+    return full, rewards, costs
 
 
 def plan_key(plan):
@@ -147,7 +141,7 @@ class TestScoring:
             plan = _wrap_paths(paths, costs)
             ours = score_plan(plan, tensor, rewards)
             ref = oracles.score_plan_loops(
-                tensor.unpack(), rewards.pi, rewards.coverage_req, paths
+                tensor, rewards.pi, rewards.coverage_req, paths
             )
             assert ours == ref
 
@@ -157,9 +151,8 @@ class TestScoring:
         rm = build_reward_matrix(steps, points, stages)
         full = np.zeros((stages, 1, 2, steps // stages, points), dtype=bool)
         full[:, 0, 1] = rm.pi[:, :, :] > 0
-        tensor = pack_tensor(full)
         plan = _wrap_paths([[0, 1, 1]], make_costs(np.random.default_rng(0), 1, stages, 2))
-        assert score_plan(plan, tensor, rm) == float(steps)
+        assert score_plan(plan, full, rm) == float(steps)
 
     def test_double_coverage_single_satellite_scores_zero(self):
         full = np.ones((1, 1, 2, 4, 1), dtype=bool)
@@ -167,7 +160,7 @@ class TestScoring:
             pi=np.ones((1, 4, 1)), coverage_req=np.full((1, 4, 1), 2, dtype=np.int64)
         )
         plan = _wrap_paths([[0, 1]], make_costs(np.random.default_rng(0), 1, 1, 2))
-        assert score_plan(plan, pack_tensor(full), rm) == 0.0
+        assert score_plan(plan, full, rm) == 0.0
 
     def test_out_of_range_slot_rejected(self):
         tensor, rewards, costs = random_instance(
@@ -176,18 +169,41 @@ class TestScoring:
         with pytest.raises(ValueError, match="out of range"):
             compute_coverage([[0, 5]], tensor, rewards)
 
+    def test_visibility_must_be_boolean_with_five_axes(self):
+        tensor, rewards, costs = random_instance(np.random.default_rng(3), 1, 1, 2, 4, 1)
+        for bad in (tensor[0], tensor.astype(np.uint8), tensor[:, :, :, :3]):
+            with pytest.raises(ValueError, match="visibility"):
+                solve_mcrp(bad, rewards, costs)
+            with pytest.raises(ValueError, match="visibility"):
+                compute_coverage([[0, 1]], bad, rewards)
+
     def test_coverage_linkage(self):
         # y must flip exactly where the seeing-satellite count crosses r
         rng = np.random.default_rng(11)
         tensor, rewards, _ = random_instance(rng, 2, 2, 3, 5, 2, max_req=2)
         paths = [[0, 1, 2], [0, 0, 1]]
-        y = compute_coverage(paths, tensor, rewards).y
-        full = tensor.unpack()
+        y = compute_coverage(paths, tensor, rewards)
+        assert y.shape == rewards.dims and y.dtype == bool
         counts = np.zeros_like(rewards.coverage_req)
         for k, path in enumerate(paths):
             for s in range(2):
-                counts[s] += full[s, k, path[s + 1]]
+                counts[s] += tensor[s, k, path[s + 1]]
         assert (y == (counts >= rewards.coverage_req)).all()
+
+
+def _solve_general(visible, rewards, costs):
+    """solve_mcrp with the weighted / multi-coverage search forced on a
+    binary instance, which would otherwise take the bitset fast path."""
+    from stormcover.mcrp import _GeneralSearch, _Instance, _plan_from_flat
+
+    inst = _Instance(visible, rewards, costs)
+    assert inst.binary
+    search = _GeneralSearch(inst, DEFAULT_NODE_LIMIT)
+    search.offer(tuple([0] * (inst.K * inst.S)))
+    search.solve()
+    assert not search.aborted
+    z = float(-search.best_key[0])
+    return _plan_from_flat(inst, search.best_paths, z, True, z)
 
 
 def _wrap_paths(paths, costs):
@@ -234,7 +250,7 @@ class TestSolveToys:
         stages = (np.array([[[0.0, 0.4]]]),)
         codes = (np.zeros((1, 1, 2), dtype=np.int8),)
         costs = CostMatrix(stages=stages, budget=np.array([2.0]), strategy_codes=codes)
-        plan = solve_mcrp(pack_tensor(full), rm, costs)
+        plan = solve_mcrp(full, rm, costs)
         assert plan.paths == ((0, 1),)
         assert plan.objective == float(steps)
         assert plan.per_stage_cost[0, 0] == 0.4
@@ -247,7 +263,7 @@ class TestSolveToys:
         stages = (np.zeros((1, 1, 2)),)
         codes = (np.zeros((1, 1, 2), dtype=np.int8),)
         costs = CostMatrix(stages=stages, budget=np.array([1.0]), strategy_codes=codes)
-        plan = solve_mcrp(pack_tensor(full), rm, costs)
+        plan = solve_mcrp(full, rm, costs)
         assert plan.paths == ((0, 0),)
 
     def test_tied_slots_give_deterministic_representative(self):
@@ -261,8 +277,8 @@ class TestSolveToys:
         stages = (np.array([[[0.0, 0.9, 0.3]]]),)
         codes = (np.zeros((1, 1, 3), dtype=np.int8),)
         costs = CostMatrix(stages=stages, budget=np.array([2.0]), strategy_codes=codes)
-        plan = solve_mcrp(pack_tensor(full), rm, costs)
-        again = solve_mcrp(pack_tensor(full), rm, costs)
+        plan = solve_mcrp(full, rm, costs)
+        again = solve_mcrp(full, rm, costs)
         assert plan.objective == 4.0 and plan.proven_optimal
         assert plan.paths[0][1] in (1, 2)
         assert plan.total_cost(0) <= 2.0
@@ -326,7 +342,7 @@ class TestSolveMatchesExhaustive:
         for trial in range(20):
             tensor, rewards, costs = random_instance(rng, 2, 2, 3, 5, 2)
             fast = solve_mcrp(tensor, rewards, costs)
-            slow = solve_mcrp(tensor, rewards, costs, _force_general=True)
+            slow = _solve_general(tensor, rewards, costs)
             assert fast.objective == slow.objective, f"trial {trial}"
             assert fast.objective == score_plan(fast, tensor, rewards)
             assert slow.objective == score_plan(slow, tensor, rewards)
@@ -384,7 +400,7 @@ class TestSolverInvariants:
             pi = (rng.random((2, 5, 2)) < 0.6).astype(float)
             rewards = RewardMatrix(pi=pi, coverage_req=np.ones_like(pi, dtype=np.int64))
             costs3 = make_costs(rng, 2, 2, 3)
-            z3 = solve_mcrp(pack_tensor(full), rewards, costs3).objective
+            z3 = solve_mcrp(full, rewards, costs3).objective
 
             wide = np.concatenate([full, rng.random((2, 2, 1, 5, 2)) < 0.35], axis=2)
             first = np.concatenate(
@@ -405,7 +421,7 @@ class TestSolverInvariants:
                     np.zeros_like(block, dtype=np.int8),
                 ),
             )
-            z4 = solve_mcrp(pack_tensor(wide), rewards, costs4).objective
+            z4 = solve_mcrp(wide, rewards, costs4).objective
             assert z4 >= z3
 
     def test_node_limit_returns_flagged_incumbent(self):
@@ -465,9 +481,16 @@ class TestSerialization:
         tensor, rewards, costs = random_instance(rng, 2, 2, 4, 6, 2, max_req=2)
         path = tmp_path / "inst.bin"
         dump_instance(path, tensor, rewards, costs)
+        # the container layout is fixed: these are the bytes the earlier
+        # packed-tensor implementation wrote for the same instance
+        raw = path.read_bytes()
+        assert len(raw) == 864
+        assert hashlib.sha256(raw).hexdigest() == (
+            "e1df97a6b22b2698ccc2fdd7c3a09df44c99558521b9264da88077cce5f22fc5"
+        )
         t2, r2, c2 = load_instance(path)
-        assert t2.dims == tensor.dims
-        assert np.array_equal(t2.bits, tensor.bits)
+        assert t2.dtype == bool
+        assert np.array_equal(t2, tensor)
         assert np.array_equal(r2.pi, rewards.pi)
         assert np.array_equal(r2.coverage_req, rewards.coverage_req)
         assert np.array_equal(c2.budget, costs.budget)

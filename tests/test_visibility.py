@@ -1,4 +1,4 @@
-"""Visibility cone, occlusion, and tensor-packing tests."""
+"""Visibility cone, occlusion, and slot-visibility tests."""
 
 import math
 
@@ -20,9 +20,8 @@ from stormcover.orbits import (
 )
 from stormcover.visibility import (
     FovSpec,
-    VisibilityTensor,
-    compute_vtw_tensor,
     is_visible,
+    slot_visibility,
     target_pointing,
     visibility_mask,
 )
@@ -188,35 +187,30 @@ class TestMaskAgainstScalar:
 
 
 def small_scenario():
+    """Two satellites with two slots each, and a (T, 3) active-target table
+    that alternates between two ground points."""
     grid = TimeGrid(duration=1200.0, step=100.0, control_step=600.0, num_stages=2)
     sats = [
         ClassicalOrbitalElements(7000.0, 0.0, 97.8 * DEG, 0.0, 0.0, 0.0),
         ClassicalOrbitalElements(7006.0, 1e-3, 97.7 * DEG, 40 * DEG, 10 * DEG, 120 * DEG),
     ]
-    slots = []
-    for coe in sats:
-        per_stage = []
-        for _ in range(grid.num_stages):
-            per_stage.append(
-                [
-                    coe,
-                    ClassicalOrbitalElements(
-                        coe.semi_major_axis,
-                        coe.eccentricity,
-                        coe.inclination,
-                        coe.raan,
-                        coe.arg_periapsis,
-                        coe.true_anomaly + 0.6,
-                    ),
-                ]
-            )
-        slots.append(per_stage)
+    slots = [
+        [
+            coe,
+            ClassicalOrbitalElements(
+                coe.semi_major_axis,
+                coe.eccentricity,
+                coe.inclination,
+                coe.raan,
+                coe.arg_periapsis,
+                coe.true_anomaly + 0.6,
+            ),
+        ]
+        for coe in sats
+    ]
     points = [GeodeticPoint(10 * DEG, 20 * DEG, 0.0), GeodeticPoint(-5 * DEG, -140 * DEG, 0.0)]
     targets = np.stack(
-        [
-            np.stack([geodetic_to_eci(p, t * grid.step) for p in points])
-            for t in range(grid.num_steps)
-        ]
+        [geodetic_to_eci(points[t % 2], t * grid.step) for t in range(grid.num_steps)]
     )
     return grid, slots, targets
 
@@ -225,68 +219,43 @@ class TestTensor:
     def test_matches_entrywise_scalar_recomputation(self):
         grid, slots, targets = small_scenario()
         fov = FovSpec(80 * DEG)
-        tensor = compute_vtw_tensor(slots, targets, grid, fov)
-        assert tensor.dims == (2, 2, 2, 6, 2)
-        full = tensor.unpack()
-        for s in range(2):
-            lo, _hi = grid.stage_step_range(s)
-            for k in range(2):
-                for j in range(2):
-                    for t_local in range(grid.steps_per_stage):
-                        t_global = lo + t_local
-                        coe = propagate(slots[k][s][j], t_global * grid.step)
-                        pos = coe_to_state(coe).position
-                        for p in range(2):
-                            expect = scalar_visible(pos, targets[t_global, p], fov.half_angle)
-                            assert full[s, k, j, t_local, p] == expect
-                            assert tensor.value(s, k, j, t_local, p) == expect
+        visible = slot_visibility(slots, targets, grid, fov)
+        assert visible.shape == (2, 2, grid.num_steps) and visible.dtype == bool
+        for k in range(2):
+            for j in range(2):
+                for t in range(grid.num_steps):
+                    coe = propagate(slots[k][j], t * grid.step)
+                    pos = coe_to_state(coe).position
+                    expect = scalar_visible(pos, targets[t], fov.half_angle)
+                    assert visible[k, j, t] == expect
+        # both values occur, so the comparison above is not vacuous
+        assert visible.any() and not visible.all()
 
     def test_overhead_start_bit_set(self):
         grid = TimeGrid(duration=600.0, step=100.0, control_step=600.0)
         coe = ClassicalOrbitalElements(7000.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         target = geodetic_to_eci(GeodeticPoint(0.0, 0.0, 0.0), 0.0)
-        targets = np.broadcast_to(target, (grid.num_steps, 1, 3)).copy()
-        tensor = compute_vtw_tensor([[[coe]]], targets, grid, FovSpec(45 * DEG))
-        assert tensor.value(0, 0, 0, 0, 0)
-
-    def test_zero_targets_all_false(self):
-        grid, slots, _ = small_scenario()
-        tensor = compute_vtw_tensor(slots, np.zeros((grid.num_steps, 0, 3)), grid, FovSpec(0.5))
-        assert tensor.count() == 0
+        targets = np.broadcast_to(target, (grid.num_steps, 3)).copy()
+        visible = slot_visibility([[coe]], targets, grid, FovSpec(45 * DEG))
+        assert visible[0, 0, 0]
 
     def test_fov_monotone_pointwise(self):
         grid, slots, targets = small_scenario()
-        narrow = compute_vtw_tensor(slots, targets, grid, FovSpec(30 * DEG)).unpack()
-        wide = compute_vtw_tensor(slots, targets, grid, FovSpec(45 * DEG)).unpack()
+        narrow = slot_visibility(slots, targets, grid, FovSpec(30 * DEG))
+        wide = slot_visibility(slots, targets, grid, FovSpec(45 * DEG))
         assert np.all(narrow <= wide)
 
     def test_dimension_mismatch_rejected(self):
         grid, slots, targets = small_scenario()
-        with pytest.raises(ValueError):
-            compute_vtw_tensor(slots, targets[:-1], grid, FovSpec(0.5))
+        with pytest.raises(ValueError, match="targets shaped"):
+            slot_visibility(slots, targets[:-1], grid, FovSpec(0.5))
+        with pytest.raises(ValueError, match="targets shaped"):
+            slot_visibility(slots, targets[:, None, :], grid, FovSpec(0.5))
 
-    def test_dump_load_round_trip(self, tmp_path):
+    def test_unequal_slot_lists_rejected(self):
         grid, slots, targets = small_scenario()
-        tensor = compute_vtw_tensor(slots, targets, grid, FovSpec(45 * DEG))
-        path = tmp_path / "vtw.bin"
-        tensor.dump(path)
-        first = path.read_bytes()
-        tensor.dump(path)
-        assert path.read_bytes() == first
-        loaded = VisibilityTensor.load(path)
-        assert loaded.dims == tensor.dims
-        assert np.array_equal(loaded.bits, tensor.bits)
-        assert np.array_equal(loaded.unpack(), tensor.unpack())
-
-    def test_header_is_five_little_endian_int64(self, tmp_path):
-        grid, slots, targets = small_scenario()
-        tensor = compute_vtw_tensor(slots, targets, grid, FovSpec(45 * DEG))
-        path = tmp_path / "vtw.bin"
-        tensor.dump(path)
-        raw = path.read_bytes()
-        dims = np.frombuffer(raw[:40], dtype="<i8")
-        assert tuple(int(d) for d in dims) == tensor.dims
-        assert len(raw) == 40 + tensor.bits.size
+        with pytest.raises(ValueError, match="unequal slot counts"):
+            slot_visibility([slots[0], slots[1][:1]], targets, grid, FovSpec(0.5))
 
 
 class TestFovSpecValidation:
