@@ -10,7 +10,13 @@ authoritative homes (orbits, tracks, visibility, agility, maneuvers, mcrp,
 harness, cli).
 """
 
-from .agility import AgilityConfig, SlewSchedule, optimize_slew_schedule, score_agility
+from .agility import (
+    AgilityConfig,
+    SlewSchedule,
+    optimize_slew_schedule,
+    optimize_slew_schedules,
+    score_agility,
+)
 from .harness import (
     DEFAULT_SATELLITES,
     ComparisonReport,
@@ -80,6 +86,7 @@ __all__ = [
     "generate_slot_grid",
     "load_config",
     "optimize_slew_schedule",
+    "optimize_slew_schedules",
     "parse_models",
     "parse_track_csv",
     "propagate",

@@ -1,18 +1,25 @@
-"""Slew scheduling and degraded-reward scoring for an agile satellite.
+"""Slew scheduling and degraded-reward scoring for agile satellites.
 
-One satellite, a sequence of control opportunities, three body-frame slew
-angles per opportunity.  The planner picks angles that point the boresight
-as close as possible to the active target while respecting the slew-angle
-box and the per-opportunity rate budget; the scorer then converts the
-resulting pointing history into observation rewards that shrink as the
-total slew magnitude grows.
+Each satellite has a sequence of control opportunities with three
+body-frame slew angles per opportunity.  The planner picks angles that
+point the boresight as close as possible to the active target while
+respecting the slew-angle box and the per-opportunity rate budget; the
+scorer then converts the resulting pointing history into observation
+rewards that shrink as the total slew magnitude grows.
+
+The planner is greedy in time and independent across satellites, so it
+walks the opportunities once and solves each for all K satellites with
+arrays that carry a leading K axis.  Every per-satellite value rounds
+exactly as it would in a one-satellite run: the batched matrix products,
+row norms and sums below were chosen to take the same floating-point
+route as their one-satellite forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +34,7 @@ __all__ = [
     "pointing_direction",
     "angular_difference",
     "optimize_slew_schedule",
+    "optimize_slew_schedules",
     "score_agility",
     "slewed_step_visibility",
 ]
@@ -158,102 +166,131 @@ def angular_difference(d: np.ndarray, t: np.ndarray) -> float:
     return math.acos(min(1.0, max(-1.0, float(d @ t) / (nd * nt))))
 
 
-def _batched_objective(angles: np.ndarray, nadir: np.ndarray, target_dirs: np.ndarray) -> np.ndarray:
-    """Pointing objective for a batch of angle triples.
+def _batched_objective(angles: np.ndarray, nadirs: np.ndarray, target_dirs: np.ndarray) -> np.ndarray:
+    """Pointing objective for a batch of angle triples per satellite.
 
-    angles: (B, 3); nadir: unit (3,); target_dirs: unit (P, 3).
-    Returns (B,) sums of off-target angles.
+    angles: (K, B, 3); nadirs: unit (K, 3); target_dirs: unit (K, P, 3).
+    Returns (K, B) sums of off-target angles.
     """
-    a, b, g = angles[:, 0], angles[:, 1], angles[:, 2]
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
-    cg, sg = np.cos(g), np.sin(g)
-    n0, n1, n2 = nadir
-    u0 = cb * cg * n0 + cb * sg * n1 - sb * n2
-    u1 = (sa * sb * cg - ca * sg) * n0 + (sa * sb * sg + ca * cg) * n1 + sa * cb * n2
-    u2 = (ca * sb * cg + sa * sg) * n0 + (ca * sb * sg - sa * cg) * n1 + ca * cb * n2
-    u = np.stack([u0, u1, u2], axis=1)
-    dots = np.clip(u @ target_dirs.T, -1.0, 1.0)
-    return np.arccos(dots).sum(axis=1)
+    c, s = np.cos(angles), np.sin(angles)
+    ca, cb, cg = c[..., 0], c[..., 1], c[..., 2]
+    sa, sb, sg = s[..., 0], s[..., 1], s[..., 2]
+    n0, n1, n2 = nadirs[:, 0, None], nadirs[:, 1, None], nadirs[:, 2, None]
+    sasb, casb = sa * sb, ca * sb
+    u = np.empty(angles.shape)
+    u[..., 0] = cb * cg * n0 + cb * sg * n1 - sb * n2
+    u[..., 1] = (sasb * cg - ca * sg) * n0 + (sasb * sg + ca * cg) * n1 + sa * cb * n2
+    u[..., 2] = (casb * cg + sa * sg) * n0 + (casb * sg - sa * cg) * n1 + ca * cb * n2
+    dots = (u @ target_dirs.transpose(0, 2, 1)).clip(-1.0, 1.0)
+    return np.arccos(dots).sum(axis=-1)
 
 
-def _candidate_key(objective: float, angles: np.ndarray) -> tuple:
-    return (objective, float(np.abs(angles).sum()))
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each last-axis row, rounded like the 1-D ``norm``.
+
+    A stacked (1, 3) @ (3, 1) product takes the same dot-product route as
+    ``np.linalg.norm`` of a single vector; ``norm(v, axis=-1)`` and
+    ``einsum`` can differ from it in the last bit.
+    """
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def _optimize_one_opportunity(
+def _optimize_opportunity(
     prev: np.ndarray,
-    nadir: np.ndarray,
+    nadirs: np.ndarray,
     target_dirs: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> tuple:
-    """Best angles for a single opportunity inside [lower, upper]^3.
+    """Best angles of one opportunity for each satellite inside its [lower, upper]^3.
 
     Coarse grid multistart, then projected gradient descent with a
-    backtracking step ladder from the best grid node.  Ties resolve toward
+    backtracking step ladder from each satellite's best grid node; each
+    satellite leaves the descent on its own stall test.  Ties resolve toward
     the smallest total slew.
+
+    Returns (K, 3) angles and (K,) objective values.
     """
-
+    n_sats = prev.shape[0]
     toward_zero = np.clip(np.zeros(3), lower, upper)
-    if target_dirs.shape[0] == 0:
+    if target_dirs.shape[1] == 0:
         # Nothing to chase: relax toward nadir as fast as the rate box allows.
-        return toward_zero, 0.0
+        return toward_zero, np.zeros(n_sats)
 
-    axes = [np.linspace(lower[i], upper[i], _GRID_POINTS) for i in range(3)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    extra = np.stack([np.clip(prev, lower, upper), toward_zero])
-    candidates = np.concatenate([grid, extra])
-    values = _batched_objective(candidates, nadir, target_dirs)
-    order = np.lexsort((np.abs(candidates).sum(axis=1), values))
-    best = candidates[order[0]].copy()
-    best_val = float(values[order[0]])
+    axes = np.linspace(lower, upper, _GRID_POINTS, axis=-1)
+    nodes = np.broadcast_arrays(
+        axes[:, 0, :, None, None], axes[:, 1, None, :, None], axes[:, 2, None, None, :]
+    )
+    grid = np.stack(nodes, axis=-1).reshape(n_sats, -1, 3)
+    extra = np.stack([np.clip(prev, lower, upper), toward_zero], axis=1)
+    candidates = np.concatenate([grid, extra], axis=1)
+    values = _batched_objective(candidates, nadirs, target_dirs)
+    first = np.lexsort((np.abs(candidates).sum(axis=-1), values), axis=-1)[:, 0]
+    sats = np.arange(n_sats)
+    best = candidates[sats, first]
+    best_val = values[sats, first]
 
+    # Every satellite runs each descent step; one that has stalled keeps
+    # its point, and the rows never mix, so the others round as if alone.
     x = best.copy()
-    fx = best_val
-    if fx > 1e-9:
-        h = 1e-6
-        for _ in range(_DESCENT_ITERS):
-            probes = np.repeat(x[None, :], 6, axis=0)
-            probes[[0, 1, 2], [0, 1, 2]] += h
-            probes[[3, 4, 5], [0, 1, 2]] -= h
-            pv = _batched_objective(np.clip(probes, lower, upper), nadir, target_dirs)
-            grad = (pv[:3] - pv[3:]) / (2.0 * h)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-12:
-                break
-            trials = np.clip(x[None, :] - np.outer(_STEP_LADDER / gnorm, grad), lower, upper)
-            tv = _batched_objective(trials, nadir, target_dirs)
-            i = int(np.argmin(tv))
-            if tv[i] >= fx - 1e-14:
-                break
-            x = trials[i]
-            fx = float(tv[i])
-        if _candidate_key(fx, x) < _candidate_key(best_val, best):
-            best, best_val = x, fx
-    return best, best_val
+    fx = best_val.copy()
+    live = fx > 1e-9
+    lo, hi = lower[:, None], upper[:, None]
+    h = 1e-6
+    for _ in range(_DESCENT_ITERS):
+        if not live.any():
+            break
+        probes = np.repeat(x[:, None], 6, axis=1)
+        probes[:, [0, 1, 2], [0, 1, 2]] += h
+        probes[:, [3, 4, 5], [0, 1, 2]] -= h
+        pv = _batched_objective(probes.clip(lo, hi), nadirs, target_dirs)
+        grad = (pv[:, :3] - pv[:, 3:]) / (2.0 * h)
+        gnorm = _row_norms(grad)
+        live &= gnorm >= 1e-12
+        steps = (_STEP_LADDER / np.where(live, gnorm, 1.0)[:, None])[..., None] * grad[:, None, :]
+        trials = (x[:, None] - steps).clip(lo, hi)
+        tv = _batched_objective(trials, nadirs, target_dirs)
+        pick = np.argmin(tv, axis=-1)
+        live &= tv[sats, pick] < fx - 1e-14
+        x = np.where(live[:, None], trials[sats, pick], x)
+        fx = np.where(live, tv[sats, pick], fx)
+
+    # Keep the polished point only if it sorts before the grid node on
+    # (objective, total slew), as the multistart's lexsort does.
+    polished = (fx < best_val) | (
+        (fx == best_val) & (np.abs(x).sum(axis=-1) < np.abs(best).sum(axis=-1))
+    )
+    return np.where(polished[:, None], x, best), np.where(polished, fx, best_val)
 
 
-def optimize_slew_schedule(
-    orbit: ClassicalOrbitalElements,
+def optimize_slew_schedules(
+    orbits: Sequence[ClassicalOrbitalElements],
     targets: Sequence[np.ndarray],
     config: AgilityConfig,
     grid: TimeGrid,
     earth: EarthModel = EARTH,
-) -> SlewSchedule:
-    """Plan slew angles over all control opportunities of the grid.
+) -> List[SlewSchedule]:
+    """Plan slew angles over all control opportunities for each satellite.
+
+    The greedy pass runs forward in time once, solving each opportunity for
+    all satellites together; a satellite's schedule does not depend on the
+    others, nor on its place in ``orbits``.
 
     Args:
-        orbit: satellite elements at scenario epoch.
+        orbits: satellite elements at scenario epoch, one per schedule.
         targets: one array of active-target ECI positions (m, 3) per
-            control opportunity; an empty array means nothing to observe.
+            control opportunity, shared by every satellite; an empty array
+            means nothing to observe.  A target direction of zero length
+            (a target at the satellite itself) is dropped for that
+            satellite.
         config: slew limits; its control_step must match the grid.
         grid: scenario time discretisation.
 
     Returns:
-        A feasible schedule.  Its summed pointing objective never exceeds
-        the objective of the all-zeros (nadir) schedule; when the greedy
-        pass loses to nadir, nadir itself is returned.
+        One feasible schedule per orbit, in order.  Its summed pointing
+        objective never exceeds the objective of the all-zeros (nadir)
+        schedule; when the greedy pass loses to nadir, nadir itself is
+        returned for that satellite.
 
     Raises:
         ValueError: on rate/step mismatches or wrong target counts.
@@ -265,36 +302,67 @@ def optimize_slew_schedule(
     n_opps = grid.num_opportunities
     if len(targets) != n_opps:
         raise ValueError(f"expected targets for {n_opps} opportunities, got {len(targets)}")
+    if not orbits:
+        return []
 
     epochs = np.array([grid.opportunity_time(i) for i in range(n_opps)])
-    positions = eci_positions(orbit, epochs, earth=earth)
+    positions = np.stack([eci_positions(orbit, epochs, earth=earth) for orbit in orbits])
+    nadirs = -positions / _row_norms(positions)[..., None]
     budget = config.rate_budget
     bound = config.max_angle
 
-    prev = np.zeros(3)
-    rows = []
-    greedy_total = 0.0
-    nadir_total = 0.0
+    n_sats = len(orbits)
+    prev = np.zeros((n_sats, 3))
+    rows = np.empty((n_sats, n_opps, 3))
+    greedy_total = np.zeros(n_sats)
+    nadir_total = np.zeros(n_sats)
     for i in range(n_opps):
-        pos = positions[i]
-        nadir = -pos / np.linalg.norm(pos)
         tgt = np.asarray(targets[i], dtype=float).reshape(-1, 3)
-        dirs = tgt - pos[None, :]
-        norms = np.linalg.norm(dirs, axis=1)
-        dirs = dirs[norms > 0.0] / norms[norms > 0.0, None]
+        dirs = tgt[None, :, :] - positions[:, i, None, :]
+        norms = np.linalg.norm(dirs, axis=-1)
+        valid = norms > 0.0
+        # A zero-length direction (a target at the satellite itself) is
+        # dropped.  Satellites are solved in groups of equal direction count,
+        # the kept directions first and in order, so each one's products and
+        # sums have the shapes of its one-satellite run and round the same.
+        order = np.argsort(~valid, axis=1, kind="stable")
+        dirs = np.take_along_axis(dirs / np.where(valid, norms, 1.0)[..., None], order[..., None], axis=1)
+        counts = valid.sum(axis=1)
         lower = np.maximum(-bound, prev - budget)
         upper = np.minimum(bound, prev + budget)
-        angles, value = _optimize_one_opportunity(prev, nadir, dirs, lower, upper)
-        rows.append(angles)
-        greedy_total += value
-        if dirs.shape[0]:
-            nadir_total += float(_batched_objective(np.zeros((1, 3)), nadir, dirs)[0])
+        angles = np.empty((n_sats, 3))
+        for count in np.unique(counts):
+            group = np.flatnonzero(counts == count)
+            group_dirs, group_nadirs = dirs[group, :count], nadirs[group, i]
+            angles[group], value = _optimize_opportunity(
+                prev[group], group_nadirs, group_dirs, lower[group], upper[group]
+            )
+            greedy_total[group] += value
+            if count:
+                at_nadir = np.zeros((group.size, 1, 3))
+                nadir_total[group] += _batched_objective(at_nadir, group_nadirs, group_dirs)[:, 0]
+        rows[:, i] = angles
         prev = angles
 
-    if greedy_total > nadir_total:
-        # The rate box can trap the greedy pass; never do worse than not slewing.
-        return SlewSchedule(np.zeros((n_opps, 3)), objective_value=nadir_total)
-    return SlewSchedule(np.array(rows).reshape(n_opps, 3), objective_value=greedy_total)
+    schedules = []
+    for k in range(n_sats):
+        if greedy_total[k] > nadir_total[k]:
+            # The rate box can trap the greedy pass; never do worse than not slewing.
+            schedules.append(SlewSchedule(np.zeros((n_opps, 3)), objective_value=float(nadir_total[k])))
+        else:
+            schedules.append(SlewSchedule(rows[k], objective_value=float(greedy_total[k])))
+    return schedules
+
+
+def optimize_slew_schedule(
+    orbit: ClassicalOrbitalElements,
+    targets: Sequence[np.ndarray],
+    config: AgilityConfig,
+    grid: TimeGrid,
+    earth: EarthModel = EARTH,
+) -> SlewSchedule:
+    """The schedule :func:`optimize_slew_schedules` plans for one satellite."""
+    return optimize_slew_schedules([orbit], targets, config, grid, earth)[0]
 
 
 def score_agility(

@@ -57,7 +57,7 @@ import numpy as np
 from .agility import (
     AgilityConfig,
     SlewSchedule,
-    optimize_slew_schedule,
+    optimize_slew_schedules,
     score_agility,
     slewed_step_visibility,
 )
@@ -516,16 +516,13 @@ def _run_agile(ws: _TrackWorkspace) -> ModelResult:
         )
 
     acfg = config.agility
+    orbits = [sc.elements for sc in config.satellites]
+    schedules = tuple(optimize_slew_schedules(orbits, opp_targets, acfg, grid))
     total = 0.0
-    schedules = []
-    for sc in config.satellites:
-        schedule = optimize_slew_schedule(sc.elements, opp_targets, acfg, grid)
-        visible = slewed_step_visibility(
-            sc.elements, schedule, ws.table, config.fov_half_angle, grid
-        )
+    for orbit, schedule in zip(orbits, schedules):
+        visible = slewed_step_visibility(orbit, schedule, ws.table, config.fov_half_angle, grid)
         total += score_agility(schedule, visible, acfg, grid).total_reward
-        schedules.append(schedule)
-    return ModelResult("A", total, True, time.perf_counter() - t0, schedules=tuple(schedules))
+    return ModelResult("A", total, True, time.perf_counter() - t0, schedules=schedules)
 
 
 def _map_flat(flat: Tuple[int, ...], source: ModelSpec, target: ModelSpec, kind: str, n_sats: int) -> Tuple[int, ...]:
@@ -796,6 +793,8 @@ def emit_report(report: ComparisonReport, fmt: str, baseline: str = "B") -> byte
         return buf.getvalue().encode()
     if fmt == "text-table":
         def fmt_cell(cell: str) -> str:
+            if cell.isdigit():  # the count columns stay integers
+                return cell
             try:
                 return f"{float(cell):.3f}"
             except ValueError:

@@ -240,6 +240,105 @@ def degraded_reward(step_visible: np.ndarray, step_angles: np.ndarray, max_angle
     return z
 
 
+# The per-satellite greedy slew planner the library ran before it batched
+# satellites, kept as the bit-for-bit reference: one satellite at a time,
+# one opportunity at a time, with 1-D vector arithmetic throughout.
+
+_GRID_POINTS = 7
+_DESCENT_ITERS = 25
+_STEP_LADDER = 0.5 ** np.arange(22)
+
+
+def slew_objective(angles: np.ndarray, nadir: np.ndarray, target_dirs: np.ndarray) -> np.ndarray:
+    """Sums of off-target angles for (B, 3) angle triples, unit nadir (3,)
+    and unit target directions (P, 3)."""
+    a, b, g = angles[:, 0], angles[:, 1], angles[:, 2]
+    ca, sa = np.cos(a), np.sin(a)
+    cb, sb = np.cos(b), np.sin(b)
+    cg, sg = np.cos(g), np.sin(g)
+    n0, n1, n2 = nadir
+    u0 = cb * cg * n0 + cb * sg * n1 - sb * n2
+    u1 = (sa * sb * cg - ca * sg) * n0 + (sa * sb * sg + ca * cg) * n1 + sa * cb * n2
+    u2 = (ca * sb * cg + sa * sg) * n0 + (ca * sb * sg - sa * cg) * n1 + ca * cb * n2
+    u = np.stack([u0, u1, u2], axis=1)
+    dots = np.clip(u @ target_dirs.T, -1.0, 1.0)
+    return np.arccos(dots).sum(axis=1)
+
+
+def candidate_key(objective: float, angles: np.ndarray) -> tuple:
+    return (objective, float(np.abs(angles).sum()))
+
+
+def optimize_one_opportunity(prev, nadir, target_dirs, lower, upper) -> tuple:
+    """Grid multistart then projected gradient descent inside [lower, upper]^3;
+    ties go to the smallest total slew."""
+    toward_zero = np.clip(np.zeros(3), lower, upper)
+    if target_dirs.shape[0] == 0:
+        return toward_zero, 0.0
+
+    axes = [np.linspace(lower[i], upper[i], _GRID_POINTS) for i in range(3)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    extra = np.stack([np.clip(prev, lower, upper), toward_zero])
+    candidates = np.concatenate([grid, extra])
+    values = slew_objective(candidates, nadir, target_dirs)
+    order = np.lexsort((np.abs(candidates).sum(axis=1), values))
+    best = candidates[order[0]].copy()
+    best_val = float(values[order[0]])
+
+    x = best.copy()
+    fx = best_val
+    if fx > 1e-9:
+        h = 1e-6
+        for _ in range(_DESCENT_ITERS):
+            probes = np.repeat(x[None, :], 6, axis=0)
+            probes[[0, 1, 2], [0, 1, 2]] += h
+            probes[[3, 4, 5], [0, 1, 2]] -= h
+            pv = slew_objective(np.clip(probes, lower, upper), nadir, target_dirs)
+            grad = (pv[:3] - pv[3:]) / (2.0 * h)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < 1e-12:
+                break
+            trials = np.clip(x[None, :] - np.outer(_STEP_LADDER / gnorm, grad), lower, upper)
+            tv = slew_objective(trials, nadir, target_dirs)
+            i = int(np.argmin(tv))
+            if tv[i] >= fx - 1e-14:
+                break
+            x = trials[i]
+            fx = float(tv[i])
+        if candidate_key(fx, x) < candidate_key(best_val, best):
+            best, best_val = x, fx
+    return best, best_val
+
+
+def greedy_slew_schedule(positions, targets, rate_budget, max_angle) -> tuple:
+    """One satellite's greedy schedule from its (n, 3) positions at the
+    control opportunities; returns (angles (n, 3), objective).  Falls back
+    to the all-zeros schedule when the greedy total loses to nadir."""
+    n_opps = positions.shape[0]
+    prev = np.zeros(3)
+    rows = []
+    greedy_total = 0.0
+    nadir_total = 0.0
+    for i in range(n_opps):
+        pos = positions[i]
+        nadir = -pos / np.linalg.norm(pos)
+        tgt = np.asarray(targets[i], dtype=float).reshape(-1, 3)
+        dirs = tgt - pos[None, :]
+        norms = np.linalg.norm(dirs, axis=1)
+        dirs = dirs[norms > 0.0] / norms[norms > 0.0, None]
+        lower = np.maximum(-max_angle, prev - rate_budget)
+        upper = np.minimum(max_angle, prev + rate_budget)
+        angles, value = optimize_one_opportunity(prev, nadir, dirs, lower, upper)
+        rows.append(angles)
+        greedy_total += value
+        if dirs.shape[0]:
+            nadir_total += float(slew_objective(np.zeros((1, 3)), nadir, dirs)[0])
+        prev = angles
+    if greedy_total > nadir_total:
+        return np.zeros((n_opps, 3)), nadir_total
+    return np.array(rows).reshape(n_opps, 3), greedy_total
+
+
 # ---------------------------------------------------------------------------
 # Reward / coverage oracles
 # ---------------------------------------------------------------------------

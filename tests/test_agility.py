@@ -13,12 +13,23 @@ from stormcover.agility import (
     SlewSchedule,
     angular_difference,
     optimize_slew_schedule,
+    optimize_slew_schedules,
     pointing_direction,
     rotation_matrix,
     score_agility,
     slewed_step_visibility,
 )
-from stormcover.orbits import EARTH, ClassicalOrbitalElements, TimeGrid, coe_to_state, propagate
+from stormcover.harness import ScenarioConfig, _TrackWorkspace, default_corpus, evaluate_track
+from stormcover.mcrp import active_point_of_step
+from stormcover.orbits import (
+    EARTH,
+    ClassicalOrbitalElements,
+    TimeGrid,
+    coe_to_state,
+    eci_positions,
+    geodetic_to_eci,
+    propagate,
+)
 from stormcover.visibility import FovSpec, is_visible
 
 DEG = math.pi / 180.0
@@ -220,6 +231,144 @@ class TestOptimizer:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             AgilityConfig(-1.0, 1.0, 1.0, ZETA, 1800.0)
+
+
+def oracle_schedules(orbits, targets, config, grid):
+    """(angles, objective) per orbit from the per-satellite reference planner."""
+    epochs = np.array([grid.opportunity_time(i) for i in range(grid.num_opportunities)])
+    return [
+        oracles.greedy_slew_schedule(
+            eci_positions(orbit, epochs), targets, config.rate_budget, config.max_angle
+        )
+        for orbit in orbits
+    ]
+
+
+def assert_schedules_match(schedules, expected):
+    assert len(schedules) == len(expected)
+    for sched, (angles, objective) in zip(schedules, expected):
+        assert np.array_equal(sched.angles, angles)
+        assert sched.objective_value == objective
+
+
+def corpus_opportunity_targets(track, config):
+    """The harness's per-opportunity active-target positions, rebuilt point by point."""
+    ws = _TrackWorkspace(track, config)
+    grid = ws.grid_for(1)
+    n_steps, n_points = grid.num_steps, ws.targets.num_points
+    spo = grid.steps_per_opportunity
+    targets = []
+    for i in range(grid.num_opportunities):
+        steps = range(i * spo, min((i + 1) * spo, n_steps))
+        points = sorted({active_point_of_step(t, n_steps, n_points) for t in steps})
+        when = grid.opportunity_time(i)
+        targets.append(np.array([geodetic_to_eci(ws.targets.points[p], when) for p in points]))
+    return grid, targets
+
+
+def random_orbit(rng):
+    return ClassicalOrbitalElements(
+        rng.uniform(6800.0, 7400.0), 0.0, rng.uniform(0.3, 1.7), rng.uniform(0, 6.2), 0.0, rng.uniform(0, 6.2)
+    )
+
+
+class TestBatchedOptimizer:
+    """optimize_slew_schedules against the per-satellite planner it replaced."""
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_corpus_schedules_match_per_satellite_oracle(self, index):
+        track = default_corpus(20)[index]
+        config = ScenarioConfig()
+        grid, targets = corpus_opportunity_targets(track, config)
+        orbits = [sc.elements for sc in config.satellites]
+        schedules = evaluate_track(track, config, models=("A",))["A"].schedules
+        assert_schedules_match(schedules, oracle_schedules(orbits, targets, config.agility, grid))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sats=st.integers(1, 4),
+        rate=st.sampled_from([1e-5, 3.0 * DEG]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_cases_match_per_satellite_oracle(self, seed, n_sats, rate):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(duration=7200.0, step=300.0, control_step=1800.0)
+        config = AgilityConfig(rate, 2.0 * rate, rate, ZETA, 1800.0)
+        orbits = [random_orbit(rng) for _ in range(n_sats)]
+        targets = []
+        for i in range(grid.num_opportunities):
+            if rng.random() < 0.2:
+                targets.append(np.zeros((0, 3)))
+                continue
+            # off-nadir points of one satellite; the others see them from afar
+            pos = coe_to_state(propagate(orbits[rng.integers(n_sats)], grid.opportunity_time(i))).position
+            targets.append(np.array([
+                surface_point_off_nadir(pos, rng.uniform(5, 60) * DEG, rng.uniform(0, 2 * math.pi))
+                for _ in range(rng.integers(1, 4))
+            ]))
+        schedules = optimize_slew_schedules(orbits, targets, config, grid)
+        assert_schedules_match(schedules, oracle_schedules(orbits, targets, config, grid))
+
+    def test_nadir_fallback_fires_per_satellite(self):
+        # Two opportunities pull satellite 0 off nadir against a tight rate
+        # box; the third puts six targets under it, where the greedy pass
+        # cannot get back in time and so loses to never slewing at all.
+        grid = TimeGrid(duration=7200.0, step=300.0, control_step=1800.0)
+        config = AgilityConfig(1e-5, 1e-5, 1e-5, ZETA, 1800.0)
+        orbits = [
+            ClassicalOrbitalElements(7000.0, 0.0, 50 * DEG, 10 * DEG, 0.0, 0.0),
+            ClassicalOrbitalElements(7000.0, 0.0, 50 * DEG, 10 * DEG, 0.0, 30 * DEG),
+        ]
+        epochs = np.array([grid.opportunity_time(i) for i in range(grid.num_opportunities)])
+        lead = eci_positions(orbits[0], epochs)
+        targets = [surface_point_off_nadir(lead[i], 40 * DEG)[None, :] for i in range(2)]
+        targets += [np.repeat((lead[i] / np.linalg.norm(lead[i]) * R_E)[None, :], 6, axis=0) for i in (2, 3)]
+        expected = oracle_schedules(orbits, targets, config, grid)
+        assert np.array_equal(expected[0][0], np.zeros((4, 3)))
+        assert np.any(expected[1][0] != 0.0)
+        assert_schedules_match(optimize_slew_schedules(orbits, targets, config, grid), expected)
+
+    def test_permuting_orbits_permutes_schedules(self):
+        track = default_corpus(20)[0]
+        config = ScenarioConfig()
+        grid, targets = corpus_opportunity_targets(track, config)
+        orbits = [sc.elements for sc in config.satellites]
+        order = [3, 0, 4, 2, 1]
+        straight = optimize_slew_schedules(orbits, targets, config.agility, grid)
+        permuted = optimize_slew_schedules([orbits[k] for k in order], targets, config.agility, grid)
+        for k, sched in zip(order, permuted):
+            assert np.array_equal(sched.angles, straight[k].angles)
+            assert sched.objective_value == straight[k].objective_value
+
+    def test_zero_length_direction_dropped_per_satellite(self):
+        # A target placed exactly at satellite 0 has no direction from it and
+        # counts for nothing there, while satellite 1 still chases it.  The
+        # opportunities leave satellite 0 two, one, none and seven directions.
+        grid = TimeGrid(duration=7200.0, step=300.0, control_step=1800.0)
+        config = default_config()
+        orbits = [
+            ClassicalOrbitalElements(7000.0, 0.0, 40 * DEG, 10 * DEG, 0.0, 0.0),
+            ClassicalOrbitalElements(7000.0, 0.0, 40 * DEG, 10 * DEG, 0.0, 20 * DEG),
+        ]
+        epochs = np.array([grid.opportunity_time(i) for i in range(grid.num_opportunities)])
+        own = eci_positions(orbits[0], epochs)
+        kept = [
+            [surface_point_off_nadir(own[i], (10 + 4 * n) * DEG, (50 * n + 30 * i) * DEG) for n in range(count)]
+            for i, count in enumerate([2, 1, 0, 7])
+        ]
+        targets = [np.array(points[:1] + [own[i]] + points[1:]) for i, points in enumerate(kept)]
+        schedules = optimize_slew_schedules(orbits, targets, config, grid)
+        assert_schedules_match(schedules, oracle_schedules(orbits, targets, config, grid))
+        alone = optimize_slew_schedule(
+            orbits[0], [np.array(points).reshape(-1, 3) for points in kept], config, grid
+        )
+        assert np.array_equal(schedules[0].angles, alone.angles)
+        assert schedules[0].objective_value == alone.objective_value
+        assert np.any(schedules[1].angles[2] != 0.0)
+
+    def test_no_orbits_no_schedules(self):
+        grid = one_opportunity_grid()
+        assert optimize_slew_schedules([], [np.zeros((0, 3))], default_config(), grid) == []
 
 
 class TestScore:

@@ -617,6 +617,9 @@ class TestEmitReport:
         ]
         assert len(lines) == 4
         assert "75.000" in lines[3]
+        cells = lines[3].split()
+        assert cells[1:3] == ["3", "3"]
+        assert cells[-2:] == ["1", "3"]
         assert text.endswith("\n")
 
     def test_unknown_format(self):
