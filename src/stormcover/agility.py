@@ -7,12 +7,33 @@ respecting the slew-angle box and the per-opportunity rate budget; the
 scorer then converts the resulting pointing history into observation
 rewards that shrink as the total slew magnitude grows.
 
-The planner is greedy in time and independent across satellites, so it
-walks the opportunities once and solves each for all K satellites with
-arrays that carry a leading K axis.  Every per-satellite value rounds
-exactly as it would in a one-satellite run: the batched matrix products,
-row norms and sums below were chosen to take the same floating-point
-route as their one-satellite forms.
+The plan is greedy in time: each opportunity takes the best angles in the
+rate box around the previous opportunity's angles, by a multistart over a
+coarse grid, the previous angles and the box point nearest zero, then a
+projected descent from the winner.  The previous angles enter in two
+places only: they set the rate box, and they are one multistart
+candidate.  When every axis's rate budget spans the whole angle box, the
+box cannot depend on them, and the planner solves (satellite,
+opportunity) rows in three passes:
+
+- Guess: solve every row at once as if the previous angles were zero.
+- Check: redo every row's multistart from its predecessor's guessed
+  angles.  A row keeps its guessed angles when its box and its winning
+  candidate are bitwise unchanged and that winner is not the previous
+  angles' slot, now or in the guess: the descent is then a pure function
+  of inputs that did not change.
+- Replay: walk each satellite in time order from its first row the check
+  could not keep, solving rows again from their true previous angles,
+  until a row reproduces its guessed angles; the rows after it were
+  checked against the right predecessor.
+
+When the rate box can bind there is no guess, and the replay alone is the
+sequential greedy pass with all satellites in step.  Either way each row
+rounds exactly as in a one-satellite, one-opportunity run, so the
+schedules do not depend on the batching: rows are batched only with rows
+of the same target count, in blocks of at most ``_BLOCK_ROWS``, and the
+batched matrix products, row norms, sums and sorts below were chosen to
+take the same floating-point route as their one-row forms.
 """
 
 from __future__ import annotations
@@ -45,6 +66,11 @@ __all__ = [
 _GRID_POINTS = 7
 _DESCENT_ITERS = 25
 _STEP_LADDER = 0.5 ** np.arange(22)
+# Candidate index of the previous angles in the multistart, after the grid.
+_PREV_SLOT = _GRID_POINTS**3
+# Rows solved together: enough to amortize numpy's per-call cost, few enough
+# that a (rows, 345, 3) multistart temporary stays near half a megabyte.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -66,8 +92,10 @@ class AgilityConfig:
     def __post_init__(self) -> None:
         if min(self.max_rate_x, self.max_rate_y, self.max_rate_z) < 0.0:
             raise ValueError("slew rates must be non-negative")
-        if not 0.0 <= self.max_angle <= math.pi / 2.0:
-            raise ValueError(f"max_angle must lie in [0, pi/2], got {self.max_angle!r}")
+        # A zero box is the same as not slewing, and the degraded reward
+        # divides by the box.
+        if not 0.0 < self.max_angle <= math.pi / 2.0:
+            raise ValueError(f"max_angle must lie in (0, pi/2], got {self.max_angle!r}")
         if self.control_step <= 0.0:
             raise ValueError("control_step must be positive")
 
@@ -181,8 +209,10 @@ def _batched_objective(angles: np.ndarray, nadirs: np.ndarray, target_dirs: np.n
     u[..., 0] = cb * cg * n0 + cb * sg * n1 - sb * n2
     u[..., 1] = (sasb * cg - ca * sg) * n0 + (sasb * sg + ca * cg) * n1 + sa * cb * n2
     u[..., 2] = (casb * cg + sa * sg) * n0 + (casb * sg - sa * cg) * n1 + ca * cb * n2
-    dots = (u @ target_dirs.transpose(0, 2, 1)).clip(-1.0, 1.0)
-    return np.arccos(dots).sum(axis=-1)
+    # in place: with many rows, these (K, B, P) arrays are the largest
+    dots = u @ target_dirs.transpose(0, 2, 1)
+    np.clip(dots, -1.0, 1.0, out=dots)
+    return np.arccos(dots, out=dots).sum(axis=-1)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -195,65 +225,74 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def _optimize_opportunity(
+def _multistart(
     prev: np.ndarray,
     nadirs: np.ndarray,
     target_dirs: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> tuple:
-    """Best angles of one opportunity for each satellite inside its [lower, upper]^3.
+    """Best of the coarse grid, ``prev`` and the point nearest zero, per row.
 
-    Coarse grid multistart, then projected gradient descent with a
-    backtracking step ladder from each satellite's best grid node; each
-    satellite leaves the descent on its own stall test.  Ties resolve toward
-    the smallest total slew.
+    Each of the R rows is one (satellite, opportunity) inside its own
+    [lower, upper]^3 box; ``prev`` is candidate ``_PREV_SLOT``, after the
+    grid nodes.  Ties resolve toward the smallest total slew, then the
+    lowest candidate index.
 
-    Returns (K, 3) angles and (K,) objective values.
+    Returns the (R,) winning candidate index, (R, 3) angles and (R,) values.
     """
-    n_sats = prev.shape[0]
-    toward_zero = np.clip(np.zeros(3), lower, upper)
-    if target_dirs.shape[1] == 0:
-        # Nothing to chase: relax toward nadir as fast as the rate box allows.
-        return toward_zero, np.zeros(n_sats)
-
     axes = np.linspace(lower, upper, _GRID_POINTS, axis=-1)
     nodes = np.broadcast_arrays(
         axes[:, 0, :, None, None], axes[:, 1, None, :, None], axes[:, 2, None, None, :]
     )
-    grid = np.stack(nodes, axis=-1).reshape(n_sats, -1, 3)
-    extra = np.stack([np.clip(prev, lower, upper), toward_zero], axis=1)
-    candidates = np.concatenate([grid, extra], axis=1)
+    extra = np.stack([np.clip(prev, lower, upper), np.clip(np.zeros(3), lower, upper)], axis=1)
+    candidates = np.concatenate([np.stack(nodes, axis=-1).reshape(prev.shape[0], -1, 3), extra], axis=1)
     values = _batched_objective(candidates, nadirs, target_dirs)
     first = np.lexsort((np.abs(candidates).sum(axis=-1), values), axis=-1)[:, 0]
-    sats = np.arange(n_sats)
-    best = candidates[sats, first]
-    best_val = values[sats, first]
+    rows = np.arange(prev.shape[0])
+    return first, candidates[rows, first], values[rows, first]
 
-    # Every satellite runs each descent step; one that has stalled keeps
-    # its point, and the rows never mix, so the others round as if alone.
+
+def _descend(
+    best: np.ndarray,
+    best_val: np.ndarray,
+    nadirs: np.ndarray,
+    target_dirs: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> tuple:
+    """Polish each row's multistart winner by projected gradient descent.
+
+    Central-difference gradient, then a backtracking step ladder; each row
+    leaves on its own stall test.  Returns (R, 3) angles and (R,) values.
+    """
     x = best.copy()
     fx = best_val.copy()
-    live = fx > 1e-9
-    lo, hi = lower[:, None], upper[:, None]
+    # Each step computes only the rows still descending, gathered into one
+    # batch; the rows never mix, so each rounds as if alone.
+    going = np.flatnonzero(fx > 1e-9)
     h = 1e-6
     for _ in range(_DESCENT_ITERS):
-        if not live.any():
+        if going.size == 0:
             break
-        probes = np.repeat(x[:, None], 6, axis=1)
+        xa, fa, na, da = x[going], fx[going], nadirs[going], target_dirs[going]
+        lo, hi = lower[going, None], upper[going, None]
+        probes = np.repeat(xa[:, None], 6, axis=1)
         probes[:, [0, 1, 2], [0, 1, 2]] += h
         probes[:, [3, 4, 5], [0, 1, 2]] -= h
-        pv = _batched_objective(probes.clip(lo, hi), nadirs, target_dirs)
+        pv = _batched_objective(probes.clip(lo, hi), na, da)
         grad = (pv[:, :3] - pv[:, 3:]) / (2.0 * h)
         gnorm = _row_norms(grad)
-        live &= gnorm >= 1e-12
+        live = gnorm >= 1e-12
         steps = (_STEP_LADDER / np.where(live, gnorm, 1.0)[:, None])[..., None] * grad[:, None, :]
-        trials = (x[:, None] - steps).clip(lo, hi)
-        tv = _batched_objective(trials, nadirs, target_dirs)
+        trials = (xa[:, None] - steps).clip(lo, hi)
+        tv = _batched_objective(trials, na, da)
         pick = np.argmin(tv, axis=-1)
-        live &= tv[sats, pick] < fx - 1e-14
-        x = np.where(live[:, None], trials[sats, pick], x)
-        fx = np.where(live, tv[sats, pick], fx)
+        rows = np.arange(going.size)
+        live &= tv[rows, pick] < fa - 1e-14
+        x[going[live]] = trials[rows, pick][live]
+        fx[going[live]] = tv[rows, pick][live]
+        going = going[live]
 
     # Keep the polished point only if it sorts before the grid node on
     # (objective, total slew), as the multistart's lexsort does.
@@ -261,6 +300,57 @@ def _optimize_opportunity(
         (fx == best_val) & (np.abs(x).sum(axis=-1) < np.abs(best).sum(axis=-1))
     )
     return np.where(polished[:, None], x, best), np.where(polished, fx, best_val)
+
+
+def _kept_directions(positions: np.ndarray, targets: Sequence[np.ndarray]) -> tuple:
+    """Unit target directions of every (satellite, opportunity) row.
+
+    positions: (K, n, 3) satellite positions at the opportunities.  A
+    zero-length direction (a target at the satellite itself) is dropped;
+    the kept directions come first and in order, so a row solved with its
+    first ``count`` directions has the shapes of its one-satellite run and
+    rounds the same.
+
+    Returns (K * n, m, 3) directions, zero-padded to the largest target
+    count m, and the (K * n,) kept counts; row k * n + i is satellite k at
+    opportunity i.
+    """
+    n_sats, n_opps = positions.shape[:2]
+    tgts = [np.asarray(t, dtype=float).reshape(-1, 3) for t in targets]
+    dirs = np.zeros((n_sats, n_opps, max(map(len, tgts), default=0), 3))
+    counts = np.zeros((n_sats, n_opps), dtype=np.intp)
+    for i, tgt in enumerate(tgts):
+        d = tgt[None, :, :] - positions[:, i, None, :]
+        norms = np.linalg.norm(d, axis=-1)
+        valid = norms > 0.0
+        order = np.argsort(~valid, axis=1, kind="stable")
+        d = np.take_along_axis(d / np.where(valid, norms, 1.0)[..., None], order[..., None], axis=1)
+        dirs[:, i, : len(tgt)] = d
+        counts[:, i] = valid.sum(axis=1)
+    return dirs.reshape(n_sats * n_opps, -1, 3), counts.reshape(-1)
+
+
+def _blocks(counts: np.ndarray):
+    """Indices of the rows with each kept-direction count, in small blocks."""
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            yield int(count), rows[start : start + _BLOCK_ROWS]
+
+
+def _box_cannot_bind(config: AgilityConfig) -> bool:
+    """Does every axis's rate budget span the whole angle box?
+
+    Then an opportunity's box is the full angle box whatever the angles
+    before it, and the previous angles enter only as one multistart
+    candidate.
+    """
+    return bool(np.all(config.rate_budget >= 2.0 * config.max_angle))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per last-axis row: are the two float rows bit-for-bit equal?"""
+    return (a.view(np.int64) == b.view(np.int64)).all(axis=-1)
 
 
 def optimize_slew_schedules(
@@ -272,9 +362,13 @@ def optimize_slew_schedules(
 ) -> List[SlewSchedule]:
     """Plan slew angles over all control opportunities for each satellite.
 
-    The greedy pass runs forward in time once, solving each opportunity for
-    all satellites together; a satellite's schedule does not depend on the
-    others, nor on its place in ``orbits``.
+    The plan is the greedy one: each opportunity, in time order, takes the
+    best angles inside the rate box around the previous opportunity's.
+    When the box cannot bind, every opportunity is solved at once with a
+    guessed previous of zero, checked against the guess of its
+    predecessor, and replayed in order only from where the guess mattered
+    (see the module docstring).  A satellite's schedule does not depend on
+    the others, nor on its place in ``orbits``.
 
     Args:
         orbits: satellite elements at scenario epoch, one per schedule.
@@ -307,50 +401,111 @@ def optimize_slew_schedules(
 
     epochs = np.array([grid.opportunity_time(i) for i in range(n_opps)])
     positions = np.stack([eci_positions(orbit, epochs, earth=earth) for orbit in orbits])
-    nadirs = -positions / _row_norms(positions)[..., None]
+    nadirs = (-positions / _row_norms(positions)[..., None]).reshape(-1, 3)
     budget = config.rate_budget
     bound = config.max_angle
 
+    # One row per (satellite, opportunity), row k * n_opps + i, solved in
+    # groups of equal direction count.
     n_sats = len(orbits)
-    prev = np.zeros((n_sats, 3))
-    rows = np.empty((n_sats, n_opps, 3))
+    dirs, counts = _kept_directions(positions, targets)
+
+    def box(prev):
+        return np.maximum(-bound, prev - budget), np.minimum(bound, prev + budget)
+
+    def unchanged(rows, first, lower, upper):
+        # The descent is a pure function of the winner, the box and the
+        # geometry, so a row whose winner and box are what the guess gave
+        # (and whose winner is not the previous angles) keeps its angles.
+        return (
+            (first == guess_first[rows])
+            & (first != _PREV_SLOT)
+            & _same_bits(lower, guess_lower)
+            & _same_bits(upper, guess_upper)
+        )
+
+    angles = np.zeros((n_sats * n_opps, 3))
+    values = np.zeros(n_sats * n_opps)
+    guess_first = np.full(n_sats * n_opps, -1)
+    guess_lower, guess_upper = box(np.zeros(3))
+    exact = np.zeros(n_sats * n_opps, dtype=bool)
+    if _box_cannot_bind(config):
+        # Guess a previous of zero for every row, then redo each multistart
+        # from its predecessor's guessed angles to see where the guess held.
+        for count, rows in _blocks(counts):
+            zero = np.zeros((rows.size, 3))
+            lower, upper = box(zero)
+            if count == 0:
+                angles[rows] = np.clip(zero, lower, upper)
+                continue
+            guess_first[rows], best, best_val = _multistart(zero, nadirs[rows], dirs[rows, :count], lower, upper)
+            angles[rows], values[rows] = _descend(best, best_val, nadirs[rows], dirs[rows, :count], lower, upper)
+        before = np.zeros((n_sats, n_opps, 3))
+        before[:, 1:] = angles.reshape(n_sats, n_opps, 3)[:, :-1]
+        before = before.reshape(-1, 3)
+        for count, rows in _blocks(counts):
+            lower, upper = box(before[rows])
+            first = guess_first[rows]
+            if count:
+                first, _, _ = _multistart(before[rows], nadirs[rows], dirs[rows, :count], lower, upper)
+            exact[rows] = unchanged(rows, first, lower, upper)
+
+    # Replay in time order, per satellite, from its first row the check could
+    # not keep; go on while the replayed angles differ from the guessed ones.
+    # While a satellite is back on its guess, the check's verdicts ahead of it
+    # hold.  Without a guess this is the plain greedy pass, in step.
+    open_at = np.where(exact.reshape(n_sats, n_opps), n_opps, np.arange(n_opps))
+    next_open = np.minimum.accumulate(open_at[:, ::-1], axis=1)[:, ::-1]
+    next_open = np.concatenate([next_open, np.full((n_sats, 1), n_opps)], axis=1)
+    sats = np.arange(n_sats)
+    at = np.zeros(n_sats, dtype=np.intp)
+    on_guess = np.ones(n_sats, dtype=bool)
+    while True:
+        at = np.where(on_guess, next_open[sats, at], at)
+        moving = np.flatnonzero(at < n_opps)
+        if moving.size == 0:
+            break
+        rows_now = moving * n_opps + at[moving]
+        prev_now = np.where((at[moving] > 0)[:, None], angles[rows_now - 1], 0.0)
+        for count in np.unique(counts[rows_now]):
+            pick = counts[rows_now] == count
+            rows, prev = rows_now[pick], prev_now[pick]
+            lower, upper = box(prev)
+            if count == 0:
+                # Nothing to chase: relax toward nadir as fast as the rate box allows.
+                new, new_val = np.clip(np.zeros(3), lower, upper), np.zeros(rows.size)
+            else:
+                first, best, best_val = _multistart(prev, nadirs[rows], dirs[rows, :count], lower, upper)
+                new, new_val = angles[rows], values[rows]
+                redo = ~unchanged(rows, first, lower, upper)
+                new[redo], new_val[redo] = _descend(
+                    best[redo], best_val[redo], nadirs[rows[redo]], dirs[rows[redo], :count], lower[redo], upper[redo]
+                )
+            on_guess[moving[pick]] = _same_bits(new, angles[rows])
+            angles[rows], values[rows] = new, new_val
+        at[moving] += 1
+
+    nadir_values = np.zeros(n_sats * n_opps)
+    for count, rows in _blocks(counts):
+        if count:
+            at_nadir = np.zeros((rows.size, 1, 3))
+            nadir_values[rows] = _batched_objective(at_nadir, nadirs[rows], dirs[rows, :count])[:, 0]
+    values = values.reshape(n_sats, n_opps)
+    nadir_values = nadir_values.reshape(n_sats, n_opps)
     greedy_total = np.zeros(n_sats)
     nadir_total = np.zeros(n_sats)
     for i in range(n_opps):
-        tgt = np.asarray(targets[i], dtype=float).reshape(-1, 3)
-        dirs = tgt[None, :, :] - positions[:, i, None, :]
-        norms = np.linalg.norm(dirs, axis=-1)
-        valid = norms > 0.0
-        # A zero-length direction (a target at the satellite itself) is
-        # dropped.  Satellites are solved in groups of equal direction count,
-        # the kept directions first and in order, so each one's products and
-        # sums have the shapes of its one-satellite run and round the same.
-        order = np.argsort(~valid, axis=1, kind="stable")
-        dirs = np.take_along_axis(dirs / np.where(valid, norms, 1.0)[..., None], order[..., None], axis=1)
-        counts = valid.sum(axis=1)
-        lower = np.maximum(-bound, prev - budget)
-        upper = np.minimum(bound, prev + budget)
-        angles = np.empty((n_sats, 3))
-        for count in np.unique(counts):
-            group = np.flatnonzero(counts == count)
-            group_dirs, group_nadirs = dirs[group, :count], nadirs[group, i]
-            angles[group], value = _optimize_opportunity(
-                prev[group], group_nadirs, group_dirs, lower[group], upper[group]
-            )
-            greedy_total[group] += value
-            if count:
-                at_nadir = np.zeros((group.size, 1, 3))
-                nadir_total[group] += _batched_objective(at_nadir, group_nadirs, group_dirs)[:, 0]
-        rows[:, i] = angles
-        prev = angles
+        greedy_total += values[:, i]
+        nadir_total += nadir_values[:, i]
 
+    planned = angles.reshape(n_sats, n_opps, 3)
     schedules = []
     for k in range(n_sats):
         if greedy_total[k] > nadir_total[k]:
             # The rate box can trap the greedy pass; never do worse than not slewing.
             schedules.append(SlewSchedule(np.zeros((n_opps, 3)), objective_value=float(nadir_total[k])))
         else:
-            schedules.append(SlewSchedule(rows[k], objective_value=float(greedy_total[k])))
+            schedules.append(SlewSchedule(planned[k], objective_value=float(greedy_total[k])))
     return schedules
 
 

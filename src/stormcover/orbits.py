@@ -26,7 +26,6 @@ __all__ = [
     "StateVector",
     "GeodeticPoint",
     "TimeGrid",
-    "KeplerConvergenceError",
     "solve_kepler",
     "mean_motion",
     "orbital_period",
@@ -75,10 +74,6 @@ class EarthModel:
 
 
 EARTH = EarthModel()
-
-
-class KeplerConvergenceError(ArithmeticError):
-    """Newton iteration on Kepler's equation failed to converge."""
 
 
 def _norm_angle(x: float) -> float:
@@ -277,7 +272,9 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
     """Solve Kepler's equation E - e sin E = M for the eccentric anomaly.
 
     Newton iteration seeded with M (or M + e when M > pi), run to a residual
-    below ``KEPLER_TOL`` radians.
+    below ``KEPLER_TOL`` radians.  The seed can overshoot at high
+    eccentricity; if Newton has not converged after ``KEPLER_MAX_ITER``
+    steps, bisection on [0, 2*pi) finishes the solve.
 
     Args:
         mean_anomaly: M, rad; any value, internally normalized to [0, 2*pi).
@@ -285,10 +282,6 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
 
     Returns:
         Eccentric anomaly E in [0, 2*pi).
-
-    Raises:
-        KeplerConvergenceError: no convergence within ``KEPLER_MAX_ITER``
-            iterations, which signals a pathological eccentricity.
     """
     m = _norm_angle(mean_anomaly)
     e = eccentricity
@@ -298,13 +291,15 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
         if abs(f) < KEPLER_TOL:
             return _norm_angle(big_e)
         big_e -= f / (1.0 - e * math.cos(big_e))
-    raise KeplerConvergenceError(
-        f"Kepler iteration did not reach {KEPLER_TOL} rad in {KEPLER_MAX_ITER} steps (M={m}, e={e})"
-    )
+    return float(_bisect_kepler(np.array(m), e))
 
 
 def _solve_kepler_array(mean_anomaly: np.ndarray, eccentricity: float) -> np.ndarray:
-    """Vectorized Newton solve of Kepler's equation; same seed and tolerance as the scalar path."""
+    """Vectorized Newton solve of Kepler's equation; same seed and tolerance as the scalar path.
+
+    The whole array iterates until every entry converges; entries still
+    off after ``KEPLER_MAX_ITER`` steps are solved by bisection instead.
+    """
     m = np.mod(mean_anomaly, TWO_PI)
     e = eccentricity
     big_e = np.where(m > math.pi, m + e, m)
@@ -313,7 +308,25 @@ def _solve_kepler_array(mean_anomaly: np.ndarray, eccentricity: float) -> np.nda
         if np.max(np.abs(f)) < KEPLER_TOL:
             return np.mod(big_e, TWO_PI)
         big_e = big_e - f / (1.0 - e * np.cos(big_e))
-    raise KeplerConvergenceError(f"vectorized Kepler iteration did not converge (e={e})")
+    off = ~(np.abs(big_e - e * np.sin(big_e) - m) < KEPLER_TOL)
+    big_e[off] = _bisect_kepler(m[off], e)
+    return np.mod(big_e, TWO_PI)
+
+
+def _bisect_kepler(m: np.ndarray, e: float) -> np.ndarray:
+    """Kepler's equation by bisection on [0, 2*pi), for M in [0, 2*pi).
+
+    E - e sin E - M rises monotonically from -M at 0 to 2*pi - M, so the
+    bracket always holds the root; 64 halvings narrow it below one ulp.
+    """
+    lo = np.zeros_like(m)
+    hi = np.full_like(m, TWO_PI)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = mid - e * np.sin(mid) - m < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.mod(0.5 * (lo + hi), TWO_PI)
 
 
 def true_to_mean_anomaly(true_anomaly: float, eccentricity: float) -> float:

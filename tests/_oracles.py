@@ -269,21 +269,30 @@ def candidate_key(objective: float, angles: np.ndarray) -> tuple:
     return (objective, float(np.abs(angles).sum()))
 
 
-def optimize_one_opportunity(prev, nadir, target_dirs, lower, upper) -> tuple:
-    """Grid multistart then projected gradient descent inside [lower, upper]^3;
-    ties go to the smallest total slew."""
-    toward_zero = np.clip(np.zeros(3), lower, upper)
-    if target_dirs.shape[0] == 0:
-        return toward_zero, 0.0
+# Candidate index of ``prev`` in the multistart: it follows the grid nodes.
+PREV_SLOT = _GRID_POINTS**3
 
+
+def multistart_winner(prev, nadir, target_dirs, lower, upper) -> tuple:
+    """Grid nodes, then prev, then the box point nearest zero; returns the
+    winner's candidate index, angles and objective.  Ties go to the smallest
+    total slew, then the lowest index."""
     axes = [np.linspace(lower[i], upper[i], _GRID_POINTS) for i in range(3)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    extra = np.stack([np.clip(prev, lower, upper), toward_zero])
+    extra = np.stack([np.clip(prev, lower, upper), np.clip(np.zeros(3), lower, upper)])
     candidates = np.concatenate([grid, extra])
     values = slew_objective(candidates, nadir, target_dirs)
     order = np.lexsort((np.abs(candidates).sum(axis=1), values))
-    best = candidates[order[0]].copy()
-    best_val = float(values[order[0]])
+    return int(order[0]), candidates[order[0]].copy(), float(values[order[0]])
+
+
+def optimize_one_opportunity(prev, nadir, target_dirs, lower, upper) -> tuple:
+    """Grid multistart then projected gradient descent inside [lower, upper]^3;
+    ties go to the smallest total slew."""
+    if target_dirs.shape[0] == 0:
+        return np.clip(np.zeros(3), lower, upper), 0.0
+
+    _, best, best_val = multistart_winner(prev, nadir, target_dirs, lower, upper)
 
     x = best.copy()
     fx = best_val

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from stormcover import agility
 from stormcover.agility import (
     AgilityConfig,
     SlewSchedule,
@@ -272,6 +273,39 @@ def random_orbit(rng):
     )
 
 
+def binding_case():
+    """Three satellites over 60 opportunities with a rate box of about one
+    degree per opportunity, chasing targets 5 to 60 degrees off nadir."""
+    rng = np.random.default_rng(7)
+    grid = TimeGrid(duration=60 * 1800.0, step=300.0, control_step=1800.0)
+    config = AgilityConfig(1e-5, 2e-5, 1e-5, ZETA, 1800.0)
+    orbits = [random_orbit(rng) for _ in range(3)]
+    targets = []
+    for i in range(grid.num_opportunities):
+        if rng.random() < 0.2:
+            targets.append(np.zeros((0, 3)))
+            continue
+        pos = coe_to_state(propagate(orbits[rng.integers(3)], grid.opportunity_time(i))).position
+        targets.append(np.array([
+            surface_point_off_nadir(pos, rng.uniform(5, 60) * DEG, rng.uniform(0, 2 * math.pi))
+            for _ in range(rng.integers(1, 4))
+        ]))
+    return orbits, targets, config, grid
+
+
+def count_descended_rows(monkeypatch):
+    """Patch the optimizer's descent to count the rows it polishes."""
+    descend = agility._descend
+    counted = [0]
+
+    def counting(best, *args):
+        counted[0] += best.shape[0]
+        return descend(best, *args)
+
+    monkeypatch.setattr(agility, "_descend", counting)
+    return counted
+
+
 class TestBatchedOptimizer:
     """optimize_slew_schedules against the per-satellite planner it replaced."""
 
@@ -365,6 +399,60 @@ class TestBatchedOptimizer:
         assert np.array_equal(schedules[0].angles, alone.angles)
         assert schedules[0].objective_value == alone.objective_value
         assert np.any(schedules[1].angles[2] != 0.0)
+
+    # With a 25 deg box the middle grid node is not exactly zero, so next to
+    # nadir the guessed zero itself wins at the previous angles' slot.
+    @pytest.mark.parametrize("box_deg,off_deg", [(35.0, 4.0), (25.0, 0.5)])
+    def test_winning_previous_angles_are_replayed(self, monkeypatch, box_deg, off_deg):
+        # At geostationary radius with one-minute opportunities the pointing
+        # barely moves, so the previous angles win the multistart, which the
+        # guess of zero cannot know: those rows must be replayed in order.
+        grid = TimeGrid(duration=3600.0, step=60.0, control_step=60.0)
+        config = AgilityConfig(3.0 * DEG, 3.0 * DEG, 3.0 * DEG, box_deg * DEG, 60.0)
+        orbits = [
+            ClassicalOrbitalElements(42164.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            ClassicalOrbitalElements(42164.0, 0.0, 5 * DEG, 0.0, 0.0, 3 * DEG),
+        ]
+        target = surface_point_off_nadir(coe_to_state(orbits[0]).position, off_deg * DEG, 30 * DEG)
+        targets = [target[None, :]] * grid.num_opportunities
+        winners = []
+        winner = oracles.multistart_winner
+
+        def recording(*args):
+            found = winner(*args)
+            winners.append(found[0])
+            return found
+
+        monkeypatch.setattr(oracles, "multistart_winner", recording)
+        expected = oracle_schedules(orbits, targets, config, grid)
+        assert oracles.PREV_SLOT in winners
+        assert agility._box_cannot_bind(config)
+        assert_schedules_match(optimize_slew_schedules(orbits, targets, config, grid), expected)
+
+    def test_binding_rate_box_descends_each_row_once(self, monkeypatch):
+        orbits, targets, config, grid = binding_case()
+        expected = oracle_schedules(orbits, targets, config, grid)
+        budget = config.rate_budget
+        on_edge = 0
+        for angles, _ in expected:
+            steps = np.abs(np.diff(angles, axis=0, prepend=np.zeros((1, 3))))
+            on_edge += int(np.any(np.isclose(steps, budget, rtol=0.0, atol=1e-12), axis=1).sum())
+        assert on_edge >= 50
+        assert not agility._box_cannot_bind(config)
+        descended = count_descended_rows(monkeypatch)
+        assert_schedules_match(optimize_slew_schedules(orbits, targets, config, grid), expected)
+        assert descended[0] <= len(orbits) * grid.num_opportunities
+
+    def test_guess_forced_on_a_binding_box_is_still_exact(self, monkeypatch):
+        # The guess assumes the full angle box; where the box binds, the
+        # check must see each changed box and the replay must redo its row.
+        orbits, targets, config, grid = binding_case()
+        expected = oracle_schedules(orbits, targets, config, grid)
+        monkeypatch.setattr(agility, "_box_cannot_bind", lambda config: True)
+        descended = count_descended_rows(monkeypatch)
+        assert_schedules_match(optimize_slew_schedules(orbits, targets, config, grid), expected)
+        # one guessed descent per row, then at most one replayed descent
+        assert descended[0] <= 2 * len(orbits) * grid.num_opportunities
 
     def test_no_orbits_no_schedules(self):
         grid = one_opportunity_grid()

@@ -159,6 +159,18 @@ class TestFailures:
             assert "config line 3:" in captured.err
         assert not (tmp_path / "o").exists()
 
+    def test_zero_slew_box_rejected_before_any_compute(self, tmp_path, capsys):
+        # a zero box used to reach score_agility, which wrote nan for A
+        (tmp_path / "tiny.csv").write_bytes(short_track())
+        cfg = tmp_path / "slew.cfg"
+        cfg.write_text("step_s = 900\nmodels = B,A\nmax_slew_deg = 0\ntracks = tiny.csv\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "config line 3:" in captured.err
+        assert "max_slew_deg 0" in captured.err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_track_csv_names_the_file(self, tmp_path, capsys):
         rows = short_track().decode().splitlines()
         rows[2] = "TINY,6.0,north,-55.9"

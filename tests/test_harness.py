@@ -254,6 +254,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 1: empty value"):
             parse_config("models =\n")
 
+    def test_zero_slew_box_cites_line_and_key(self):
+        with pytest.raises(ValueError, match=r"config line 2: .*max_slew_deg 0, .*max_angle must lie in \(0"):
+            parse_config("step_s = 300\nmax_slew_deg = 0\n")
+
     def test_bad_number_cites_line_and_key(self):
         with pytest.raises(ValueError, match="line 2: bad max_revs"):
             parse_config("step_s = 300\nmax_revs = four\n")

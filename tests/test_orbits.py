@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
@@ -12,9 +12,9 @@ from stormcover.orbits import (
     EARTH,
     ClassicalOrbitalElements,
     GeodeticPoint,
-    KeplerConvergenceError,
     StateVector,
     TimeGrid,
+    _solve_kepler_array,
     coe_to_state,
     eci_positions,
     geodetic_to_eci,
@@ -59,6 +59,7 @@ class TestKepler:
         assert solve_kepler(1.234, 0.0) == pytest.approx(1.234, abs=1e-12)
 
     @given(m=st.floats(0.0, 2.0 * math.pi - 1e-9), e=st.floats(1e-6, 0.9))
+    @example(m=4.938412173144684, e=0.8944656812042917)  # Newton from M + e diverges
     @settings(max_examples=300, deadline=None)
     def test_matches_bisection_oracle(self, m, e):
         big_e = solve_kepler(m, e)
@@ -66,6 +67,16 @@ class TestKepler:
         assert abs(big_e - ref) < 1e-10
         # residual at the stated tolerance
         assert abs(big_e - e * math.sin(big_e) - m) < 1e-11
+
+    def test_array_solver_finishes_diverging_entries(self):
+        # Newton diverges on the first entry only; the array path bisects
+        # that entry and returns every entry at the scalar path's tolerance.
+        e = 0.8944656812042917
+        m = np.array([4.938412173144684, 1.0, 3.0, 6.0])
+        big_e = _solve_kepler_array(m, e)
+        for mi, ei in zip(m, big_e):
+            assert abs(ei - oracles.kepler_bisection(mi, e)) < 1e-10
+            assert abs(ei - e * math.sin(ei) - mi) < 1e-11
 
 
 class TestPropagate:
