@@ -422,7 +422,8 @@ class _TrackWorkspace:
         self._slots: Dict[Tuple[int, int], List[List[ClassicalOrbitalElements]]] = {}
         self._visible: Dict[Tuple[int, int], np.ndarray] = {}
         self._rewards: Dict[int, RewardMatrix] = {}
-        self._costs: Dict[Tuple[int, int, int], CostMatrix] = {}
+        # (family, stage epoch) -> (delta_v, strategy_code) stage arrays
+        self._costs: Dict[Tuple[int, int], Dict[float, Tuple[np.ndarray, np.ndarray]]] = {}
         base = self.grid_for(1)
         self.targets = track_to_targets(track, base)
         self.table = target_eci_table(self.targets, base)
@@ -463,17 +464,17 @@ class _TrackWorkspace:
         return self._rewards[stages]
 
     def costs_for(self, spec: ModelSpec) -> CostMatrix:
-        key = spec.family + (spec.num_stages,)
-        if key not in self._costs:
-            slots = self.family_slots(spec)
-            self._costs[key] = build_cost_matrix(
-                [[slot_list] * spec.num_stages for slot_list in slots],
-                self.grid_for(spec.num_stages),
-                max_revs=self.config.max_revs,
-                budget=self.config.budget_km_s,
-                initial_orbits=[sc.elements for sc in self.config.satellites],
-            )
-        return self._costs[key]
+        """The concept's cost matrix, assembled from the family's stage
+        arrays: stage epochs shared by the 2- and 4-stage concepts (0 and
+        T/2) are priced once and referenced by both."""
+        return build_cost_matrix(
+            self.family_slots(spec),
+            self.grid_for(spec.num_stages),
+            max_revs=self.config.max_revs,
+            budget=self.config.budget_km_s,
+            initial_orbits=[sc.elements for sc in self.config.satellites],
+            priced=self._costs.setdefault(spec.family, {}),
+        )
 
 
 def _run_baseline(ws: _TrackWorkspace) -> ModelResult:

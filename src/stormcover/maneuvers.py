@@ -11,12 +11,11 @@ one maneuver.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,11 +122,6 @@ class SlotGridSpec:
             raise ValueError("num_phases must be at least 1")
         if self.num_plane_axis < 1:
             raise ValueError("num_plane_axis must be at least 1")
-
-    def num_slots(self, mode: "GridMode") -> int:
-        if mode is GridMode.PHASING_ONLY:
-            return self.num_phases
-        return self.num_phases * (2 * self.num_plane_axis - 1)
 
 
 def _circular_speed(a: float, earth: EarthModel) -> float:
@@ -453,25 +447,6 @@ class CostMatrix:
     def strategy(self, s: int, k: int, i: int, j: int) -> TransferStrategy:
         return _STRATEGY_ORDER[int(self.strategy_codes[s][k, i, j])]
 
-    def dump_csv(self, path) -> None:
-        """Audit dump, one row per entry.
-
-        Columns: stage (1-based), sat (0-based), from_slot, to_slot
-        (0-based), delta_v_km_s, strategy.
-        """
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stage", "sat", "from_slot", "to_slot", "delta_v_km_s", "strategy"])
-            for s, (costs, codes) in enumerate(zip(self.stages, self.strategy_codes), start=1):
-                n_sat, n_from, n_to = costs.shape
-                for k in range(n_sat):
-                    for i in range(n_from):
-                        for j in range(n_to):
-                            writer.writerow(
-                                [s, k, i, j, repr(float(costs[k, i, j])),
-                                 _STRATEGY_ORDER[int(codes[k, i, j])].value]
-                            )
-
 
 def _pairwise_costs(
     from_slots: Sequence[ClassicalOrbitalElements],
@@ -559,48 +534,52 @@ def _pairwise_costs(
 
 
 def build_cost_matrix(
-    grids: Sequence[Sequence[Sequence[ClassicalOrbitalElements]]],
+    slots: Sequence[Sequence[ClassicalOrbitalElements]],
     time_grid: TimeGrid,
     max_revs: int = 4,
     budget: float = 2.0,
     initial_orbits: Optional[Sequence[ClassicalOrbitalElements]] = None,
     earth: EarthModel = EARTH,
+    priced: Optional[Dict[float, Tuple[np.ndarray, np.ndarray]]] = None,
 ) -> CostMatrix:
     """Assemble c[s][k][i][j] for every stage boundary.
 
-    grids[k][s] lists satellite k's slots for stage s; the lists must be
-    element-wise identical across stages (the grid does not move, the
-    orbits in it drift).  Both endpoints of every edge are propagated to
-    the stage-boundary epoch before pricing, so later stages see the
-    accumulated nodal drift.
+    slots[k] lists satellite k's slots, the same for every stage (the grid
+    does not move, the orbits in it drift).  Each slot is propagated once
+    to each stage-boundary epoch, so later stages see the accumulated
+    nodal drift; from stage 1 on, the from- and to-slots are that one
+    propagated list.
 
     Args:
         initial_orbits: where each satellite actually starts; defaults to
-            slot 0 of its stage-0 grid.
+            slot 0 of its list.
+        priced: (delta_v, strategy_code) stage arrays already priced for
+            these same slots, initial orbits, revs and Earth, keyed by
+            stage epoch.  A stage whose epoch is there is referenced, not
+            priced again, and each newly priced stage is added, so stage
+            counts whose boundaries coincide share their arrays.
     """
-    n_sats = len(grids)
-    n_stages = time_grid.num_stages
+    n_sats = len(slots)
     if initial_orbits is None:
-        initial_orbits = [grids[k][0][0] for k in range(n_sats)]
-    stages = []
-    codes = []
-    for s in range(n_stages):
+        initial_orbits = [slot_list[0] for slot_list in slots]
+    if priced is None:
+        priced = {}
+    for s in range(time_grid.num_stages):
         epoch = time_grid.stage_start_time(s)
+        if epoch in priced:
+            continue
         per_sat_cost = []
         per_sat_code = []
         for k in range(n_sats):
-            to_slots = [propagate(slot, epoch, earth=earth) for slot in grids[k][s]]
-            if s == 0:
-                from_slots = [propagate(initial_orbits[k], epoch, earth=earth)]
-            else:
-                from_slots = [propagate(slot, epoch, earth=earth) for slot in grids[k][s - 1]]
+            to_slots = [propagate(slot, epoch, earth=earth) for slot in slots[k]]
+            from_slots = [propagate(initial_orbits[k], epoch, earth=earth)] if s == 0 else to_slots
             c, sc = _pairwise_costs(from_slots, to_slots, max_revs, earth)
             per_sat_cost.append(c)
             per_sat_code.append(sc)
-        stages.append(np.stack(per_sat_cost))
-        codes.append(np.stack(per_sat_code))
+        priced[epoch] = (np.stack(per_sat_cost), np.stack(per_sat_code))
+    stages = [priced[time_grid.stage_start_time(s)] for s in range(time_grid.num_stages)]
     return CostMatrix(
-        stages=tuple(stages),
+        stages=tuple(c for c, _ in stages),
         budget=np.full(n_sats, float(budget)),
-        strategy_codes=tuple(codes),
+        strategy_codes=tuple(sc for _, sc in stages),
     )

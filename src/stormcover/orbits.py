@@ -38,6 +38,7 @@ __all__ = [
     "coe_to_state",
     "state_to_coe",
     "geodetic_to_eci",
+    "secular_angles",
     "eci_positions",
 ]
 
@@ -560,11 +561,39 @@ def geodetic_to_eci(
     )
 
 
+def secular_angles(
+    coe: ClassicalOrbitalElements,
+    dt: np.ndarray,
+    include_j2: bool = True,
+    earth: EarthModel = EARTH,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean motion, RAAN and argument of periapsis after ``dt`` seconds.
+
+    The secular part of :func:`eci_positions`, shared with the plane
+    screen in :mod:`stormcover.visibility`; neither depends on the true
+    anomaly, so every slot on one orbit plane gets the same arrays.
+
+    Returns:
+        (n_eff in rad/s, RAAN array, argument-of-periapsis array), the
+        angles shaped like ``dt`` and not wrapped.
+    """
+    if include_j2:
+        n_eff = j2_mean_motion(coe, earth)
+        raan = coe.raan + j2_raan_rate(coe, earth) * dt
+        argp = coe.arg_periapsis + j2_arg_periapsis_rate(coe, earth) * dt
+    else:
+        n_eff = mean_motion(coe.semi_major_axis, earth)
+        raan = np.full_like(dt, coe.raan)
+        argp = np.full_like(dt, coe.arg_periapsis)
+    return n_eff, raan, argp
+
+
 def eci_positions(
     coe: ClassicalOrbitalElements,
     times: np.ndarray,
     include_j2: bool = True,
     earth: EarthModel = EARTH,
+    steps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inertial positions of one orbit at many absolute times.
 
@@ -575,25 +604,25 @@ def eci_positions(
         coe: Elements at their epoch.
         times: Absolute times, s, shape (N,).
         include_j2: Same meaning as in :func:`propagate`.
+        steps: Indices into ``times`` of the positions wanted, or None for
+            all of them.  Kepler's equation is still solved at every time,
+            because its Newton loop runs until the whole array converges;
+            only the steps after it run on the selected times, so each
+            returned row is bit-identical to that row of the full call.
 
     Returns:
-        Array of shape (N, 3), km.
+        Array of shape (N, 3), km, or (len(steps), 3).
     """
     t = np.asarray(times, dtype=float)
     dt = t - coe.epoch
     if dt.size and float(dt.min()) < -1e-9:
         raise ValueError("times precede the element epoch")
     e = coe.eccentricity
-    if include_j2:
-        n_eff = j2_mean_motion(coe, earth)
-        raan = coe.raan + j2_raan_rate(coe, earth) * dt
-        argp = coe.arg_periapsis + j2_arg_periapsis_rate(coe, earth) * dt
-    else:
-        n_eff = mean_motion(coe.semi_major_axis, earth)
-        raan = np.full_like(dt, coe.raan)
-        argp = np.full_like(dt, coe.arg_periapsis)
+    n_eff, raan, argp = secular_angles(coe, dt, include_j2, earth)
     m0 = true_to_mean_anomaly(coe.true_anomaly, e)
     big_e = _solve_kepler_array(m0 + n_eff * dt, e)
+    if steps is not None:
+        big_e, raan, argp = big_e[steps], raan[steps], argp[steps]
     nu = np.mod(np.arctan2(np.sqrt(1.0 - e * e) * np.sin(big_e), np.cos(big_e) - e), TWO_PI)
 
     p = coe.semi_latus_rectum
@@ -603,7 +632,7 @@ def eci_positions(
     co, so = np.cos(raan), np.sin(raan)
     ci = math.cos(coe.inclination)
     si = math.sin(coe.inclination)
-    out = np.empty(t.shape + (3,), dtype=float)
+    out = np.empty(big_e.shape + (3,), dtype=float)
     out[..., 0] = r_mag * (co * cu - so * su * ci)
     out[..., 1] = r_mag * (so * cu + co * su * ci)
     out[..., 2] = r_mag * (su * si)

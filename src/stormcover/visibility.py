@@ -1,4 +1,4 @@
-"""Pointing geometry and slot visibility.
+"""Nadir-cone visibility of each step's active target from every slot.
 
 The question answered here, for every (satellite, slot, step): does the
 sensor cone of that slot, pointed at nadir, contain the step's active
@@ -6,28 +6,54 @@ target, with an unobstructed line of sight?  The answer is a plain boolean
 (K, J, T) array over the whole horizon; the comparison harness reshapes it
 per stage count for the reconfiguration solver, and the agility scorer
 uses the vectorised mask it is built from.
+
+Nearly every cell of that array is False: a slot grid carries one phase
+comb per orbit plane, and at most steps the target lies far off the
+plane's ground track.  :func:`slot_visibility` therefore screens each
+plane before it propagates the plane's slots.  A satellite on the plane
+sits on the plane's great circle, so the target's angle from that circle
+is a lower bound on the central angle between satellite and target.  A
+step is dropped for the whole plane when that angle exceeds the cone's
+reach: the smaller of the cone limit asin(r sin(eta) / rho) - eta (while
+the cone's edge misses the limb) and the horizon limit
+acos(q / r) + acos(q / rho), q = min(rho, R_E), at the apoapsis radius
+r = p / (1 - e) and the target's own radius rho (:func:`_kept_steps`).
+A 1e-6 rad margin is added because :func:`visibility_mask` decides
+points on that boundary from rounded floats.  Kepler's equation still
+runs on each slot's full row, since its Newton loop stops only when the
+whole row has converged; the steps after it run on the kept steps alone,
+so the array is bit-identical to testing every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .orbits import EARTH, ClassicalOrbitalElements, EarthModel, StateVector, TimeGrid, eci_positions
+from .orbits import (
+    EARTH,
+    ClassicalOrbitalElements,
+    EarthModel,
+    TimeGrid,
+    eci_positions,
+    secular_angles,
+)
 
 __all__ = [
     "FovSpec",
-    "target_pointing",
-    "is_visible",
     "visibility_mask",
     "slot_visibility",
 ]
 
-# Treat satellite and target as coincident below this separation (km).
-_COINCIDENT_KM = 1e-9
+# Absolute slack (rad) added to the screen's reach.  The reach is exact
+# geometry, but visibility_mask decides a boundary point from rounded
+# floats: arccos near zero and the grazing-horizon test each move the
+# boundary by up to a few 1e-8 rad.  One microradian (7 mm at orbit
+# radius) keeps every such point and drops nothing the screen needs to.
+_SCREEN_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,74 +71,6 @@ class FovSpec:
             raise ValueError(f"half_angle must lie in (0, pi/2), got {self.half_angle!r}")
 
 
-def target_pointing(sat_pos: np.ndarray, target_pos: np.ndarray) -> np.ndarray:
-    """Unit vector from the satellite toward the target.
-
-    Raises:
-        ValueError: if the two points coincide (no direction is defined).
-    """
-    d = np.asarray(target_pos, dtype=float) - np.asarray(sat_pos, dtype=float)
-    norm = float(np.linalg.norm(d))
-    if norm < _COINCIDENT_KM:
-        raise ValueError("satellite and target positions coincide")
-    return d / norm
-
-
-def _segment_blocked(sat_pos: np.ndarray, target_pos: np.ndarray, earth: EarthModel) -> bool:
-    """True when the straight segment satellite -> target dips inside Earth.
-
-    Only a strict interior crossing counts: grazing the surface, or an
-    endpoint sitting exactly on it, is still a clear line of sight.
-    """
-    d = target_pos - sat_pos
-    dd = float(d @ d)
-    if dd == 0.0:
-        return False
-    u = -float(sat_pos @ d) / dd
-    if not 0.0 < u < 1.0:
-        return False
-    rr = float(sat_pos @ sat_pos)
-    closest_sq = rr - (float(sat_pos @ d)) ** 2 / dd
-    return closest_sq < earth.radius_km**2
-
-
-def is_visible(
-    sat_state: StateVector,
-    target_eci: np.ndarray,
-    fov: FovSpec,
-    cone_axis: Optional[np.ndarray] = None,
-    earth: EarthModel = EARTH,
-) -> bool:
-    """Scalar visibility check: inside the cone and above the horizon.
-
-    Args:
-        sat_state: satellite state; only the position is used.
-        target_eci: target position in the same frame, km.
-        fov: cone description.
-        cone_axis: boresight direction.  Defaults to nadir (minus the radial
-            direction) when omitted; normalised if supplied.
-
-    Returns:
-        True iff the off-axis angle is at most ``fov.half_angle`` and the
-        line of sight does not pass through the Earth sphere.
-    """
-    pos = np.asarray(sat_state.position, dtype=float)
-    tgt = np.asarray(target_eci, dtype=float)
-    if cone_axis is None:
-        axis = -pos / np.linalg.norm(pos)
-    else:
-        axis = np.asarray(cone_axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-    try:
-        pointing = target_pointing(pos, tgt)
-    except ValueError:
-        return False
-    off_axis = math.acos(min(1.0, max(-1.0, float(axis @ pointing))))
-    if off_axis > fov.half_angle:
-        return False
-    return not _segment_blocked(pos, tgt, earth)
-
-
 def visibility_mask(
     sat_positions: np.ndarray,
     target_positions: np.ndarray,
@@ -120,7 +78,11 @@ def visibility_mask(
     cone_axes: Optional[np.ndarray] = None,
     earth: EarthModel = EARTH,
 ) -> np.ndarray:
-    """Vectorised form of :func:`is_visible` over a time series.
+    """Cone and line-of-sight test over a time series.
+
+    A target is visible when its off-axis angle is at most ``half_angle``
+    and the segment from the satellite to it does not pass strictly inside
+    the Earth sphere; grazing the surface still counts as clear.
 
     Args:
         sat_positions: (T, 3) satellite positions, km.
@@ -159,6 +121,60 @@ def visibility_mask(
     return in_cone & ~blocked & (dd > 0.0)
 
 
+def _kept_steps(
+    coe: ClassicalOrbitalElements,
+    times: np.ndarray,
+    unit: np.ndarray,
+    rho: np.ndarray,
+    half_angle: float,
+    earth: EarthModel,
+) -> np.ndarray:
+    """Indices of the steps at which a slot on ``coe``'s plane may see its target.
+
+    The target's angle from the plane's great circle is tested against the
+    widest central angle at which the nadir cone of a satellite at radius
+    r sees a point at the target's radius rho unblocked.  With
+    q = min(rho, R_E), the radius of the sphere that blocks the view:
+
+    - horizon limit: acos(q / r) + acos(q / rho), where the line of sight
+      grazes that sphere;
+    - cone limit: asin(r sin(eta) / rho) - eta, the near point where the
+      cone's edge meets the target sphere.  It applies only while the edge
+      ray misses the limb (r sin(eta) < q); past it the cone reaches the
+      horizon and only the horizon limits.
+
+    The reach is the smaller of the two.  Both grow with r, so the apoapsis
+    radius p / (1 - e) bounds every point of the orbit.  A plane whose
+    perigee does not clear the Earth is not screened.
+    """
+    p, e = coe.semi_latus_rectum, coe.eccentricity
+    if p / (1.0 + e) <= earth.radius_km:
+        return np.arange(len(times))
+    _, raan, _ = secular_angles(coe, times - coe.epoch, earth=earth)
+    si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
+    # |normal . unit| with the plane normal (si sin O, -si cos O, ci)
+    sin_off = np.abs(si * (np.sin(raan) * unit[:, 0] - np.cos(raan) * unit[:, 1]) + ci * unit[:, 2])
+    off_plane = np.arcsin(np.minimum(sin_off, 1.0))
+
+    apoapsis = p / (1.0 - e)
+    q = np.minimum(rho, earth.radius_km)
+    edge = apoapsis * math.sin(half_angle)
+    horizon = np.arccos(q / apoapsis) + np.arccos(q / rho)
+    cone = np.arcsin(np.minimum(edge / rho, 1.0)) - half_angle
+    reach = np.where(edge < q, np.minimum(cone, horizon), horizon)
+    # a NaN (a target at the Earth's centre) compares False and is kept
+    return np.flatnonzero(~(off_plane > reach + _SCREEN_MARGIN))
+
+
+def _planes(slot_list: Sequence[ClassicalOrbitalElements]) -> List[List[int]]:
+    """Slot indices grouped by orbit plane: every element but true anomaly equal."""
+    groups: Dict[Tuple[float, ...], List[int]] = {}
+    for j, c in enumerate(slot_list):
+        key = (c.semi_major_axis, c.eccentricity, c.inclination, c.raan, c.arg_periapsis, c.epoch)
+        groups.setdefault(key, []).append(j)
+    return list(groups.values())
+
+
 def slot_visibility(
     slots: Sequence[Sequence[ClassicalOrbitalElements]],
     targets: np.ndarray,
@@ -167,6 +183,21 @@ def slot_visibility(
     earth: EarthModel = EARTH,
 ) -> np.ndarray:
     """Nadir-cone visibility of each step's active target from every slot.
+
+    Each satellite's slots are grouped by orbit plane.  For each plane and
+    step, the plane's normal (from the J2-drifted RAAN, by the arithmetic
+    of :func:`~stormcover.orbits.eci_positions`) gives the target's angle
+    from the plane's great circle.  The step is dropped for every slot on
+    the plane when that angle exceeds the cone's unblocked reach
+    (:func:`_kept_steps`) at the apoapsis radius p / (1 - e) and the
+    target's own radius, plus a 1e-6 rad margin for the rounding of
+    :func:`visibility_mask`.
+
+    Kepler's equation still runs on each slot's full row: its Newton loop
+    stops when the whole row converges, so solving only the kept steps
+    could stop it earlier and move bits.  Only the steps after it run on
+    the kept steps, which makes the result bit-identical to testing every
+    step.
 
     Args:
         slots: slots[k] lists the candidate orbits of satellite k; every
@@ -186,10 +217,14 @@ def slot_visibility(
     if len(n_slots) > 1:
         raise ValueError(f"satellites list unequal slot counts {sorted(n_slots)}")
     times = np.arange(grid.num_steps, dtype=float) * grid.step
+    rho = np.linalg.norm(targets, axis=1)
+    unit = targets / rho[:, None]
     column = targets[:, None, :]
     visible = np.zeros((len(slots), n_slots.pop() if n_slots else 0, grid.num_steps), dtype=bool)
     for k, slot_list in enumerate(slots):
-        for j, coe in enumerate(slot_list):
-            pos = eci_positions(coe, times, earth=earth)
-            visible[k, j] = visibility_mask(pos, column, fov.half_angle, earth=earth)[:, 0]
+        for plane in _planes(slot_list):
+            kept = _kept_steps(slot_list[plane[0]], times, unit, rho, fov.half_angle, earth)
+            for j in plane:
+                pos = eci_positions(slot_list[j], times, earth=earth, steps=kept)
+                visible[k, j, kept] = visibility_mask(pos, column[kept], fov.half_angle, earth=earth)[:, 0]
     return visible

@@ -5,7 +5,8 @@ different algorithm or algebraic arrangement where possible (bisection
 instead of Newton, angular-momentum vectors instead of the spherical law of
 cosines, explicit factor-matrix products instead of closed forms, plain
 Python loops instead of vectorized code). Tests compare library output
-against these. Nothing in this module imports the package under test.
+against these. Nothing in this module imports the package under test; an
+oracle that must share the library's kernels takes them as arguments.
 """
 
 from __future__ import annotations
@@ -346,6 +347,82 @@ def greedy_slew_schedule(positions, targets, rate_budget, max_angle) -> tuple:
     if greedy_total > nadir_total:
         return np.zeros((n_opps, 3)), nadir_total
     return np.array(rows).reshape(n_opps, 3), greedy_total
+
+
+# ---------------------------------------------------------------------------
+# Visibility oracles
+# ---------------------------------------------------------------------------
+
+# The scalar visibility check the library shipped before its vectorised
+# mask, kept as the mask's reference.  It reads ``sat_state.position`` and
+# ``fov.half_angle`` only, so it takes the library's StateVector and
+# FovSpec without importing them.
+
+_COINCIDENT_KM = 1e-9
+
+
+def target_pointing(sat_pos, target_pos) -> np.ndarray:
+    """Unit vector from the satellite toward the target.
+
+    Raises:
+        ValueError: if the two points coincide (no direction is defined).
+    """
+    d = np.asarray(target_pos, dtype=float) - np.asarray(sat_pos, dtype=float)
+    norm = float(np.linalg.norm(d))
+    if norm < _COINCIDENT_KM:
+        raise ValueError("satellite and target positions coincide")
+    return d / norm
+
+
+def _segment_blocked(sat_pos: np.ndarray, target_pos: np.ndarray) -> bool:
+    """True when the straight segment satellite -> target dips inside the
+    Earth; grazing it, or an endpoint exactly on it, is still clear."""
+    d = target_pos - sat_pos
+    dd = float(d @ d)
+    if dd == 0.0:
+        return False
+    u = -float(sat_pos @ d) / dd
+    if not 0.0 < u < 1.0:
+        return False
+    rr = float(sat_pos @ sat_pos)
+    closest_sq = rr - (float(sat_pos @ d)) ** 2 / dd
+    return closest_sq < R_EARTH**2
+
+
+def is_visible(sat_state, target_eci, fov, cone_axis=None) -> bool:
+    """Inside the cone (boresight ``cone_axis``, nadir when omitted) and
+    above the Earth's horizon."""
+    pos = np.asarray(sat_state.position, dtype=float)
+    tgt = np.asarray(target_eci, dtype=float)
+    if cone_axis is None:
+        axis = -pos / np.linalg.norm(pos)
+    else:
+        axis = np.asarray(cone_axis, dtype=float)
+        axis = axis / np.linalg.norm(axis)
+    try:
+        pointing = target_pointing(pos, tgt)
+    except ValueError:
+        return False
+    off_axis = math.acos(min(1.0, max(-1.0, float(axis @ pointing))))
+    if off_axis > fov.half_angle:
+        return False
+    return not _segment_blocked(pos, tgt)
+
+
+def slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_mask) -> np.ndarray:
+    """The per-slot loop the library ran before its plane screen: every
+    slot propagated and tested at every step.  The library's own
+    ``eci_positions`` and ``visibility_mask`` are passed in, so a
+    comparison isolates the screen, bit for bit."""
+    times = np.arange(grid.num_steps, dtype=float) * grid.step
+    column = np.asarray(targets, dtype=float)[:, None, :]
+    n_slots = len(slots[0]) if len(slots) else 0
+    visible = np.zeros((len(slots), n_slots, grid.num_steps), dtype=bool)
+    for k, slot_list in enumerate(slots):
+        for j, coe in enumerate(slot_list):
+            pos = eci_positions(coe, times)
+            visible[k, j] = visibility_mask(pos, column, fov.half_angle)[:, 0]
+    return visible
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -403,6 +404,40 @@ class TestActiveTargetTensor:
             assert ref.paths == got.paths, name
             assert ref.objective == got.objective, name
             assert ref.proven_optimal == got.proven_optimal, name
+
+
+class TestSolverMetamorphic:
+    """Relations every proven optimum obeys, on synth-01 with P1 and U1.
+
+    Both run through the plane-screened visibility and the stage cost
+    arrays shared within a slot family."""
+
+    MODELS = ("P1", "U1")
+
+    def test_permuting_satellites_keeps_proven_optima(self):
+        track = default_corpus(20)[0]
+        base = evaluate_track(track, ScenarioConfig(models=self.MODELS))
+        order = (3, 0, 4, 2, 1)
+        permuted = ScenarioConfig(satellites=tuple(DEFAULT_SATELLITES[k] for k in order), models=self.MODELS)
+        moved = evaluate_track(track, permuted)
+        for name in self.MODELS:
+            assert base[name].proven and moved[name].proven, name
+            assert moved[name].reward == base[name].reward, name
+
+    def test_raising_the_budget_never_lowers_a_proven_optimum(self):
+        config = ScenarioConfig(models=self.MODELS)
+        ws = _TrackWorkspace(default_corpus(20)[0], config)
+        for name in self.MODELS:
+            spec = MODEL_MATRIX[name]
+            tensor, rewards, costs = ws.tensor_for(spec), ws.rewards_for(spec.num_stages), ws.costs_for(spec)
+            optima = []
+            for budget in (0.0, 0.1, 0.5, 1.0, 2.0, 4.0):
+                raised = replace(costs, budget=np.full_like(costs.budget, budget))
+                plan = solve_mcrp(tensor, rewards, raised, node_limit=config.node_limit)
+                assert plan.proven_optimal, (name, budget)
+                optima.append(plan.objective)
+            assert optima == sorted(optima), (name, optima)
+            assert optima[-1] > optima[0], name
 
 
 class TestWarmMapping:

@@ -315,8 +315,7 @@ def two_stage_setup():
     spec = SlotGridSpec(num_phases=4, num_plane_axis=3)
     slot_grids = []
     for init in initials:
-        slots = generate_slot_grid(init, spec, 2.0, GridMode.UNRESTRICTED)
-        slot_grids.append([slots, slots])
+        slot_grids.append(generate_slot_grid(init, spec, 2.0, GridMode.UNRESTRICTED))
     return grid, initials, slot_grids
 
 
@@ -324,7 +323,7 @@ class TestCostMatrix:
     def test_single_slot_is_all_zero(self):
         grid = TimeGrid(duration=7200.0, step=300.0, control_step=1800.0, num_stages=2)
         orbit = circular()
-        matrix = build_cost_matrix([[[orbit], [orbit]]], grid, budget=2.0)
+        matrix = build_cost_matrix([[orbit]], grid, budget=2.0)
         assert matrix.num_stages == 2
         for s in range(2):
             assert matrix.stages[s].shape == (1, 1, 1)
@@ -340,12 +339,8 @@ class TestCostMatrix:
         for s in range(2):
             epoch = grid.stage_start_time(s)
             for k in range(2):
-                froms = (
-                    [propagate(initials[k], epoch)]
-                    if s == 0
-                    else [propagate(x, epoch) for x in slot_grids[k][s - 1]]
-                )
-                tos = [propagate(x, epoch) for x in slot_grids[k][s]]
+                tos = [propagate(x, epoch) for x in slot_grids[k]]
+                froms = [propagate(initials[k], epoch)] if s == 0 else tos
                 for i, f in enumerate(froms):
                     for j, t in enumerate(tos):
                         scalar = transfer_cost(f, t, 4)
@@ -359,7 +354,7 @@ class TestCostMatrix:
         square0 = np.zeros_like(matrix.stages[1][:, :, :])
         # Rebuild stage-1-shaped costs at epoch zero for comparison.
         epoch0 = build_cost_matrix(
-            [[g[0], g[0]] for g in slot_grids],
+            slot_grids,
             TimeGrid(duration=600.0, step=300.0, control_step=300.0, num_stages=2),
             initial_orbits=initials,
         ).stages[1]
@@ -373,17 +368,15 @@ class TestCostMatrix:
         assert matrix.budget.shape == (2,)
         assert np.all(matrix.budget == 2.0)
 
-    def test_csv_dump(self, tmp_path):
-        grid = TimeGrid(duration=7200.0, step=300.0, control_step=1800.0, num_stages=2)
-        orbit = circular()
-        slots = generate_slot_grid(orbit, SlotGridSpec(3), 2.0, GridMode.PHASING_ONLY)
-        matrix = build_cost_matrix([[slots, slots]], grid)
-        path = tmp_path / "costs.csv"
-        matrix.dump_csv(path)
-        first = path.read_bytes()
-        matrix.dump_csv(path)
-        assert path.read_bytes() == first
-        lines = first.decode().strip().splitlines()
-        assert lines[0] == "stage,sat,from_slot,to_slot,delta_v_km_s,strategy"
-        assert len(lines) == 1 + 3 + 9
-        assert lines[1] == "1,0,0,0,0.0,stay"
+    def test_stage_epochs_priced_once_and_shared(self):
+        _, initials, slot_grids = two_stage_setup()
+        grids = [TimeGrid(duration=86400.0, step=300.0, control_step=1800.0, num_stages=n) for n in (2, 4)]
+        priced = {}
+        two, four = (build_cost_matrix(slot_grids, g, initial_orbits=initials, priced=priced) for g in grids)
+        # the 2- and 4-stage boundaries at 0 and T/2 are the same floats
+        assert sorted(priced) == [0.0, 21600.0, 43200.0, 64800.0]
+        assert two.stages[0] is four.stages[0] and two.stages[1] is four.stages[2]
+        assert two.strategy_codes[1] is four.strategy_codes[2]
+        fresh = build_cost_matrix(slot_grids, grids[1], initial_orbits=initials)
+        for got, want in zip(four.stages + four.strategy_codes, fresh.stages + fresh.strategy_codes):
+            assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 """Visibility cone, occlusion, and slot-visibility tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from _oracles import is_visible, target_pointing
+from stormcover.harness import MODEL_MATRIX, ScenarioConfig, _TrackWorkspace, default_corpus
 from stormcover.orbits import (
     EARTH,
     ClassicalOrbitalElements,
@@ -15,16 +18,12 @@ from stormcover.orbits import (
     StateVector,
     TimeGrid,
     coe_to_state,
+    eci_positions,
     geodetic_to_eci,
     propagate,
+    secular_angles,
 )
-from stormcover.visibility import (
-    FovSpec,
-    is_visible,
-    slot_visibility,
-    target_pointing,
-    visibility_mask,
-)
+from stormcover.visibility import FovSpec, slot_visibility, visibility_mask
 
 DEG = math.pi / 180.0
 R_E = EARTH.radius_km
@@ -263,3 +262,108 @@ class TestFovSpecValidation:
     def test_half_angle_range(self, bad):
         with pytest.raises(ValueError):
             FovSpec(bad)
+
+
+def loop_oracle(slots, targets, grid, fov):
+    return oracles.slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_mask)
+
+
+class TestPlaneScreen:
+    """The screened slot_visibility against the per-slot loop, bit for bit."""
+
+    @pytest.mark.parametrize("fov_deg", [30.0, 45.0])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_corpus_families_match_loop(self, index, fov_deg):
+        track = default_corpus(20)[index]
+        config = ScenarioConfig(fov_half_angle=fov_deg * DEG)
+        ws = _TrackWorkspace(track, config)
+        families = {MODEL_MATRIX[name].family: MODEL_MATRIX[name] for name in ("B", "P1", "P2", "U1")}
+        for spec in families.values():
+            slots = ws.family_slots(spec)
+            got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
+            want = loop_oracle(slots, ws.table, ws.grid_for(1), config.fov)
+            assert np.array_equal(got, want), spec.family
+        assert want.any()
+
+    @given(
+        a_km=st.floats(R_E + 150.0, R_E + 40000.0),
+        ecc=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+        inc=st.floats(0.0, math.pi),
+        raan=st.floats(0.0, 2 * math.pi),
+        argp=st.floats(0.0, 2 * math.pi),
+        nu=st.floats(0.0, 2 * math.pi),
+        half=st.floats(1e-4, math.pi / 2 - 1e-6),
+        step=st.floats(30.0, 900.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_orbits_and_edge_targets_match_loop(self, a_km, ecc, inc, raan, argp, nu, half, step, seed):
+        # perigee at least 150 km up, so every satellite is above the targets
+        a_km = max(a_km, (R_E + 150.0) / (1.0 - ecc))
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(duration=24 * step, step=step, control_step=step)
+        plane = [ClassicalOrbitalElements(a_km, ecc, inc, raan, argp, nu + q * 2.1) for q in range(3)]
+        times = np.arange(grid.num_steps) * grid.step
+        pos = eci_positions(plane[0], times)
+        # on the sphere, or up to 1 or 100 km above it
+        rho = R_E + rng.choice([0.0, 0.0, 1.0, 100.0], size=grid.num_steps) * rng.uniform(0.0, 1.0, grid.num_steps)
+        targets = edge_targets(plane[0], times, rho, half)
+        # every third step: a random point near the sub-satellite point
+        scatter = pos[::3] / np.linalg.norm(pos[::3], axis=1, keepdims=True) + rng.normal(0.0, 0.3, (len(pos[::3]), 3))
+        targets[::3] = scatter / np.linalg.norm(scatter, axis=1, keepdims=True) * rho[::3, None]
+        slots = [plane, [replace(plane[0], raan=raan + 0.5, true_anomaly=nu + q) for q in range(3)]]
+        fov = FovSpec(half)
+        got = slot_visibility(slots, targets, grid, fov)
+        assert np.array_equal(got, loop_oracle(slots, targets, grid, fov))
+        # the edge targets are seen by the slot they were built for
+        edge = np.ones(grid.num_steps, bool)
+        edge[::3] = False
+        assert got[0, 0, edge].all()
+
+    @given(seed=st.integers(0, 2**32 - 1), ecc=st.floats(0.0, 0.05))
+    @settings(max_examples=50, deadline=None)
+    def test_positions_at_kept_steps_are_rows_of_the_full_call(self, seed, ecc):
+        rng = np.random.default_rng(seed)
+        coe = ClassicalOrbitalElements(
+            rng.uniform(R_E + 300.0, R_E + 2000.0), ecc, rng.uniform(0.0, math.pi), *rng.uniform(0.0, 2 * math.pi, 3)
+        )
+        times = np.arange(500) * rng.uniform(10.0, 600.0)
+        steps = np.flatnonzero(rng.uniform(size=times.size) < rng.uniform(0.0, 0.2))
+        full = eci_positions(coe, times)
+        assert np.array_equal(eci_positions(coe, times, steps=steps), full[steps])
+
+    def test_subsurface_perigee_is_not_screened(self):
+        grid = TimeGrid(duration=3000.0, step=100.0, control_step=100.0)
+        coe = ClassicalOrbitalElements(R_E + 100.0, 0.03, 60 * DEG, 1.0, 2.0, 0.5)
+        assert coe.semi_latus_rectum / 1.03 < R_E
+        pos = eci_positions(coe, np.arange(grid.num_steps) * grid.step)
+        targets = pos / np.linalg.norm(pos, axis=1, keepdims=True) * R_E
+        fov = FovSpec(40 * DEG)
+        got = slot_visibility([[coe]], targets, grid, fov)
+        assert np.array_equal(got, loop_oracle([[coe]], targets, grid, fov))
+
+
+def edge_targets(coe, times, rho, half):
+    """Per step, the point at radius rho straight out of the orbit plane
+    from the satellite's nadir point, at the widest angle visibility_mask
+    still calls visible there: a scan finds the last visible angle and
+    bisection narrows it to the float where the mask flips."""
+    pos = eci_positions(coe, times)
+    up = pos / np.linalg.norm(pos, axis=1, keepdims=True)
+    _, raan, _ = secular_angles(coe, times)
+    si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
+    normal = np.stack([si * np.sin(raan), -si * np.cos(raan), np.full_like(raan, ci)], axis=1)
+
+    def points(beta):
+        return (np.cos(beta)[..., None] * up[:, None] + np.sin(beta)[..., None] * normal[:, None]) * rho[:, None, None]
+
+    scan = np.linspace(0.0, math.pi, 2001)
+    seen = visibility_mask(pos, points(np.broadcast_to(scan, (len(times), scan.size))), half)
+    assert seen[:, 0].all() and not seen[:, -1].any()
+    last = scan.size - 1 - np.argmax(seen[:, ::-1], axis=1)
+    lo, hi = scan[last], scan[last + 1]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        ok = visibility_mask(pos, points(mid[:, None]), half)[:, 0]
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return points(lo[:, None])[:, 0]
