@@ -17,11 +17,17 @@ box cannot depend on them, and the planner solves (satellite,
 opportunity) rows in three passes:
 
 - Guess: solve every row at once as if the previous angles were zero.
-- Check: redo every row's multistart from its predecessor's guessed
-  angles.  A row keeps its guessed angles when its box and its winning
-  candidate are bitwise unchanged and that winner is not the previous
-  angles' slot, now or in the guess: the descent is then a pure function
-  of inputs that did not change.
+  Every row then has the same box and so the same candidates, built once.
+- Check: with the box fixed, the previous angles are the only multistart
+  candidate that can differ from the guess's, so score that one candidate
+  alone, at its predecessor's guessed angles.  A row keeps its guessed
+  angles when its box is bitwise the guess's, its guessed winner is not
+  the previous angles' slot, and the previous angles score worse than that
+  winner by more than ``_CHECK_MARGIN`` per target direction: its winner is
+  then the guess's, and the descent is a pure function of the winner, the
+  box and the geometry.  The margin covers the rounding of a one-candidate
+  batch, whose matrix product can take another route than the full
+  multistart's; a row inside it goes to the replay, which is exact.
 - Replay: walk each satellite in time order from its first row the check
   could not keep, solving rows again from their true previous angles,
   until a row reproduces its guessed angles; the rows after it were
@@ -31,9 +37,11 @@ When the rate box can bind there is no guess, and the replay alone is the
 sequential greedy pass with all satellites in step.  Either way each row
 rounds exactly as in a one-satellite, one-opportunity run, so the
 schedules do not depend on the batching: rows are batched only with rows
-of the same target count, in blocks of at most ``_BLOCK_ROWS``, and the
-batched matrix products, row norms, sums and sorts below were chosen to
-take the same floating-point route as their one-row forms.
+of the same target count, and the batched matrix products, row norms,
+sums and minima below were chosen to take the same floating-point route
+as their one-row forms.  The guess's shared (1, 345, 3) candidates are
+broadcast against every row's geometry, so each element still meets the
+same operands.
 """
 
 from __future__ import annotations
@@ -52,8 +60,6 @@ __all__ = [
     "SlewSchedule",
     "AgilityScore",
     "rotation_matrix",
-    "pointing_direction",
-    "angular_difference",
     "optimize_slew_schedule",
     "optimize_slew_schedules",
     "score_agility",
@@ -68,9 +74,26 @@ _DESCENT_ITERS = 25
 _STEP_LADDER = 0.5 ** np.arange(22)
 # Candidate index of the previous angles in the multistart, after the grid.
 _PREV_SLOT = _GRID_POINTS**3
-# Rows solved together: enough to amortize numpy's per-call cost, few enough
-# that a (rows, 345, 3) multistart temporary stays near half a megabyte.
+# Multistart rows solved together: enough to amortize numpy's per-call cost,
+# few enough that the (rows, 345, 3) pointing vectors and (rows, 345, P) dot
+# products stay near half a megabyte.  On the 45 deg agile45 inputs (synth-01,
+# -07 and -13 with B and A), 512-row multistart blocks raised a run's peak
+# memory (VmHWM) from 37.0 to 42.4 MB.
 _BLOCK_ROWS = 64
+# Descent rows solved together.  A block makes numpy calls until its last row
+# stalls, so wider blocks make fewer calls, and a descending row holds only 6
+# probes and 22 trials.  On the same run and a 2-core host, 512-row blocks
+# took 0.63 s against 1.00 s for 64-row blocks, at 37.0 against 35.8 MB of
+# peak memory; one block per target count peaked at 45.5 MB.
+_DESCENT_ROWS = 512
+# Rounding allowance of the check, per target direction.  Scoring one
+# candidate alone takes another matrix-product route than the full
+# multistart, so a dot product can differ in its last bits: by at most one
+# ulp of 1 (1.5e-8 rad of arccos) on the 45 deg corpus.  Near a dot of +-1 a
+# gap of delta moves its arccos by about sqrt(2 * delta), so 1e-7 rad covers
+# a gap of about twenty ulps of 1.  A row's value sums one arccos per target
+# direction, so the allowance is multiplied by the row's direction count.
+_CHECK_MARGIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -174,38 +197,19 @@ def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     )
 
 
-def pointing_direction(nadir: np.ndarray, angles: Sequence[float]) -> np.ndarray:
-    """Boresight after slewing: the rotation applied to the nadir vector."""
-    return rotation_matrix(*angles) @ np.asarray(nadir, dtype=float)
-
-
-def angular_difference(d: np.ndarray, t: np.ndarray) -> float:
-    """Angle between two vectors in [0, pi], with the ratio clamped.
-
-    Raises:
-        ValueError: if either vector is zero.
-    """
-    d = np.asarray(d, dtype=float)
-    t = np.asarray(t, dtype=float)
-    nd = float(np.linalg.norm(d))
-    nt = float(np.linalg.norm(t))
-    if nd == 0.0 or nt == 0.0:
-        raise ValueError("angular difference of a zero vector is undefined")
-    return math.acos(min(1.0, max(-1.0, float(d @ t) / (nd * nt))))
-
-
 def _batched_objective(angles: np.ndarray, nadirs: np.ndarray, target_dirs: np.ndarray) -> np.ndarray:
     """Pointing objective for a batch of angle triples per satellite.
 
-    angles: (K, B, 3); nadirs: unit (K, 3); target_dirs: unit (K, P, 3).
-    Returns (K, B) sums of off-target angles.
+    angles: (K, B, 3), or (1, B, 3) shared by every satellite; nadirs:
+    unit (K, 3); target_dirs: unit (K, P, 3).  Returns (K, B) sums of
+    off-target angles.
     """
     c, s = np.cos(angles), np.sin(angles)
     ca, cb, cg = c[..., 0], c[..., 1], c[..., 2]
     sa, sb, sg = s[..., 0], s[..., 1], s[..., 2]
     n0, n1, n2 = nadirs[:, 0, None], nadirs[:, 1, None], nadirs[:, 2, None]
     sasb, casb = sa * sb, ca * sb
-    u = np.empty(angles.shape)
+    u = np.empty((nadirs.shape[0],) + angles.shape[1:])
     u[..., 0] = cb * cg * n0 + cb * sg * n1 - sb * n2
     u[..., 1] = (sasb * cg - ca * sg) * n0 + (sasb * sg + ca * cg) * n1 + sa * cb * n2
     u[..., 2] = (casb * cg + sa * sg) * n0 + (casb * sg - sa * cg) * n1 + ca * cb * n2
@@ -225,32 +229,37 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def _multistart(
-    prev: np.ndarray,
-    nadirs: np.ndarray,
-    target_dirs: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> tuple:
-    """Best of the coarse grid, ``prev`` and the point nearest zero, per row.
+def _candidates(prev: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The coarse grid, ``prev`` and the point nearest zero, per row.
 
-    Each of the R rows is one (satellite, opportunity) inside its own
-    [lower, upper]^3 box; ``prev`` is candidate ``_PREV_SLOT``, after the
-    grid nodes.  Ties resolve toward the smallest total slew, then the
-    lowest candidate index.
-
-    Returns the (R,) winning candidate index, (R, 3) angles and (R,) values.
+    Each of the R rows is one [lower, upper]^3 box; ``prev`` is candidate
+    ``_PREV_SLOT``, after the grid nodes.  Returns (R, 345, 3) angles.
     """
     axes = np.linspace(lower, upper, _GRID_POINTS, axis=-1)
     nodes = np.broadcast_arrays(
         axes[:, 0, :, None, None], axes[:, 1, None, :, None], axes[:, 2, None, None, :]
     )
     extra = np.stack([np.clip(prev, lower, upper), np.clip(np.zeros(3), lower, upper)], axis=1)
-    candidates = np.concatenate([np.stack(nodes, axis=-1).reshape(prev.shape[0], -1, 3), extra], axis=1)
+    return np.concatenate([np.stack(nodes, axis=-1).reshape(prev.shape[0], -1, 3), extra], axis=1)
+
+
+def _multistart(candidates: np.ndarray, nadirs: np.ndarray, target_dirs: np.ndarray) -> tuple:
+    """Best candidate per row: (R, 345, 3) candidates of its own, or
+    (1, 345, 3) shared by all R rows.
+
+    Ties resolve toward the smallest total slew, then the lowest candidate
+    index.  Returns the (R,) winning candidate index, (R, 3) angles and (R,)
+    values.
+    """
     values = _batched_objective(candidates, nadirs, target_dirs)
-    first = np.lexsort((np.abs(candidates).sum(axis=-1), values), axis=-1)[:, 0]
-    rows = np.arange(prev.shape[0])
-    return first, candidates[rows, first], values[rows, first]
+    slew = np.abs(candidates).sum(axis=-1)
+    # Values are sums of arccos of clipped dots, never NaN, so the minimum's
+    # equality mask finds every tie, and argmin takes the lowest index among
+    # the smallest slews.
+    tied = values == values.min(axis=-1, keepdims=True)
+    first = np.argmin(np.where(tied, slew, np.inf), axis=-1)
+    rows = np.arange(values.shape[0])
+    return first, np.broadcast_to(candidates, values.shape + (3,))[rows, first], values[rows, first]
 
 
 def _descend(
@@ -295,7 +304,7 @@ def _descend(
         going = going[live]
 
     # Keep the polished point only if it sorts before the grid node on
-    # (objective, total slew), as the multistart's lexsort does.
+    # (objective, total slew), as the multistart's tie-break does.
     polished = (fx < best_val) | (
         (fx == best_val) & (np.abs(x).sum(axis=-1) < np.abs(best).sum(axis=-1))
     )
@@ -330,12 +339,13 @@ def _kept_directions(positions: np.ndarray, targets: Sequence[np.ndarray]) -> tu
     return dirs.reshape(n_sats * n_opps, -1, 3), counts.reshape(-1)
 
 
-def _blocks(counts: np.ndarray):
-    """Indices of the rows with each kept-direction count, in small blocks."""
+def _blocks(counts: np.ndarray, size: int):
+    """Indices of the rows with each kept-direction count, in blocks of at
+    most ``size``."""
     for count in np.unique(counts):
         rows = np.flatnonzero(counts == count)
-        for start in range(0, rows.size, _BLOCK_ROWS):
-            yield int(count), rows[start : start + _BLOCK_ROWS]
+        for start in range(0, rows.size, size):
+            yield int(count), rows[start : start + size]
 
 
 def _box_cannot_bind(config: AgilityConfig) -> bool:
@@ -430,25 +440,34 @@ def optimize_slew_schedules(
     guess_lower, guess_upper = box(np.zeros(3))
     exact = np.zeros(n_sats * n_opps, dtype=bool)
     if _box_cannot_bind(config):
-        # Guess a previous of zero for every row, then redo each multistart
-        # from its predecessor's guessed angles to see where the guess held.
-        for count, rows in _blocks(counts):
-            zero = np.zeros((rows.size, 3))
-            lower, upper = box(zero)
-            if count == 0:
-                angles[rows] = np.clip(zero, lower, upper)
-                continue
-            guess_first[rows], best, best_val = _multistart(zero, nadirs[rows], dirs[rows, :count], lower, upper)
-            angles[rows], values[rows] = _descend(best, best_val, nadirs[rows], dirs[rows, :count], lower, upper)
+        # Guess a previous of zero for every row, so every row has the same
+        # box and candidates; rows with nothing to chase stay at zero.
+        shared = _candidates(np.zeros((1, 3)), guess_lower[None], guess_upper[None])
+        best = np.zeros((n_sats * n_opps, 3))
+        guess_val = np.zeros(n_sats * n_opps)
+        for count, rows in _blocks(counts, _BLOCK_ROWS):
+            if count:
+                guess_first[rows], best[rows], guess_val[rows] = _multistart(shared, nadirs[rows], dirs[rows, :count])
+        for count, rows in _blocks(counts, _DESCENT_ROWS):
+            if count:
+                lower, upper = box(np.zeros((rows.size, 3)))
+                angles[rows], values[rows] = _descend(
+                    best[rows], guess_val[rows], nadirs[rows], dirs[rows, :count], lower, upper
+                )
+        # Check each row against its predecessor's guessed angles.  With the
+        # box unchanged only the previous angles' candidate can differ from
+        # the guess's multistart, so score it alone; it must lose to the
+        # guessed winner by more than the rounding margin.
         before = np.zeros((n_sats, n_opps, 3))
         before[:, 1:] = angles.reshape(n_sats, n_opps, 3)[:, :-1]
         before = before.reshape(-1, 3)
-        for count, rows in _blocks(counts):
+        for count, rows in _blocks(counts, counts.size):
             lower, upper = box(before[rows])
-            first = guess_first[rows]
+            exact[rows] = unchanged(rows, guess_first[rows], lower, upper)
             if count:
-                first, _, _ = _multistart(before[rows], nadirs[rows], dirs[rows, :count], lower, upper)
-            exact[rows] = unchanged(rows, first, lower, upper)
+                at_prev = np.clip(before[rows], lower, upper)[:, None]
+                prev_val = _batched_objective(at_prev, nadirs[rows], dirs[rows, :count])[:, 0]
+                exact[rows] &= prev_val > guess_val[rows] + count * _CHECK_MARGIN
 
     # Replay in time order, per satellite, from its first row the check could
     # not keep; go on while the replayed angles differ from the guessed ones.
@@ -475,7 +494,8 @@ def optimize_slew_schedules(
                 # Nothing to chase: relax toward nadir as fast as the rate box allows.
                 new, new_val = np.clip(np.zeros(3), lower, upper), np.zeros(rows.size)
             else:
-                first, best, best_val = _multistart(prev, nadirs[rows], dirs[rows, :count], lower, upper)
+                candidates = _candidates(prev, lower, upper)
+                first, best, best_val = _multistart(candidates, nadirs[rows], dirs[rows, :count])
                 new, new_val = angles[rows], values[rows]
                 redo = ~unchanged(rows, first, lower, upper)
                 new[redo], new_val[redo] = _descend(
@@ -486,10 +506,9 @@ def optimize_slew_schedules(
         at[moving] += 1
 
     nadir_values = np.zeros(n_sats * n_opps)
-    for count, rows in _blocks(counts):
+    for count, rows in _blocks(counts, counts.size):
         if count:
-            at_nadir = np.zeros((rows.size, 1, 3))
-            nadir_values[rows] = _batched_objective(at_nadir, nadirs[rows], dirs[rows, :count])[:, 0]
+            nadir_values[rows] = _batched_objective(np.zeros((1, 1, 3)), nadirs[rows], dirs[rows, :count])[:, 0]
     values = values.reshape(n_sats, n_opps)
     nadir_values = nadir_values.reshape(n_sats, n_opps)
     greedy_total = np.zeros(n_sats)

@@ -98,6 +98,31 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
 
 
+# The pointing helpers the library exported before its planner batched them
+# away: the boresight after a slew, and the clamped arccos angle the
+# objective sums.  ``rotation`` is the library's rotation_matrix under test.
+
+
+def pointing_direction(nadir: np.ndarray, angles, rotation) -> np.ndarray:
+    """Boresight after slewing: the rotation applied to the nadir vector."""
+    return rotation(*angles) @ np.asarray(nadir, dtype=float)
+
+
+def angular_difference(d: np.ndarray, t: np.ndarray) -> float:
+    """Angle between two vectors in [0, pi], with the ratio clamped.
+
+    Raises:
+        ValueError: if either vector is zero.
+    """
+    d = np.asarray(d, dtype=float)
+    t = np.asarray(t, dtype=float)
+    nd = float(np.linalg.norm(d))
+    nt = float(np.linalg.norm(t))
+    if nd == 0.0 or nt == 0.0:
+        raise ValueError("angular difference of a zero vector is undefined")
+    return math.acos(min(1.0, max(-1.0, float(d @ t) / (nd * nt))))
+
+
 # ---------------------------------------------------------------------------
 # Maneuver-cost oracles
 # ---------------------------------------------------------------------------

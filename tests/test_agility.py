@@ -12,10 +12,8 @@ from stormcover import agility
 from stormcover.agility import (
     AgilityConfig,
     SlewSchedule,
-    angular_difference,
     optimize_slew_schedule,
     optimize_slew_schedules,
-    pointing_direction,
     rotation_matrix,
     score_agility,
     slewed_step_visibility,
@@ -92,10 +90,10 @@ class TestRotationMatrix:
 class TestPointing:
     def test_zero_angles_identity(self):
         n = np.array([0.3, -0.5, 0.81])
-        assert np.allclose(pointing_direction(n, (0, 0, 0)), n)
+        assert np.allclose(oracles.pointing_direction(n, (0, 0, 0), rotation_matrix), n)
 
     def test_norm_preserved_at_limit(self):
-        d = pointing_direction(np.array([0.0, 0.0, -1.0]), (ZETA, 0.0, 0.0))
+        d = oracles.pointing_direction(np.array([0.0, 0.0, -1.0]), (ZETA, 0.0, 0.0), rotation_matrix)
         assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
         assert not np.allclose(d, [0, 0, -1])
 
@@ -103,28 +101,28 @@ class TestPointing:
     @settings(max_examples=150, deadline=None)
     def test_norm_preserved_random(self, t, seed):
         n = np.random.default_rng(seed).normal(size=3)
-        assert np.linalg.norm(pointing_direction(n, t)) == pytest.approx(
+        assert np.linalg.norm(oracles.pointing_direction(n, t, rotation_matrix)) == pytest.approx(
             float(np.linalg.norm(n)), rel=1e-12
         )
 
 
 class TestAngularDifference:
     def test_parallel(self):
-        assert angular_difference([1, 0, 0], [2, 0, 0]) == 0.0
+        assert oracles.angular_difference([1, 0, 0], [2, 0, 0]) == 0.0
 
     def test_antiparallel(self):
-        assert angular_difference([1, 0, 0], [-3, 0, 0]) == pytest.approx(math.pi)
+        assert oracles.angular_difference([1, 0, 0], [-3, 0, 0]) == pytest.approx(math.pi)
 
     def test_orthogonal(self):
-        assert angular_difference([1, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
+        assert oracles.angular_difference([1, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            angular_difference([0, 0, 0], [1, 0, 0])
+            oracles.angular_difference([0, 0, 0], [1, 0, 0])
 
     def test_clamped_against_rounding(self):
         v = np.array([0.1, 0.2, 0.30000000000000004])
-        assert angular_difference(v, v * 7.0) == 0.0
+        assert oracles.angular_difference(v, v * 7.0) == 0.0
 
 
 def one_opportunity_grid():
@@ -457,6 +455,134 @@ class TestBatchedOptimizer:
     def test_no_orbits_no_schedules(self):
         grid = one_opportunity_grid()
         assert optimize_slew_schedules([], [np.zeros((0, 3))], default_config(), grid) == []
+
+
+def record_replayed_rows(monkeypatch):
+    """Patch the candidate builder to record the previous angles of every
+    row the replay solves; the guess builds its shared grid first."""
+    build = agility._candidates
+    calls = []
+
+    def recording(prev, lower, upper):
+        calls.append(prev.copy())
+        return build(prev, lower, upper)
+
+    monkeypatch.setattr(agility, "_candidates", recording)
+    return lambda: np.concatenate(calls[1:]) if len(calls) > 1 else np.zeros((0, 3))
+
+
+def full_box_rows(rows):
+    return np.full((rows, 3), -ZETA), np.full((rows, 3), ZETA)
+
+
+class TestCheckPass:
+    """The one-candidate check and the shared guess grid, bit for bit
+    against the per-satellite planner in ``_oracles``."""
+
+    def corpus_case(self):
+        config = ScenarioConfig()
+        grid, targets = corpus_opportunity_targets(default_corpus(20)[0], config)
+        orbits = [sc.elements for sc in config.satellites]
+        expected = oracle_schedules(orbits, targets, config.agility, grid)
+        return orbits, targets, config.agility, grid, expected
+
+    def test_infinite_margin_replays_every_row_to_the_same_schedules(self, monkeypatch):
+        orbits, targets, config, grid, expected = self.corpus_case()
+        replayed = record_replayed_rows(monkeypatch)
+        default = optimize_slew_schedules(orbits, targets, config, grid)
+        assert_schedules_match(default, expected)
+        assert replayed().shape[0] == 0
+        monkeypatch.setattr(agility, "_CHECK_MARGIN", math.inf)
+        replayed = record_replayed_rows(monkeypatch)
+        schedules = optimize_slew_schedules(orbits, targets, config, grid)
+        assert_schedules_match(schedules, expected)
+        assert_schedules_match(schedules, [(s.angles, s.objective_value) for s in default])
+        assert replayed().shape[0] == len(orbits) * sum(len(t) > 0 for t in targets)
+
+    def test_previous_angles_within_the_margin_are_replayed(self, monkeypatch):
+        # Opportunity 0 pulls the satellite near grid node N.  Opportunity
+        # 1's target lies between N's and those angles' pointing, closer to
+        # N by half the margin: N still wins the full multistart, yet the
+        # one-candidate check cannot tell, so the row must be replayed.
+        grid = TimeGrid(duration=3600.0, step=300.0, control_step=1800.0)
+        config = default_config()
+        orbit = ClassicalOrbitalElements(7000.0, 0.0, 40 * DEG, 10 * DEG, 0.0, 0.0)
+        pos = eci_positions(orbit, np.array([grid.opportunity_time(i) for i in range(2)]))
+        nadir = -pos / np.linalg.norm(pos, axis=1)[:, None]
+        axis = np.linspace(-ZETA, ZETA, 7)
+        node = (4, 2, 5)
+        n_index = node[0] * 49 + node[1] * 7 + node[2]
+        near = axis[list(node)] + np.array([0.9, -0.6, 0.4]) * DEG
+        first = pos[0] + 1000.0 * rotation_matrix(*near) @ nadir[0]
+        x0 = oracle_schedules([orbit], [first[None], np.zeros((0, 3))], config, grid)[0][0][0]
+        u_n = rotation_matrix(*axis[list(node)]) @ nadir[1]
+        u_x = rotation_matrix(*x0) @ nadir[1]
+        theta = oracles.angle_between(u_n, u_x)
+        phi = (theta - 0.5 * agility._CHECK_MARGIN) / 2.0
+        target = (math.sin(theta - phi) * u_n + math.sin(phi) * u_x) / math.sin(theta)
+        targets = [first[None], (pos[1] + 1000.0 * target)[None]]
+
+        lower, upper = full_box_rows(1)
+        dirs = agility._kept_directions(pos[None], targets)[0][1:]
+        shared = agility._candidates(np.zeros((1, 3)), lower, upper)
+        won, _, won_val = agility._multistart(shared, nadir[1:], dirs)
+        alone = agility._batched_objective(x0[None, None], nadir[1:], dirs)[0, 0]
+        assert won[0] == n_index
+        assert 0.0 < alone - won_val[0] <= agility._CHECK_MARGIN
+        # the full multistart from those previous angles still picks N
+        assert agility._multistart(agility._candidates(x0[None], lower, upper), nadir[1:], dirs)[0][0] == n_index
+
+        replayed = record_replayed_rows(monkeypatch)
+        expected = oracle_schedules([orbit], targets, config, grid)
+        assert np.array_equal(expected[0][0][0], x0)
+        assert_schedules_match(optimize_slew_schedules([orbit], targets, config, grid), expected)
+        assert any(np.array_equal(prev, x0) for prev in replayed())
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_shared_grid_multistart_matches_per_row_candidates(self, count):
+        rng = np.random.default_rng(count)
+        rows = 40
+        nadirs = rng.normal(size=(rows, 3))
+        # over a pole the objective ignores the last angle bit for bit, so
+        # each winner ties with the other six nodes of its (alpha, beta)
+        nadirs[:4] = [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
+        nadirs /= np.linalg.norm(nadirs, axis=1)[:, None]
+        dirs = -nadirs[:, None] + rng.normal(scale=0.4, size=(rows, count, 3))
+        dirs /= np.linalg.norm(dirs, axis=2)[..., None]
+        lower, upper = full_box_rows(rows)
+        shared = agility._candidates(np.zeros((1, 3)), lower[:1], upper[:1])
+        own = agility._candidates(np.zeros((rows, 3)), lower, upper)
+        got = agility._multistart(shared, nadirs, dirs)
+        for a, b in zip(got, agility._multistart(own, nadirs, dirs)):
+            assert np.array_equal(a, b)
+        for r in range(rows):
+            index, angles, value = oracles.multistart_winner(np.zeros(3), nadirs[r], dirs[r], lower[r], upper[r])
+            assert (got[0][r], got[2][r]) == (index, value)
+            assert np.array_equal(got[1][r], angles)
+        values = agility._batched_objective(shared, nadirs[:4], dirs[:4])
+        for r in range(4):
+            tied = np.flatnonzero(values[r] == got[2][r])
+            assert tied.size >= 7 and tied[0] < got[0][r], (r, tied)
+            assert got[0][r] % 7 == 3 and shared[0, got[0][r], 2] == 0.0
+
+    def test_wide_descent_blocks_match_one_row_blocks(self, monkeypatch):
+        orbits, targets, config, grid, expected = self.corpus_case()
+        widths = []
+        descend = agility._descend
+
+        def recording(best, *args):
+            widths.append(best.shape[0])
+            return descend(best, *args)
+
+        monkeypatch.setattr(agility, "_descend", recording)
+        wide = optimize_slew_schedules(orbits, targets, config, grid)
+        assert max(widths) > agility._BLOCK_ROWS
+        monkeypatch.setattr(agility, "_DESCENT_ROWS", 1)
+        widths.clear()
+        narrow = optimize_slew_schedules(orbits, targets, config, grid)
+        assert max(widths) == 1
+        assert_schedules_match(wide, expected)
+        assert_schedules_match(narrow, [(s.angles, s.objective_value) for s in wide])
 
 
 class TestScore:

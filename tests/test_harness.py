@@ -439,6 +439,29 @@ class TestSolverMetamorphic:
             assert optima == sorted(optima), (name, optima)
             assert optima[-1] > optima[0], name
 
+    def test_adding_a_slot_never_lowers_a_proven_optimum(self):
+        config = ScenarioConfig(models=self.MODELS)
+        ws = _TrackWorkspace(default_corpus(20)[0], config)
+        rng = np.random.default_rng(5)
+        for name in self.MODELS:
+            spec = MODEL_MATRIX[name]
+            tensor, rewards, costs = ws.tensor_for(spec), ws.rewards_for(spec.num_stages), ws.costs_for(spec)
+            # slot 0 starts the all-stay plan; the others join one at a time
+            order = np.concatenate([[0], 1 + rng.permutation(tensor.shape[2] - 1)])
+            optima = []
+            for count in range(1, order.size + 1):
+                kept = order[:count]
+
+                def restrict(stages):
+                    return tuple(c[:, :, kept] if s == 0 else c[:, kept][:, :, kept] for s, c in enumerate(stages))
+
+                fewer = replace(costs, stages=restrict(costs.stages), strategy_codes=restrict(costs.strategy_codes))
+                plan = solve_mcrp(tensor[:, :, kept], rewards, fewer, node_limit=config.node_limit)
+                assert plan.proven_optimal, (name, count)
+                optima.append(plan.objective)
+            assert optima == sorted(optima), (name, optima)
+            assert optima[-1] > optima[0], name
+
 
 class TestWarmMapping:
     def test_phase_double_keeps_plane_and_doubles_phase(self):
