@@ -39,11 +39,7 @@ stage1 = np.array([[[0.0, 0.5, 1.4]]])
 stage2 = np.array([[[0.0, 0.5, 1.4],
                     [0.5, 0.0, 0.6],
                     [1.4, 0.6, 0.0]]])
-costs = CostMatrix(
-    stages=(stage1, stage2),
-    budget=np.array([1.2]),
-    strategy_codes=(np.zeros_like(stage1, int), np.zeros_like(stage2, int)),
-)
+costs = CostMatrix(stages=(stage1, stage2), budget=np.array([1.2]))
 
 plan = solve_mcrp(visible, rewards, costs)
 print(f"optimal objective: {plan.objective:.0f} cells  "
@@ -70,7 +66,7 @@ assert score_plan(plan, visible, rewards) == plan.objective
 # The winning route spends 0.5 + 0.6 = 1.1 km/s across both hops.
 # Tighten the budget below that and the planner has to keep the middle
 # slot, trading away the rich stage-2 position:
-tight = CostMatrix(costs.stages, np.array([1.0]), costs.strategy_codes)
+tight = CostMatrix(costs.stages, np.array([1.0]))
 squeezed = solve_mcrp(visible, rewards, tight)
 print(f"\nwith a 1.0 km/s budget: objective {squeezed.objective:.0f}, "
       f"paths {squeezed.paths}")

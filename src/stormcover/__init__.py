@@ -50,7 +50,7 @@ from .mcrp import (
     solve_mcrp,
     solve_mcrp_exhaustive,
 )
-from .orbits import EARTH, ClassicalOrbitalElements, EarthModel, TimeGrid, propagate
+from .orbits import EARTH, ClassicalOrbitalElements, TimeGrid, propagate
 from .tracks import TcTrack, parse_track_csv, serialize_track, synthesize_track
 from .visibility import FovSpec
 
@@ -63,7 +63,6 @@ __all__ = [
     "CostMatrix",
     "DEFAULT_SATELLITES",
     "EARTH",
-    "EarthModel",
     "FovSpec",
     "GridMode",
     "ModelResult",

@@ -52,7 +52,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .orbits import EARTH, ClassicalOrbitalElements, EarthModel, TimeGrid, eci_positions
+from .orbits import ClassicalOrbitalElements, TimeGrid, eci_positions
 from .visibility import visibility_mask
 
 __all__ = [
@@ -368,7 +368,6 @@ def optimize_slew_schedules(
     targets: Sequence[np.ndarray],
     config: AgilityConfig,
     grid: TimeGrid,
-    earth: EarthModel = EARTH,
 ) -> List[SlewSchedule]:
     """Plan slew angles over all control opportunities for each satellite.
 
@@ -410,7 +409,7 @@ def optimize_slew_schedules(
         return []
 
     epochs = np.array([grid.opportunity_time(i) for i in range(n_opps)])
-    positions = np.stack([eci_positions(orbit, epochs, earth=earth) for orbit in orbits])
+    positions = np.stack([eci_positions(orbit, epochs) for orbit in orbits])
     nadirs = (-positions / _row_norms(positions)[..., None]).reshape(-1, 3)
     budget = config.rate_budget
     bound = config.max_angle
@@ -533,10 +532,9 @@ def optimize_slew_schedule(
     targets: Sequence[np.ndarray],
     config: AgilityConfig,
     grid: TimeGrid,
-    earth: EarthModel = EARTH,
 ) -> SlewSchedule:
     """The schedule :func:`optimize_slew_schedules` plans for one satellite."""
-    return optimize_slew_schedules([orbit], targets, config, grid, earth)[0]
+    return optimize_slew_schedules([orbit], targets, config, grid)[0]
 
 
 def score_agility(
@@ -581,7 +579,6 @@ def slewed_step_visibility(
     step_targets: np.ndarray,
     half_angle: float,
     grid: TimeGrid,
-    earth: EarthModel = EARTH,
 ) -> np.ndarray:
     """Per-step visibility of the active target through the slewed cone.
 
@@ -600,7 +597,7 @@ def slewed_step_visibility(
     if step_targets.shape != (grid.num_steps, 3):
         raise ValueError(f"step_targets must be ({grid.num_steps}, 3), got {step_targets.shape}")
     times = np.arange(grid.num_steps, dtype=float) * grid.step
-    positions = eci_positions(orbit, times, earth=earth)
+    positions = eci_positions(orbit, times)
     nadirs = -positions / np.linalg.norm(positions, axis=1, keepdims=True)
     opp_of_step = np.arange(grid.num_steps) // grid.steps_per_opportunity
     mats = np.stack([rotation_matrix(*row) for row in schedule.angles])
@@ -609,7 +606,7 @@ def slewed_step_visibility(
     out = np.zeros(grid.num_steps, dtype=bool)
     if np.any(active):
         mask = visibility_mask(
-            positions[active], step_targets[active][:, None, :], half_angle, cone_axes=axes[active], earth=earth
+            positions[active], step_targets[active][:, None, :], half_angle, cone_axes=axes[active]
         )
         out[active] = mask[:, 0]
     return out

@@ -422,8 +422,8 @@ class _TrackWorkspace:
         self._slots: Dict[Tuple[int, int], List[List[ClassicalOrbitalElements]]] = {}
         self._visible: Dict[Tuple[int, int], np.ndarray] = {}
         self._rewards: Dict[int, RewardMatrix] = {}
-        # (family, stage epoch) -> (delta_v, strategy_code) stage arrays
-        self._costs: Dict[Tuple[int, int], Dict[float, Tuple[np.ndarray, np.ndarray]]] = {}
+        # family -> stage epoch -> delta_v stage array
+        self._costs: Dict[Tuple[int, int], Dict[float, np.ndarray]] = {}
         base = self.grid_for(1)
         self.targets = track_to_targets(track, base)
         self.table = target_eci_table(self.targets, base)
@@ -545,34 +545,18 @@ def _map_flat(flat: Tuple[int, ...], source: ModelSpec, target: ModelSpec, kind:
     raise ValueError(f"unknown warm mapping {kind!r}")
 
 
-def _warm_candidates(
-    spec: ModelSpec,
-    results: Dict[str, ModelResult],
-    costs: CostMatrix,
-    n_sats: int,
-) -> List[Tuple[int, ...]]:
+def _warm_candidates(spec: ModelSpec, results: Dict[str, ModelResult], n_sats: int) -> List[Tuple[int, ...]]:
+    """Seeds mapped from the model's warm sources.  By construction each
+    costs exactly what its source path did (identical slot floats,
+    zero-cost stays at shared epochs); solve_mcrp still checks every
+    seed's budget and raises on one that does not fit."""
     out = []
-    n_stages = spec.num_stages
     for source_name, kind in _WARM_SOURCES.get(spec.name, ()):
         source = results.get(source_name)
         if source is None or source.plan is None:
             continue
         flat = tuple(j for path in source.plan.paths for j in path[1:])
-        mapped = _map_flat(flat, MODEL_MATRIX[source_name], spec, kind, n_sats)
-        # by construction the mapped vector costs exactly what the source
-        # path did (identical slot floats, zero-cost stays at shared
-        # epochs); the check guards against future grid-rule changes
-        affordable = True
-        for k in range(n_sats):
-            path = (0,) + mapped[k * n_stages : (k + 1) * n_stages]
-            spent = 0.0
-            for s in range(n_stages):
-                spent += float(costs.stages[s][k][path[s], path[s + 1]])
-            if spent > float(costs.budget[k]):
-                affordable = False
-                break
-        if affordable:
-            out.append(mapped)
+        out.append(_map_flat(flat, MODEL_MATRIX[source_name], spec, kind, n_sats))
     return out
 
 
@@ -581,7 +565,7 @@ def _run_reconfig(ws: _TrackWorkspace, spec: ModelSpec, results: Dict[str, Model
     tensor = ws.tensor_for(spec)
     rewards = ws.rewards_for(spec.num_stages)
     costs = ws.costs_for(spec)
-    warm = _warm_candidates(spec, results, costs, len(ws.config.satellites))
+    warm = _warm_candidates(spec, results, len(ws.config.satellites))
     plan = solve_mcrp(
         tensor, rewards, costs, node_limit=ws.config.node_limit, warm_starts=warm
     )

@@ -19,14 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .orbits import (
-    EARTH,
-    ClassicalOrbitalElements,
-    EarthModel,
-    TimeGrid,
-    mean_motion,
-    propagate,
-)
+from .orbits import EARTH, ClassicalOrbitalElements, TimeGrid, mean_motion, propagate
 
 __all__ = [
     "TransferStrategy",
@@ -103,19 +96,12 @@ class SlotGridSpec:
         num_plane_axis: planes along each of the inclination and RAAN axes,
             center included; the two axes share the center plane, so the
             unrestricted grid holds (2*num_plane_axis - 1) planes.  Must be
-            odd so offsets come in symmetric pairs.
-        incl_span, raan_span: extreme plane offsets in radians; None means
-            "derive from the fuel budget at generation time".
-        include_initial: keep the initial orbit as slot 0.  When False the
-            phase comb is shifted by half a spacing, which is only useful
-            for grid-sensitivity experiments.
+            odd so offsets come in symmetric pairs.  The extreme offsets
+            are calibrated from the fuel budget at generation time.
     """
 
     num_phases: int
     num_plane_axis: int = 1
-    incl_span: Optional[float] = None
-    raan_span: Optional[float] = None
-    include_initial: bool = True
 
     def __post_init__(self) -> None:
         if self.num_phases < 1:
@@ -124,8 +110,8 @@ class SlotGridSpec:
             raise ValueError("num_plane_axis must be at least 1")
 
 
-def _circular_speed(a: float, earth: EarthModel) -> float:
-    return math.sqrt(earth.mu_km3_s2 / a)
+def _circular_speed(a: float) -> float:
+    return math.sqrt(EARTH.mu_km3_s2 / a)
 
 
 def _require_near_circular(orbit: ClassicalOrbitalElements) -> None:
@@ -139,7 +125,6 @@ def phasing_cost(
     orbit: ClassicalOrbitalElements,
     phase_offset: float,
     max_revs: int = 4,
-    earth: EarthModel = EARTH,
 ) -> TransferCost:
     """Cheapest two-impulse phasing rendezvous over the allowed rev counts.
 
@@ -170,10 +155,10 @@ def phasing_cost(
         return TransferCost(0.0, TransferStrategy.STAY, 0.0)
 
     a = orbit.semi_major_axis
-    n = mean_motion(a, earth)
-    v_circ = _circular_speed(a, earth)
-    mu = earth.mu_km3_s2
-    floor_radius = earth.radius_km + _MIN_PERIAPSIS_CLEARANCE_KM
+    n = mean_motion(a)
+    v_circ = _circular_speed(a)
+    mu = EARTH.mu_km3_s2
+    floor_radius = EARTH.radius_km + _MIN_PERIAPSIS_CLEARANCE_KM
     best_dv = math.inf
     best_time = math.inf
     for k_tgt in range(1, max_revs + 1):
@@ -189,19 +174,15 @@ def phasing_cost(
     return TransferCost(best_dv, TransferStrategy.PHASE, best_time)
 
 
-def inclination_change_cost(
-    orbit: ClassicalOrbitalElements, di: float, earth: EarthModel = EARTH
-) -> TransferCost:
+def inclination_change_cost(orbit: ClassicalOrbitalElements, di: float) -> TransferCost:
     """Single-impulse inclination change at a node: 2 v sin(|di| / 2)."""
     _require_near_circular(orbit)
-    v = _circular_speed(orbit.semi_major_axis, earth)
+    v = _circular_speed(orbit.semi_major_axis)
     dv = 2.0 * v * math.sin(abs(di) / 2.0)
     return TransferCost(dv, TransferStrategy.INCLINATION, 0.0)
 
 
-def raan_change_cost(
-    orbit: ClassicalOrbitalElements, draan: float, earth: EarthModel = EARTH
-) -> TransferCost:
+def raan_change_cost(orbit: ClassicalOrbitalElements, draan: float) -> TransferCost:
     """Single-impulse RAAN change at constant inclination.
 
     The rotation angle theta between the two orbit planes satisfies
@@ -217,13 +198,11 @@ def raan_change_cost(
     # sine is |sin i sin(dO/2)| exactly; evaluating it this way avoids the
     # arccos precision cliff near zero offsets.
     sin_half = abs(math.sin(i) * math.sin(draan / 2.0))
-    v = _circular_speed(orbit.semi_major_axis, earth)
+    v = _circular_speed(orbit.semi_major_axis)
     return TransferCost(2.0 * v * sin_half, TransferStrategy.RAAN, 0.0)
 
 
-def combined_plane_cost(
-    orbit: ClassicalOrbitalElements, di: float, draan: float, earth: EarthModel = EARTH
-) -> TransferCost:
+def combined_plane_cost(orbit: ClassicalOrbitalElements, di: float, draan: float) -> TransferCost:
     """Single impulse rotating the plane through both offsets at once.
 
     cos(theta) = cos(i1) cos(i2) + sin(i1) sin(i2) cos(dO), i2 = i1 + di.
@@ -236,7 +215,7 @@ def combined_plane_cost(
     # which degenerates exactly to the single-offset formulas.
     radicand = math.sin(di / 2.0) ** 2 + math.sin(i1) * math.sin(i2) * math.sin(draan / 2.0) ** 2
     sin_half = math.sqrt(min(1.0, max(0.0, radicand)))
-    v = _circular_speed(orbit.semi_major_axis, earth)
+    v = _circular_speed(orbit.semi_major_axis)
     return TransferCost(2.0 * v * sin_half, TransferStrategy.PLANE, 0.0)
 
 
@@ -254,7 +233,6 @@ def transfer_cost(
     from_orbit: ClassicalOrbitalElements,
     to_orbit: ClassicalOrbitalElements,
     max_revs: int = 4,
-    earth: EarthModel = EARTH,
 ) -> TransferCost:
     """Cheapest strategy moving between two slots at the same altitude.
 
@@ -289,23 +267,23 @@ def transfer_cost(
     if not (has_i or has_o or has_p):
         candidates.append(TransferCost(0.0, TransferStrategy.STAY, 0.0))
     if has_p and not (has_i or has_o):
-        candidates.append(phasing_cost(from_orbit, dphi, max_revs, earth))
+        candidates.append(phasing_cost(from_orbit, dphi, max_revs))
     if has_i and not (has_o or has_p):
-        candidates.append(inclination_change_cost(from_orbit, di, earth))
+        candidates.append(inclination_change_cost(from_orbit, di))
     if has_o and not (has_i or has_p):
-        candidates.append(raan_change_cost(from_orbit, draan, earth))
+        candidates.append(raan_change_cost(from_orbit, draan))
     if (has_i or has_o) and not has_p:
-        candidates.append(combined_plane_cost(from_orbit, di, draan, earth))
+        candidates.append(combined_plane_cost(from_orbit, di, draan))
     if has_p and (has_i or has_o):
-        phase_leg = phasing_cost(from_orbit, dphi, max_revs, earth)
+        phase_leg = phasing_cost(from_orbit, dphi, max_revs)
         if has_i and not has_o:
-            plane_leg = inclination_change_cost(from_orbit, di, earth)
+            plane_leg = inclination_change_cost(from_orbit, di)
             strategy = TransferStrategy.INCLINATION_PHASE
             candidates.append(
                 TransferCost(plane_leg.delta_v + phase_leg.delta_v, strategy, phase_leg.transfer_time)
             )
         if has_o and not has_i:
-            plane_leg = raan_change_cost(from_orbit, draan, earth)
+            plane_leg = raan_change_cost(from_orbit, draan)
             candidates.append(
                 TransferCost(
                     plane_leg.delta_v + phase_leg.delta_v,
@@ -313,7 +291,7 @@ def transfer_cost(
                     phase_leg.transfer_time,
                 )
             )
-        plane_leg = combined_plane_cost(from_orbit, di, draan, earth)
+        plane_leg = combined_plane_cost(from_orbit, di, draan)
         candidates.append(
             TransferCost(
                 plane_leg.delta_v + phase_leg.delta_v,
@@ -324,9 +302,7 @@ def transfer_cost(
     return min(candidates, key=lambda c: (c.delta_v, _STRATEGY_ORDER.index(c.strategy)))
 
 
-def calibrate_plane_spans(
-    initial: ClassicalOrbitalElements, budget: float, earth: EarthModel = EARTH
-) -> Tuple[float, float]:
+def calibrate_plane_spans(initial: ClassicalOrbitalElements, budget: float) -> Tuple[float, float]:
     """Extreme plane offsets whose single-maneuver cost equals the budget.
 
     Inverts the inclination formula directly; the RAAN span then solves
@@ -337,7 +313,7 @@ def calibrate_plane_spans(
             orbit is too close to equatorial for any RAAN offset to cost
             that much.
     """
-    v = _circular_speed(initial.semi_major_axis, earth)
+    v = _circular_speed(initial.semi_major_axis)
     ratio = budget / (2.0 * v)
     if ratio > 1.0:
         raise ValueError(f"budget {budget} km/s exceeds a plane reversal at this altitude")
@@ -359,7 +335,6 @@ def generate_slot_grid(
     spec: SlotGridSpec,
     budget: float,
     mode: GridMode,
-    earth: EarthModel = EARTH,
 ) -> List[ClassicalOrbitalElements]:
     """Candidate slots around an initial orbit.
 
@@ -369,14 +344,13 @@ def generate_slot_grid(
     symmetrically out to spans that cost exactly the budget to reach in a
     single direct maneuver, each plane carrying the full phase comb.
 
-    Slot 0 is the initial orbit itself (when include_initial); within a
-    plane, phases ascend; planes are ordered center, inclination axis from
-    most negative to most positive offset, then the RAAN axis the same
-    way.  Slot index = plane_index * num_phases + phase_index.
+    Slot 0 is the initial orbit itself; within a plane, phases ascend;
+    planes are ordered center, inclination axis from most negative to most
+    positive offset, then the RAAN axis the same way.  Slot index =
+    plane_index * num_phases + phase_index.
     """
     n_phase = spec.num_phases
-    shift = 0.0 if spec.include_initial else math.pi / n_phase
-    phase_offsets = [shift + TWO_PI * q / n_phase for q in range(n_phase)]
+    phase_offsets = [TWO_PI * q / n_phase for q in range(n_phase)]
 
     def plane_slots(di: float, draan: float) -> List[ClassicalOrbitalElements]:
         return [
@@ -396,12 +370,7 @@ def generate_slot_grid(
         raise ValueError(
             "num_plane_axis must be odd so plane offsets come in symmetric +/- pairs"
         )
-    if spec.incl_span is None or spec.raan_span is None:
-        incl_span, raan_span = calibrate_plane_spans(initial, budget, earth)
-        incl_span = spec.incl_span if spec.incl_span is not None else incl_span
-        raan_span = spec.raan_span if spec.raan_span is not None else raan_span
-    else:
-        incl_span, raan_span = spec.incl_span, spec.raan_span
+    incl_span, raan_span = calibrate_plane_spans(initial, budget)
 
     slots = plane_slots(0.0, 0.0)
     half = (spec.num_plane_axis - 1) // 2
@@ -420,17 +389,14 @@ class CostMatrix:
 
     stages[s] is a (K, J_prev, J) array of Δv in km/s for the maneuver at
     the start of stage s; stage 0 departs from the single initial orbit,
-    so its from-axis has length 1.  strategy_codes mirrors the shape with
-    indices into TransferStrategy.
+    so its from-axis has length 1.  Only the cheapest strategy's Δv is
+    kept; :func:`transfer_cost` names the strategy for one pair.
     """
 
     stages: Tuple[np.ndarray, ...]
     budget: np.ndarray
-    strategy_codes: Tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.stages) != len(self.strategy_codes):
-            raise ValueError("cost and strategy arrays must pair up per stage")
         for c in self.stages:
             finite = c[np.isfinite(c)]
             if finite.size and finite.min() < 0.0:
@@ -444,21 +410,17 @@ class CostMatrix:
     def num_satellites(self) -> int:
         return self.stages[0].shape[0]
 
-    def strategy(self, s: int, k: int, i: int, j: int) -> TransferStrategy:
-        return _STRATEGY_ORDER[int(self.strategy_codes[s][k, i, j])]
-
 
 def _pairwise_costs(
     from_slots: Sequence[ClassicalOrbitalElements],
     to_slots: Sequence[ClassicalOrbitalElements],
     max_revs: int,
-    earth: EarthModel,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised all-pairs strategy pricing for one satellite and stage.
+) -> np.ndarray:
+    """Vectorised all-pairs transfer pricing for one satellite and stage.
 
     Mirrors transfer_cost formula-for-formula; the equivalence is pinned
-    by tests.  Returns (delta_v, strategy_code) arrays of shape
-    (len(from_slots), len(to_slots)).
+    by tests.  Returns the cheapest delta_v, shaped (len(from_slots),
+    len(to_slots)).
     """
     a = from_slots[0].semi_major_axis
     for slot in list(from_slots) + list(to_slots):
@@ -479,10 +441,10 @@ def _pairwise_costs(
     has_o = np.abs(draan) > _ANGLE_TOL
     has_p = (dphi > _ANGLE_TOL) & (dphi < TWO_PI - _ANGLE_TOL)
 
-    mu = earth.mu_km3_s2
+    mu = EARTH.mu_km3_s2
     v = math.sqrt(mu / a)
-    n = mean_motion(a, earth)
-    floor_radius = earth.radius_km + _MIN_PERIAPSIS_CLEARANCE_KM
+    n = mean_motion(a)
+    floor_radius = EARTH.radius_km + _MIN_PERIAPSIS_CLEARANCE_KM
 
     # Phasing leg: minimum over rev pairs with the clearance guard.  The
     # guard region covers every negative vis-viva argument, so the NaNs
@@ -514,8 +476,8 @@ def _pairwise_costs(
     ip = has_i & ~has_o & has_p
     op = has_o & ~has_i & has_p
     pp = (has_i | has_o) & has_p
-    # Candidate values in the same preference order as the scalar path;
-    # argmin keeps the first minimum, which is the tie-break.
+    # Candidates of the scalar path; none is NaN or -0.0, so the min is
+    # the value of whichever strategy the scalar path picks.
     stack = np.stack(
         [
             stay,
@@ -528,9 +490,7 @@ def _pairwise_costs(
             np.where(pp, plane_dv + phase_dv, inf),
         ]
     )
-    codes = stack.argmin(axis=0)
-    best = np.take_along_axis(stack, codes[None], axis=0)[0]
-    return best, codes.astype(np.int8)
+    return stack.min(axis=0)
 
 
 def build_cost_matrix(
@@ -539,8 +499,7 @@ def build_cost_matrix(
     max_revs: int = 4,
     budget: float = 2.0,
     initial_orbits: Optional[Sequence[ClassicalOrbitalElements]] = None,
-    earth: EarthModel = EARTH,
-    priced: Optional[Dict[float, Tuple[np.ndarray, np.ndarray]]] = None,
+    priced: Optional[Dict[float, np.ndarray]] = None,
 ) -> CostMatrix:
     """Assemble c[s][k][i][j] for every stage boundary.
 
@@ -553,11 +512,11 @@ def build_cost_matrix(
     Args:
         initial_orbits: where each satellite actually starts; defaults to
             slot 0 of its list.
-        priced: (delta_v, strategy_code) stage arrays already priced for
-            these same slots, initial orbits, revs and Earth, keyed by
-            stage epoch.  A stage whose epoch is there is referenced, not
-            priced again, and each newly priced stage is added, so stage
-            counts whose boundaries coincide share their arrays.
+        priced: delta_v stage arrays already priced for these same
+            slots, initial orbits and revs, keyed by stage epoch.  A stage
+            whose epoch is there is referenced, not priced again, and each
+            newly priced stage is added, so stage counts whose boundaries
+            coincide share their arrays.
     """
     n_sats = len(slots)
     if initial_orbits is None:
@@ -569,17 +528,12 @@ def build_cost_matrix(
         if epoch in priced:
             continue
         per_sat_cost = []
-        per_sat_code = []
         for k in range(n_sats):
-            to_slots = [propagate(slot, epoch, earth=earth) for slot in slots[k]]
-            from_slots = [propagate(initial_orbits[k], epoch, earth=earth)] if s == 0 else to_slots
-            c, sc = _pairwise_costs(from_slots, to_slots, max_revs, earth)
-            per_sat_cost.append(c)
-            per_sat_code.append(sc)
-        priced[epoch] = (np.stack(per_sat_cost), np.stack(per_sat_code))
-    stages = [priced[time_grid.stage_start_time(s)] for s in range(time_grid.num_stages)]
+            to_slots = [propagate(slot, epoch) for slot in slots[k]]
+            from_slots = [propagate(initial_orbits[k], epoch)] if s == 0 else to_slots
+            per_sat_cost.append(_pairwise_costs(from_slots, to_slots, max_revs))
+        priced[epoch] = np.stack(per_sat_cost)
     return CostMatrix(
-        stages=tuple(c for c, _ in stages),
+        stages=tuple(priced[time_grid.stage_start_time(s)] for s in range(time_grid.num_stages)),
         budget=np.full(n_sats, float(budget)),
-        strategy_codes=tuple(sc for _, sc in stages),
     )

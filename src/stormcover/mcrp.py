@@ -35,7 +35,6 @@ import bisect
 import csv
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,8 +52,6 @@ __all__ = [
     "score_plan",
     "solve_mcrp",
     "solve_mcrp_exhaustive",
-    "dump_instance",
-    "load_instance",
     "DEFAULT_NODE_LIMIT",
 ]
 
@@ -62,8 +59,6 @@ DEFAULT_NODE_LIMIT = 1_000_000
 
 # Joint-path cap for the exhaustive oracle.
 _EXHAUSTIVE_CAP = 10_000_000
-
-_INSTANCE_HEADER = struct.Struct("<5q")
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +443,7 @@ class _Search:
                 for s in range(inst.S):
                     union |= inst.words[k, s, flat_path[k * inst.S + s]]
             z = _score_words(union)
-        paths = [
-            [0] + [int(flat_path[k * inst.S + s]) for s in range(inst.S)]
-            for k in range(inst.K)
-        ]
-        total = 0.0
-        for t in _satellite_totals(_path_stage_costs(inst.costs, paths)):
-            total += t
-        key = (-z, total, flat_path)
+        key = (-z, _total_fuel(inst, flat_path), flat_path)
         if self.best_key is None or key < self.best_key:
             self.best_key = key
             self.best_paths = list(flat_path)
@@ -591,16 +579,29 @@ class _Search:
             raise
 
 
+def _paths(inst: _Instance, flat: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Per-satellite slot paths, start slot 0 first, of a satellite-major
+    flat vector with one slot per stage."""
+    return tuple(
+        tuple([0] + [int(flat[k * inst.S + s]) for s in range(inst.S)]) for k in range(inst.K)
+    )
+
+
+def _total_fuel(inst: _Instance, flat: Sequence[int]) -> float:
+    """Fleet fuel of a flat vector, summed satellite by satellite."""
+    total = 0.0
+    for t in _satellite_totals(_path_stage_costs(inst.costs, _paths(inst, flat))):
+        total += t
+    return total
+
+
 def _plan_from_flat(
     inst: _Instance, flat: Sequence[int], objective: float, proven: bool, bound: float
 ) -> ReconfigPlan:
-    paths = []
-    for k in range(inst.K):
-        paths.append(tuple([0] + [int(flat[k * inst.S + s]) for s in range(inst.S)]))
-    stage_costs = _path_stage_costs(inst.costs, paths)
+    paths = _paths(inst, flat)
     return ReconfigPlan(
-        paths=tuple(paths),
-        per_stage_cost=stage_costs,
+        paths=paths,
+        per_stage_cost=_path_stage_costs(inst.costs, paths),
         objective=objective,
         proven_optimal=proven,
         objective_bound=bound,
@@ -610,8 +611,7 @@ def _plan_from_flat(
 def _validate_start(inst: _Instance, flat: Sequence[int], label: str) -> None:
     if len(flat) != inst.K * inst.S:
         raise ValueError(f"{label} must list one slot per satellite per stage")
-    paths = [[0] + [int(flat[k * inst.S + s]) for s in range(inst.S)] for k in range(inst.K)]
-    stage_costs = _path_stage_costs(inst.costs, paths)
+    stage_costs = _path_stage_costs(inst.costs, _paths(inst, flat))
     for k, total in enumerate(_satellite_totals(stage_costs)):
         if total > inst.budget[k]:
             raise ValueError(f"{label} exceeds satellite {k}'s budget")
@@ -662,16 +662,7 @@ class _GeneralSearch:
         return float(inst.cell_weights[counts[: inst.W] >= inst.cell_req].sum())
 
     def offer(self, flat: tuple) -> None:
-        inst = self.inst
-        paths = [
-            [0] + [int(flat[k * inst.S + s]) for s in range(inst.S)]
-            for k in range(inst.K)
-        ]
-        total = 0.0
-        for t in _satellite_totals(_path_stage_costs(inst.costs, paths)):
-            total += t
-        z = self.score_flat(flat)
-        key = (-z, total, flat)
+        key = (-self.score_flat(flat), _total_fuel(self.inst, flat), flat)
         if self.best_key is None or key < self.best_key:
             self.best_key = key
             self.best_paths = list(flat)
@@ -872,65 +863,3 @@ def solve_mcrp_exhaustive(
             best_flat = flat
     assert best_flat is not None
     return _plan_from_flat(inst, best_flat, float(-best_key[0]), True, float(-best_key[0]))
-
-
-# ---------------------------------------------------------------------------
-# Instance container
-# ---------------------------------------------------------------------------
-
-
-def dump_instance(path, visible: np.ndarray, rewards: RewardMatrix, costs: CostMatrix) -> None:
-    """Write one solver instance to a binary container.
-
-    Layout, all little-endian: five int64 dimensions (S, K, J, T_s, P);
-    K float64 budgets; the stage-0 cost block (K, 1, J) then S-1 square
-    blocks (K, J, J) as float64 with matching int8 strategy codes after
-    each block; rewards pi (S, T_s, P) float64; coverage requirements
-    (S, T_s, P) int64; finally the visibility array's five int64
-    dimensions and its bits in C order, packed eight to a byte with the
-    first bit lowest.
-    """
-    inst = _Instance(visible, rewards, costs)
-    with open(path, "wb") as fh:
-        fh.write(_INSTANCE_HEADER.pack(inst.S, inst.K, inst.J, rewards.dims[1], rewards.dims[2]))
-        fh.write(np.asarray(costs.budget, dtype="<f8").tobytes())
-        for s in range(inst.S):
-            fh.write(np.asarray(costs.stages[s], dtype="<f8").tobytes())
-            fh.write(np.asarray(costs.strategy_codes[s], dtype=np.int8).tobytes())
-        fh.write(np.asarray(rewards.pi, dtype="<f8").tobytes())
-        fh.write(np.asarray(rewards.coverage_req, dtype="<i8").tobytes())
-        fh.write(_INSTANCE_HEADER.pack(*visible.shape))
-        fh.write(np.packbits(visible.reshape(-1), bitorder="little").tobytes())
-
-
-def load_instance(path) -> Tuple[np.ndarray, RewardMatrix, CostMatrix]:
-    """Read a container written by dump_instance."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    off = _INSTANCE_HEADER.size
-    n_stages, n_sats, n_slots, t_stage, n_points = _INSTANCE_HEADER.unpack_from(raw)
-
-    def take(count, dtype):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        off += arr.nbytes
-        return arr
-
-    budget = take(n_sats, "<f8").copy()
-    stages, codes = [], []
-    for s in range(n_stages):
-        j_prev = 1 if s == 0 else n_slots
-        stages.append(take(n_sats * j_prev * n_slots, "<f8").reshape(n_sats, j_prev, n_slots).copy())
-        codes.append(take(n_sats * j_prev * n_slots, np.int8).reshape(n_sats, j_prev, n_slots).copy())
-    pi = take(n_stages * t_stage * n_points, "<f8").reshape(n_stages, t_stage, n_points).copy()
-    req = take(n_stages * t_stage * n_points, "<i8").reshape(n_stages, t_stage, n_points).copy()
-    dims = _INSTANCE_HEADER.unpack_from(raw, off)
-    off += _INSTANCE_HEADER.size
-    bits = np.frombuffer(raw, dtype=np.uint8, offset=off)
-    count = math.prod(dims)
-    if min(dims) < 0 or bits.size != (count + 7) // 8:
-        raise ValueError(f"visibility holds {bits.size} bytes, dims {dims} need {(count + 7) // 8}")
-    visible = np.unpackbits(bits, count=count, bitorder="little").astype(bool).reshape(dims)
-    rewards = RewardMatrix(pi=pi, coverage_req=req)
-    costs = CostMatrix(stages=tuple(stages), budget=budget, strategy_codes=tuple(codes))
-    return visible, rewards, costs

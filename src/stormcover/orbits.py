@@ -23,7 +23,6 @@ __all__ = [
     "EarthModel",
     "EARTH",
     "ClassicalOrbitalElements",
-    "StateVector",
     "GeodeticPoint",
     "TimeGrid",
     "solve_kepler",
@@ -35,8 +34,6 @@ __all__ = [
     "true_to_mean_anomaly",
     "mean_to_true_anomaly",
     "propagate",
-    "coe_to_state",
-    "state_to_coe",
     "geodetic_to_eci",
     "secular_angles",
     "eci_positions",
@@ -47,12 +44,6 @@ TWO_PI = 2.0 * math.pi
 # Newton iteration settings for Kepler's equation (residual tolerance in rad).
 KEPLER_TOL = 1e-12
 KEPLER_MAX_ITER = 50
-
-# Below this eccentricity the periapsis direction is numerically meaningless,
-# below this inclination the node is; both thresholds fix the round-trip
-# conventions used by state_to_coe.
-_CIRCULAR_EPS = 1e-8
-_EQUATORIAL_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -127,27 +118,6 @@ class ClassicalOrbitalElements:
     def argument_of_latitude(self) -> float:
         """u = omega + nu in [0, 2*pi), the along-track phase for near-circular orbits."""
         return _norm_angle(self.arg_periapsis + self.true_anomaly)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Inertial position/velocity at a time.
-
-    Attributes:
-        position: ECI position, km, shape (3,).
-        velocity: ECI velocity, km/s, shape (3,).
-        time: Seconds from scenario start.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    time: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
-        if self.position.shape != (3,) or self.velocity.shape != (3,):
-            raise ValueError("position and velocity must be 3-vectors")
 
 
 @dataclass(frozen=True)
@@ -232,10 +202,6 @@ class TimeGrid:
         r = self.steps_per_opportunity
         return -(-self.num_steps // r)
 
-    def step_time(self, t_index: int) -> float:
-        """Start time of 0-based step index ``t_index``."""
-        return t_index * self.step
-
     def opportunity_of_step(self, t_index: int) -> int:
         """0-based control opportunity containing 0-based step ``t_index``."""
         return t_index // self.steps_per_opportunity
@@ -259,14 +225,14 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 
 
-def mean_motion(semi_major_axis: float, earth: EarthModel = EARTH) -> float:
+def mean_motion(semi_major_axis: float) -> float:
     """Two-body mean motion n = sqrt(mu / a^3), rad/s."""
-    return math.sqrt(earth.mu_km3_s2 / semi_major_axis**3)
+    return math.sqrt(EARTH.mu_km3_s2 / semi_major_axis**3)
 
 
-def orbital_period(semi_major_axis: float, earth: EarthModel = EARTH) -> float:
+def orbital_period(semi_major_axis: float) -> float:
     """Two-body period 2*pi*sqrt(a^3/mu), s."""
-    return TWO_PI / mean_motion(semi_major_axis, earth)
+    return TWO_PI / mean_motion(semi_major_axis)
 
 
 def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
@@ -352,30 +318,30 @@ def mean_to_true_anomaly(mean_anomaly: float, eccentricity: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def j2_raan_rate(coe: ClassicalOrbitalElements, earth: EarthModel = EARTH) -> float:
+def j2_raan_rate(coe: ClassicalOrbitalElements) -> float:
     """Secular node drift dOmega/dt = -(3/2) n J2 (R_E/p)^2 cos i, rad/s."""
-    n = mean_motion(coe.semi_major_axis, earth)
-    ratio = earth.radius_km / coe.semi_latus_rectum
-    return -1.5 * n * earth.j2 * ratio**2 * math.cos(coe.inclination)
+    n = mean_motion(coe.semi_major_axis)
+    ratio = EARTH.radius_km / coe.semi_latus_rectum
+    return -1.5 * n * EARTH.j2 * ratio**2 * math.cos(coe.inclination)
 
 
-def j2_arg_periapsis_rate(coe: ClassicalOrbitalElements, earth: EarthModel = EARTH) -> float:
+def j2_arg_periapsis_rate(coe: ClassicalOrbitalElements) -> float:
     """Secular periapsis drift domega/dt = (3/4) n J2 (R_E/p)^2 (5 cos^2 i - 1), rad/s."""
-    n = mean_motion(coe.semi_major_axis, earth)
-    ratio = earth.radius_km / coe.semi_latus_rectum
-    return 0.75 * n * earth.j2 * ratio**2 * (5.0 * math.cos(coe.inclination) ** 2 - 1.0)
+    n = mean_motion(coe.semi_major_axis)
+    ratio = EARTH.radius_km / coe.semi_latus_rectum
+    return 0.75 * n * EARTH.j2 * ratio**2 * (5.0 * math.cos(coe.inclination) ** 2 - 1.0)
 
 
-def j2_mean_motion(coe: ClassicalOrbitalElements, earth: EarthModel = EARTH) -> float:
+def j2_mean_motion(coe: ClassicalOrbitalElements) -> float:
     """J2-corrected mean motion, rad/s.
 
     n_bar = n [1 + (3/4) J2 (R_E/p)^2 sqrt(1-e^2) (3 cos^2 i - 1)]
     """
-    n = mean_motion(coe.semi_major_axis, earth)
-    ratio = earth.radius_km / coe.semi_latus_rectum
+    n = mean_motion(coe.semi_major_axis)
+    ratio = EARTH.radius_km / coe.semi_latus_rectum
     correction = (
         0.75
-        * earth.j2
+        * EARTH.j2
         * ratio**2
         * math.sqrt(1.0 - coe.eccentricity**2)
         * (3.0 * math.cos(coe.inclination) ** 2 - 1.0)
@@ -388,12 +354,7 @@ def j2_mean_motion(coe: ClassicalOrbitalElements, earth: EarthModel = EARTH) -> 
 # ---------------------------------------------------------------------------
 
 
-def propagate(
-    coe: ClassicalOrbitalElements,
-    dt: float,
-    include_j2: bool = True,
-    earth: EarthModel = EARTH,
-) -> ClassicalOrbitalElements:
+def propagate(coe: ClassicalOrbitalElements, dt: float, include_j2: bool = True) -> ClassicalOrbitalElements:
     """Advance elements by ``dt`` seconds.
 
     The shape of the orbit (a, e, i) is untouched. The mean anomaly advances
@@ -406,7 +367,6 @@ def propagate(
         dt: Non-negative time offset, s.
         include_j2: Apply the secular J2 model. Disable for pure two-body
             motion (period-closure checks and the like).
-        earth: Physical constants.
 
     Returns:
         Elements at epoch + dt.
@@ -416,11 +376,11 @@ def propagate(
     if dt == 0.0:
         return coe
     if include_j2:
-        n_eff = j2_mean_motion(coe, earth)
-        raan = coe.raan + j2_raan_rate(coe, earth) * dt
-        argp = coe.arg_periapsis + j2_arg_periapsis_rate(coe, earth) * dt
+        n_eff = j2_mean_motion(coe)
+        raan = coe.raan + j2_raan_rate(coe) * dt
+        argp = coe.arg_periapsis + j2_arg_periapsis_rate(coe) * dt
     else:
-        n_eff = mean_motion(coe.semi_major_axis, earth)
+        n_eff = mean_motion(coe.semi_major_axis)
         raan = coe.raan
         argp = coe.arg_periapsis
     m0 = true_to_mean_anomaly(coe.true_anomaly, coe.eccentricity)
@@ -434,127 +394,20 @@ def propagate(
     )
 
 
-def coe_to_state(coe: ClassicalOrbitalElements, earth: EarthModel = EARTH) -> StateVector:
-    """Convert elements to an inertial state vector.
-
-    Perifocal position/velocity from the conic equation, rotated into ECI by
-    the 3-1-3 sequence (RAAN about z, inclination about x, argument of
-    periapsis about z).
-    """
-    p = coe.semi_latus_rectum
-    e = coe.eccentricity
-    nu = coe.true_anomaly
-    r_mag = p / (1.0 + e * math.cos(nu))
-    r_pf = np.array([r_mag * math.cos(nu), r_mag * math.sin(nu), 0.0])
-    v_scale = math.sqrt(earth.mu_km3_s2 / p)
-    v_pf = np.array([-v_scale * math.sin(nu), v_scale * (e + math.cos(nu)), 0.0])
-
-    co, so = math.cos(coe.raan), math.sin(coe.raan)
-    ci, si = math.cos(coe.inclination), math.sin(coe.inclination)
-    cw, sw = math.cos(coe.arg_periapsis), math.sin(coe.arg_periapsis)
-    rot = np.array(
-        [
-            [co * cw - so * sw * ci, -co * sw - so * cw * ci, so * si],
-            [so * cw + co * sw * ci, -so * sw + co * cw * ci, -co * si],
-            [sw * si, cw * si, ci],
-        ]
-    )
-    return StateVector(position=rot @ r_pf, velocity=rot @ v_pf, time=coe.epoch)
-
-
-def state_to_coe(state: StateVector, earth: EarthModel = EARTH) -> ClassicalOrbitalElements:
-    """Recover classical elements from an inertial state.
-
-    Inverse of :func:`coe_to_state` for non-degenerate orbits. Degenerate
-    directions follow fixed conventions so round trips are well defined:
-    near-circular sets omega = 0 and measures nu from the ascending node;
-    near-equatorial sets RAAN = 0.
-
-    Raises:
-        ValueError: rectilinear motion (negligible angular momentum).
-    """
-    r = state.position
-    v = state.velocity
-    mu = earth.mu_km3_s2
-    r_mag = float(np.linalg.norm(r))
-    v_mag = float(np.linalg.norm(v))
-
-    h = np.cross(r, v)
-    h_mag = float(np.linalg.norm(h))
-    if h_mag < 1e-9 * r_mag * max(v_mag, 1e-12):
-        raise ValueError("degenerate (rectilinear) state: angular momentum is numerically zero")
-
-    energy = 0.5 * v_mag**2 - mu / r_mag
-    if energy >= 0.0:
-        raise ValueError("state is not elliptic (specific energy >= 0)")
-    a = -mu / (2.0 * energy)
-
-    e_vec = ((v_mag**2 - mu / r_mag) * r - float(np.dot(r, v)) * v) / mu
-    e = float(np.linalg.norm(e_vec))
-    inc = math.acos(max(-1.0, min(1.0, h[2] / h_mag)))
-
-    node = np.array([-h[1], h[0], 0.0])
-    node_mag = float(np.linalg.norm(node))
-    equatorial = node_mag < _EQUATORIAL_EPS * h_mag
-    circular = e < _CIRCULAR_EPS
-
-    rdotv = float(np.dot(r, v))
-    if equatorial:
-        raan = 0.0
-        ref = np.array([1.0, 0.0, 0.0])
-    else:
-        raan = _norm_angle(math.atan2(node[1], node[0]))
-        ref = node / node_mag
-
-    if circular:
-        argp = 0.0
-        # nu measured from the reference direction (node, or x-axis if equatorial)
-        cos_nu = max(-1.0, min(1.0, float(np.dot(ref, r)) / r_mag))
-        nu = math.acos(cos_nu)
-        # Above the plane of reference: use h to orient the sign.
-        if float(np.dot(np.cross(ref, r), h)) < 0.0:
-            nu = TWO_PI - nu
-    else:
-        e_hat = e_vec / e
-        cos_w = max(-1.0, min(1.0, float(np.dot(ref, e_hat))))
-        argp = math.acos(cos_w)
-        if float(np.dot(np.cross(ref, e_vec), h)) < 0.0:
-            argp = TWO_PI - argp
-        cos_nu = max(-1.0, min(1.0, float(np.dot(e_hat, r)) / r_mag))
-        nu = math.acos(cos_nu)
-        if rdotv < 0.0:
-            nu = TWO_PI - nu
-
-    return ClassicalOrbitalElements(
-        semi_major_axis=a,
-        eccentricity=e,
-        inclination=inc,
-        raan=raan,
-        arg_periapsis=_norm_angle(argp),
-        true_anomaly=_norm_angle(nu),
-        epoch=state.time,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Ground points and batch propagation
 # ---------------------------------------------------------------------------
 
 
-def geodetic_to_eci(
-    point: GeodeticPoint,
-    t: float,
-    rotation_offset: float = 0.0,
-    earth: EarthModel = EARTH,
-) -> np.ndarray:
+def geodetic_to_eci(point: GeodeticPoint, t: float, rotation_offset: float = 0.0) -> np.ndarray:
     """Inertial position of a ground point at time ``t``.
 
     Spherical Earth rotated by theta = rotation_rate * t + rotation_offset, so
     the returned norm is exactly radius + altitude.
     """
-    theta = earth.rotation_rate_rad_s * t + rotation_offset
+    theta = EARTH.rotation_rate_rad_s * t + rotation_offset
     lon = point.longitude + theta
-    rho = earth.radius_km + point.altitude
+    rho = EARTH.radius_km + point.altitude
     clat = math.cos(point.latitude)
     return np.array(
         [rho * clat * math.cos(lon), rho * clat * math.sin(lon), rho * math.sin(point.latitude)]
@@ -562,10 +415,7 @@ def geodetic_to_eci(
 
 
 def secular_angles(
-    coe: ClassicalOrbitalElements,
-    dt: np.ndarray,
-    include_j2: bool = True,
-    earth: EarthModel = EARTH,
+    coe: ClassicalOrbitalElements, dt: np.ndarray, include_j2: bool = True
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean motion, RAAN and argument of periapsis after ``dt`` seconds.
 
@@ -578,11 +428,11 @@ def secular_angles(
         angles shaped like ``dt`` and not wrapped.
     """
     if include_j2:
-        n_eff = j2_mean_motion(coe, earth)
-        raan = coe.raan + j2_raan_rate(coe, earth) * dt
-        argp = coe.arg_periapsis + j2_arg_periapsis_rate(coe, earth) * dt
+        n_eff = j2_mean_motion(coe)
+        raan = coe.raan + j2_raan_rate(coe) * dt
+        argp = coe.arg_periapsis + j2_arg_periapsis_rate(coe) * dt
     else:
-        n_eff = mean_motion(coe.semi_major_axis, earth)
+        n_eff = mean_motion(coe.semi_major_axis)
         raan = np.full_like(dt, coe.raan)
         argp = np.full_like(dt, coe.arg_periapsis)
     return n_eff, raan, argp
@@ -592,13 +442,12 @@ def eci_positions(
     coe: ClassicalOrbitalElements,
     times: np.ndarray,
     include_j2: bool = True,
-    earth: EarthModel = EARTH,
     steps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inertial positions of one orbit at many absolute times.
 
-    Vectorized counterpart of ``coe_to_state(propagate(coe, t - epoch))``
-    restricted to position. Times must be >= the element epoch.
+    Vectorized positions of ``propagate(coe, t - epoch)`` for each time t,
+    which must be >= the element epoch.
 
     Args:
         coe: Elements at their epoch.
@@ -618,7 +467,7 @@ def eci_positions(
     if dt.size and float(dt.min()) < -1e-9:
         raise ValueError("times precede the element epoch")
     e = coe.eccentricity
-    n_eff, raan, argp = secular_angles(coe, dt, include_j2, earth)
+    n_eff, raan, argp = secular_angles(coe, dt, include_j2)
     m0 = true_to_mean_anomaly(coe.true_anomaly, e)
     big_e = _solve_kepler_array(m0 + n_eff * dt, e)
     if steps is not None:

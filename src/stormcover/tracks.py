@@ -18,11 +18,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .orbits import EARTH, EarthModel, GeodeticPoint, TimeGrid, geodetic_to_eci
+from .orbits import EARTH, GeodeticPoint, TimeGrid, geodetic_to_eci
 from .mcrp import active_windows
 
 __all__ = [
@@ -251,9 +251,7 @@ def track_to_targets(track: TcTrack, grid: TimeGrid) -> TargetSet:
     return TargetSet(points=points, windows=windows)
 
 
-def target_eci_table(
-    targets: TargetSet, grid: TimeGrid, earth: EarthModel = EARTH
-) -> np.ndarray:
+def target_eci_table(targets: TargetSet, grid: TimeGrid) -> np.ndarray:
     """Inertial position of the active target at every step, shape (num_steps, 3).
 
     Row t is the point whose activity window holds step t, evaluated at
@@ -266,7 +264,7 @@ def target_eci_table(
     out = np.empty((grid.num_steps, 3))
     for point, (lo, hi) in zip(targets.points, targets.windows):
         for t in range(lo, hi):
-            out[t] = geodetic_to_eci(point, t * grid.step, earth=earth)
+            out[t] = geodetic_to_eci(point, t * grid.step)
     return out
 
 

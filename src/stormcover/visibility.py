@@ -33,14 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .orbits import (
-    EARTH,
-    ClassicalOrbitalElements,
-    EarthModel,
-    TimeGrid,
-    eci_positions,
-    secular_angles,
-)
+from .orbits import EARTH, ClassicalOrbitalElements, TimeGrid, eci_positions, secular_angles
 
 __all__ = [
     "FovSpec",
@@ -76,7 +69,6 @@ def visibility_mask(
     target_positions: np.ndarray,
     half_angle: float,
     cone_axes: Optional[np.ndarray] = None,
-    earth: EarthModel = EARTH,
 ) -> np.ndarray:
     """Cone and line-of-sight test over a time series.
 
@@ -116,7 +108,7 @@ def visibility_mask(
         rr = np.einsum("ti,ti->t", pos, pos)[:, None]
         u = -rd / dd
         closest_sq = rr - rd * rd / dd
-        blocked = (u > 0.0) & (u < 1.0) & (closest_sq < earth.radius_km**2)
+        blocked = (u > 0.0) & (u < 1.0) & (closest_sq < EARTH.radius_km**2)
     # A coincident satellite/target pair produces NaNs; treat it as unseen.
     return in_cone & ~blocked & (dd > 0.0)
 
@@ -127,7 +119,6 @@ def _kept_steps(
     unit: np.ndarray,
     rho: np.ndarray,
     half_angle: float,
-    earth: EarthModel,
 ) -> np.ndarray:
     """Indices of the steps at which a slot on ``coe``'s plane may see its target.
 
@@ -148,16 +139,16 @@ def _kept_steps(
     perigee does not clear the Earth is not screened.
     """
     p, e = coe.semi_latus_rectum, coe.eccentricity
-    if p / (1.0 + e) <= earth.radius_km:
+    if p / (1.0 + e) <= EARTH.radius_km:
         return np.arange(len(times))
-    _, raan, _ = secular_angles(coe, times - coe.epoch, earth=earth)
+    _, raan, _ = secular_angles(coe, times - coe.epoch)
     si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
     # |normal . unit| with the plane normal (si sin O, -si cos O, ci)
     sin_off = np.abs(si * (np.sin(raan) * unit[:, 0] - np.cos(raan) * unit[:, 1]) + ci * unit[:, 2])
     off_plane = np.arcsin(np.minimum(sin_off, 1.0))
 
     apoapsis = p / (1.0 - e)
-    q = np.minimum(rho, earth.radius_km)
+    q = np.minimum(rho, EARTH.radius_km)
     edge = apoapsis * math.sin(half_angle)
     horizon = np.arccos(q / apoapsis) + np.arccos(q / rho)
     cone = np.arcsin(np.minimum(edge / rho, 1.0)) - half_angle
@@ -180,7 +171,6 @@ def slot_visibility(
     targets: np.ndarray,
     grid: TimeGrid,
     fov: FovSpec,
-    earth: EarthModel = EARTH,
 ) -> np.ndarray:
     """Nadir-cone visibility of each step's active target from every slot.
 
@@ -223,8 +213,8 @@ def slot_visibility(
     visible = np.zeros((len(slots), n_slots.pop() if n_slots else 0, grid.num_steps), dtype=bool)
     for k, slot_list in enumerate(slots):
         for plane in _planes(slot_list):
-            kept = _kept_steps(slot_list[plane[0]], times, unit, rho, fov.half_angle, earth)
+            kept = _kept_steps(slot_list[plane[0]], times, unit, rho, fov.half_angle)
             for j in plane:
-                pos = eci_positions(slot_list[j], times, earth=earth, steps=kept)
-                visible[k, j, kept] = visibility_mask(pos, column[kept], fov.half_angle, earth=earth)[:, 0]
+                pos = eci_positions(slot_list[j], times, steps=kept)
+                visible[k, j, kept] = visibility_mask(pos, column[kept], fov.half_angle)[:, 0]
     return visible

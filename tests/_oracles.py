@@ -12,6 +12,7 @@ oracle that must share the library's kernels takes them as arguments.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,59 @@ def kepler_bisection(mean_anomaly: float, ecc: float, tol: float = 1e-13) -> flo
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+# Element-to-state conversion, the reference ``eci_positions`` is tested
+# against; the library itself only needs positions, in batches.
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Inertial position/velocity at a time.
+
+    Attributes:
+        position: ECI position, km, shape (3,).
+        velocity: ECI velocity, km/s, shape (3,).
+        time: Seconds from scenario start.
+    """
+
+    position: np.ndarray
+    velocity: np.ndarray
+    time: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
+        if self.position.shape != (3,) or self.velocity.shape != (3,):
+            raise ValueError("position and velocity must be 3-vectors")
+
+
+def coe_to_state(coe) -> StateVector:
+    """Convert elements to an inertial state vector.
+
+    Perifocal position/velocity from the conic equation, rotated into ECI by
+    the 3-1-3 sequence (RAAN about z, inclination about x, argument of
+    periapsis about z).
+    """
+    p = coe.semi_latus_rectum
+    e = coe.eccentricity
+    nu = coe.true_anomaly
+    r_mag = p / (1.0 + e * math.cos(nu))
+    r_pf = np.array([r_mag * math.cos(nu), r_mag * math.sin(nu), 0.0])
+    v_scale = math.sqrt(MU / p)
+    v_pf = np.array([-v_scale * math.sin(nu), v_scale * (e + math.cos(nu)), 0.0])
+
+    co, so = math.cos(coe.raan), math.sin(coe.raan)
+    ci, si = math.cos(coe.inclination), math.sin(coe.inclination)
+    cw, sw = math.cos(coe.arg_periapsis), math.sin(coe.arg_periapsis)
+    rot = np.array(
+        [
+            [co * cw - so * sw * ci, -co * sw - so * cw * ci, so * si],
+            [so * cw + co * sw * ci, -so * sw + co * cw * ci, -co * si],
+            [sw * si, cw * si, ci],
+        ]
+    )
+    return StateVector(position=rot @ r_pf, velocity=rot @ v_pf, time=coe.epoch)
 
 
 def visviva_speed(r_km: float, a_km: float) -> float:
@@ -380,8 +434,8 @@ def greedy_slew_schedule(positions, targets, rate_budget, max_angle) -> tuple:
 
 # The scalar visibility check the library shipped before its vectorised
 # mask, kept as the mask's reference.  It reads ``sat_state.position`` and
-# ``fov.half_angle`` only, so it takes the library's StateVector and
-# FovSpec without importing them.
+# ``fov.half_angle`` only, so it takes a StateVector and the library's
+# FovSpec without importing it.
 
 _COINCIDENT_KM = 1e-9
 

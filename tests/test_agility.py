@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from _oracles import coe_to_state
 from stormcover import agility
 from stormcover.agility import (
     AgilityConfig,
@@ -24,7 +25,6 @@ from stormcover.orbits import (
     EARTH,
     ClassicalOrbitalElements,
     TimeGrid,
-    coe_to_state,
     eci_positions,
     geodetic_to_eci,
     propagate,

@@ -399,7 +399,7 @@ class TestActiveTargetTensor:
                 assert score_plan(got, full, rewards) == got.objective
                 continue
             costs = ws.costs_for(spec)
-            warm = _warm_candidates(spec, results, costs, len(config.satellites))
+            warm = _warm_candidates(spec, results, len(config.satellites))
             ref = solve_mcrp(full, rewards, costs, node_limit=config.node_limit, warm_starts=warm)
             assert ref.paths == got.paths, name
             assert ref.objective == got.objective, name
@@ -455,7 +455,7 @@ class TestSolverMetamorphic:
                 def restrict(stages):
                     return tuple(c[:, :, kept] if s == 0 else c[:, kept][:, :, kept] for s, c in enumerate(stages))
 
-                fewer = replace(costs, stages=restrict(costs.stages), strategy_codes=restrict(costs.strategy_codes))
+                fewer = replace(costs, stages=restrict(costs.stages))
                 plan = solve_mcrp(tensor[:, :, kept], rewards, fewer, node_limit=config.node_limit)
                 assert plan.proven_optimal, (name, count)
                 optima.append(plan.objective)

@@ -296,14 +296,6 @@ class TestSlotGrid:
         slots = generate_slot_grid(circular(), SlotGridSpec(8, num_plane_axis=1), 2.0, GridMode.UNRESTRICTED)
         assert len(slots) == 8
 
-    def test_half_spacing_when_initial_excluded(self):
-        initial = circular()
-        slots = generate_slot_grid(
-            initial, SlotGridSpec(10, include_initial=False), 2.0, GridMode.PHASING_ONLY
-        )
-        offsets = [(s.argument_of_latitude - initial.argument_of_latitude) % TWO_PI for s in slots]
-        assert min(offsets) == pytest.approx(math.pi / 10.0, abs=1e-12)
-
     def test_budget_beyond_reversal_rejected(self):
         with pytest.raises(ValueError):
             calibrate_plane_spans(circular(), 20.0)
@@ -328,7 +320,6 @@ class TestCostMatrix:
         for s in range(2):
             assert matrix.stages[s].shape == (1, 1, 1)
             assert matrix.stages[s][0, 0, 0] == 0.0
-            assert matrix.strategy(s, 0, 0, 0) is TransferStrategy.STAY
 
     def test_diagonals_zero_and_entries_match_scalar(self):
         grid, initials, slot_grids = two_stage_setup()
@@ -345,8 +336,6 @@ class TestCostMatrix:
                     for j, t in enumerate(tos):
                         scalar = transfer_cost(f, t, 4)
                         assert matrix.stages[s][k, i, j] == pytest.approx(scalar.delta_v, abs=1e-12)
-                        if scalar.delta_v > 1e-12:
-                            assert matrix.strategy(s, k, i, j) is scalar.strategy
 
     def test_later_stage_differs_through_drift(self):
         grid, initials, slot_grids = two_stage_setup()
@@ -376,7 +365,6 @@ class TestCostMatrix:
         # the 2- and 4-stage boundaries at 0 and T/2 are the same floats
         assert sorted(priced) == [0.0, 21600.0, 43200.0, 64800.0]
         assert two.stages[0] is four.stages[0] and two.stages[1] is four.stages[2]
-        assert two.strategy_codes[1] is four.strategy_codes[2]
         fresh = build_cost_matrix(slot_grids, grids[1], initial_orbits=initials)
-        for got, want in zip(four.stages + four.strategy_codes, fresh.stages + fresh.strategy_codes):
+        for got, want in zip(four.stages, fresh.stages):
             assert np.array_equal(got, want)

@@ -5,7 +5,6 @@ instances, with keys compared whole (objective, fuel, path vector) so
 tie-breaking is pinned down, not just the optimum value.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -20,8 +19,6 @@ from stormcover.mcrp import (
     active_windows,
     build_reward_matrix,
     compute_coverage,
-    dump_instance,
-    load_instance,
     score_plan,
     solve_mcrp,
     solve_mcrp_exhaustive,
@@ -41,19 +38,16 @@ def make_costs(rng, n_sats, n_stages, n_slots, budget_range=(0.3, 2.0), levels=N
         return rng.choice(levels, size=shape)
 
     stages = []
-    codes = []
     first = np.zeros((n_sats, 1, n_slots))
     first[:, 0, 1:] = draw((n_sats, n_slots - 1))
     stages.append(first)
-    codes.append(np.zeros_like(first, dtype=np.int8))
     for _ in range(1, n_stages):
         block = draw((n_sats, n_slots, n_slots))
         for k in range(n_sats):
             np.fill_diagonal(block[k], 0.0)
         stages.append(block)
-        codes.append(np.zeros_like(block, dtype=np.int8))
     budget = rng.uniform(*budget_range, size=n_sats)
-    return CostMatrix(stages=tuple(stages), budget=budget, strategy_codes=tuple(codes))
+    return CostMatrix(stages=tuple(stages), budget=budget)
 
 
 def random_instance(rng, n_sats, n_stages, n_slots, t_stage, n_points,
@@ -233,11 +227,7 @@ class TestSolveToys:
     def test_zero_budget_returns_all_stay(self):
         rng = np.random.default_rng(2)
         tensor, rewards, costs = random_instance(rng, 2, 2, 4, 5, 2)
-        broke = CostMatrix(
-            stages=costs.stages,
-            budget=np.zeros(2),
-            strategy_codes=costs.strategy_codes,
-        )
+        broke = CostMatrix(stages=costs.stages, budget=np.zeros(2))
         plan = solve_mcrp(tensor, rewards, broke)
         assert all(p == (0, 0, 0) for p in plan.paths)
 
@@ -248,8 +238,7 @@ class TestSolveToys:
         full = np.zeros((1, 1, 2, steps, 1), dtype=bool)
         full[0, 0, 1] = True
         stages = (np.array([[[0.0, 0.4]]]),)
-        codes = (np.zeros((1, 1, 2), dtype=np.int8),)
-        costs = CostMatrix(stages=stages, budget=np.array([2.0]), strategy_codes=codes)
+        costs = CostMatrix(stages=stages, budget=np.array([2.0]))
         plan = solve_mcrp(full, rm, costs)
         assert plan.paths == ((0, 1),)
         assert plan.objective == float(steps)
@@ -261,8 +250,7 @@ class TestSolveToys:
         full = np.ones((1, 1, 2, 4, 1), dtype=bool)
         rm = build_reward_matrix(4, 1, 1)
         stages = (np.zeros((1, 1, 2)),)
-        codes = (np.zeros((1, 1, 2), dtype=np.int8),)
-        costs = CostMatrix(stages=stages, budget=np.array([1.0]), strategy_codes=codes)
+        costs = CostMatrix(stages=stages, budget=np.array([1.0]))
         plan = solve_mcrp(full, rm, costs)
         assert plan.paths == ((0, 0),)
 
@@ -275,8 +263,7 @@ class TestSolveToys:
         full[0, 0, 2] = True
         rm = build_reward_matrix(4, 1, 1)
         stages = (np.array([[[0.0, 0.9, 0.3]]]),)
-        codes = (np.zeros((1, 1, 3), dtype=np.int8),)
-        costs = CostMatrix(stages=stages, budget=np.array([2.0]), strategy_codes=codes)
+        costs = CostMatrix(stages=stages, budget=np.array([2.0]))
         plan = solve_mcrp(full, rm, costs)
         again = solve_mcrp(full, rm, costs)
         assert plan.objective == 4.0 and plan.proven_optimal
@@ -383,11 +370,7 @@ class TestSolverInvariants:
         rng = np.random.default_rng(41)
         for _ in range(12):
             tensor, rewards, costs = random_instance(rng, 2, 2, 3, 5, 2)
-            tighter = CostMatrix(
-                stages=costs.stages,
-                budget=costs.budget * 0.4,
-                strategy_codes=costs.strategy_codes,
-            )
+            tighter = CostMatrix(stages=costs.stages, budget=costs.budget * 0.4)
             z_low = solve_mcrp(tensor, rewards, tighter).objective
             z_high = solve_mcrp(tensor, rewards, costs).objective
             assert z_high >= z_low
@@ -413,14 +396,7 @@ class TestSolverInvariants:
             new_row = rng.uniform(0.05, 1.2, (2, 3))
             block[:, :3, 3] = new_col
             block[:, 3, :3] = new_row
-            costs4 = CostMatrix(
-                stages=(first, block),
-                budget=costs3.budget,
-                strategy_codes=(
-                    np.zeros_like(first, dtype=np.int8),
-                    np.zeros_like(block, dtype=np.int8),
-                ),
-            )
+            costs4 = CostMatrix(stages=(first, block), budget=costs3.budget)
             z4 = solve_mcrp(wide, rewards, costs4).objective
             assert z4 >= z3
 
@@ -447,9 +423,7 @@ class TestSolverInvariants:
     def test_infeasible_warm_start_rejected(self):
         rng = np.random.default_rng(59)
         tensor, rewards, costs = random_instance(rng, 1, 1, 3, 4, 1)
-        broke = CostMatrix(
-            stages=costs.stages, budget=np.zeros(1), strategy_codes=costs.strategy_codes
-        )
+        broke = CostMatrix(stages=costs.stages, budget=np.zeros(1))
         with pytest.raises(ValueError, match="budget"):
             solve_mcrp(tensor, rewards, broke, warm_starts=[[1]])
 
@@ -475,35 +449,3 @@ class TestSerialization:
         assert float(first[4]) == plan.per_stage_cost[0, 0]
         plan.to_csv(tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
-
-    def test_instance_round_trip(self, tmp_path):
-        rng = np.random.default_rng(71)
-        tensor, rewards, costs = random_instance(rng, 2, 2, 4, 6, 2, max_req=2)
-        path = tmp_path / "inst.bin"
-        dump_instance(path, tensor, rewards, costs)
-        # the container layout is fixed: these are the bytes the earlier
-        # packed-tensor implementation wrote for the same instance
-        raw = path.read_bytes()
-        assert len(raw) == 864
-        assert hashlib.sha256(raw).hexdigest() == (
-            "e1df97a6b22b2698ccc2fdd7c3a09df44c99558521b9264da88077cce5f22fc5"
-        )
-        t2, r2, c2 = load_instance(path)
-        assert t2.dtype == bool
-        assert np.array_equal(t2, tensor)
-        assert np.array_equal(r2.pi, rewards.pi)
-        assert np.array_equal(r2.coverage_req, rewards.coverage_req)
-        assert np.array_equal(c2.budget, costs.budget)
-        for s in range(2):
-            assert np.array_equal(c2.stages[s], costs.stages[s])
-            assert np.array_equal(c2.strategy_codes[s], costs.strategy_codes[s])
-        a = solve_mcrp(tensor, rewards, costs)
-        b = solve_mcrp(t2, r2, c2)
-        assert a.objective == b.objective and a.paths == b.paths
-
-    def test_instance_dump_is_byte_stable(self, tmp_path):
-        rng = np.random.default_rng(73)
-        tensor, rewards, costs = random_instance(rng, 1, 2, 3, 4, 1)
-        dump_instance(tmp_path / "a.bin", tensor, rewards, costs)
-        dump_instance(tmp_path / "b.bin", tensor, rewards, costs)
-        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()

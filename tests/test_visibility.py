@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from _oracles import is_visible, target_pointing
+from _oracles import StateVector, coe_to_state, is_visible, target_pointing
 from stormcover.harness import MODEL_MATRIX, ScenarioConfig, _TrackWorkspace, default_corpus
 from stormcover.orbits import (
     EARTH,
     ClassicalOrbitalElements,
     GeodeticPoint,
-    StateVector,
     TimeGrid,
-    coe_to_state,
     eci_positions,
     geodetic_to_eci,
     propagate,
