@@ -3,6 +3,9 @@
 All costs assume near-circular orbits at a shared altitude: phasing is a
 two-impulse resize-and-return ellipse, plane changes are single impulses at
 a node, and combinations price the phasing leg after the plane change.
+Phasing tries only the two rev pairs that can win (:func:`_phase_rev_pairs`),
+and the all-pairs matrix is a plane leg (the cheapest plane change covering
+the plane offset) plus a phase leg, each 0 when its offset is.
 Slot grids put candidate orbits on equally spaced phase offsets and, in the
 unrestricted mode, on inclination and RAAN offsets calibrated so that the
 most distant plane costs exactly the per-satellite fuel budget to reach in
@@ -121,6 +124,25 @@ def _require_near_circular(orbit: ClassicalOrbitalElements) -> None:
         )
 
 
+def _phase_rev_pairs(max_revs: int) -> Tuple[Tuple[int, int], ...]:
+    """The (k_tgt, k_tfr) rev pairs, R = max_revs, that can phase cheapest.
+
+    With f = dphi / 2 pi in (0, 1), a_phase / a = ((k_tgt + f) / k_tfr)^(2/3)
+    and the delta_v grows with |a_phase - a| on each side of a.  Above a
+    (k_tgt >= k_tfr) the closest pair is k_tgt = k_tfr = R; below a
+    (k_tgt < k_tfr) it is k_tfr = k_tgt + 1 = R.  The clearance guard
+    strikes only below a, at every a_phase under one threshold, so when it
+    rejects the closest pair below a it rejects every pair further below.
+    The pair below comes first, as in a loop over ascending k_tgt, so the
+    first-wins tie-break is kept.
+    """
+    if max_revs < 1:
+        raise ValueError("max_revs must be at least 1")
+    if max_revs == 1:
+        return ((1, 1),)
+    return ((max_revs - 1, max_revs), (max_revs, max_revs))
+
+
 def phasing_cost(
     orbit: ClassicalOrbitalElements,
     phase_offset: float,
@@ -131,8 +153,9 @@ def phasing_cost(
     The chaser enters an ellipse whose period makes it return to the
     departure point, after k_tfr transfer revolutions, exactly when the
     target slot arrives there after k_tgt revolutions plus the phase
-    offset.  Rev counts run independently over 1..max_revs; combinations
-    whose ellipse would dip below a 100 km surface clearance are discarded.
+    offset.  Rev counts run independently over 1..max_revs, of which only
+    :func:`_phase_rev_pairs` can win; ellipses that would dip below a
+    100 km surface clearance are discarded.
 
     Args:
         orbit: departure orbit (sets the radius and mean motion).
@@ -141,17 +164,17 @@ def phasing_cost(
         max_revs: largest rev count for both the target and the transfer.
 
     Returns:
-        TransferCost with the STAY strategy and zero cost for a zero
-        offset, the PHASE strategy otherwise; +inf if every rev pair is
-        excluded by the clearance guard.
+        TransferCost with the STAY strategy and zero cost for an offset
+        within 1e-12 rad of a whole turn (as in transfer_cost), the PHASE
+        strategy otherwise; +inf if every rev pair is excluded by the
+        clearance guard.
     """
     _require_near_circular(orbit)
-    if max_revs < 1:
-        raise ValueError("max_revs must be at least 1")
+    rev_pairs = _phase_rev_pairs(max_revs)
     dphi = math.fmod(phase_offset, TWO_PI)
     if dphi < 0.0:
         dphi += TWO_PI
-    if dphi == 0.0:
+    if not _ANGLE_TOL < dphi < TWO_PI - _ANGLE_TOL:
         return TransferCost(0.0, TransferStrategy.STAY, 0.0)
 
     a = orbit.semi_major_axis
@@ -161,16 +184,15 @@ def phasing_cost(
     floor_radius = EARTH.radius_km + _MIN_PERIAPSIS_CLEARANCE_KM
     best_dv = math.inf
     best_time = math.inf
-    for k_tgt in range(1, max_revs + 1):
+    for k_tgt, k_tfr in rev_pairs:
         t_phase = (TWO_PI * k_tgt + dphi) / n
-        for k_tfr in range(1, max_revs + 1):
-            a_phase = mu ** (1.0 / 3.0) * (t_phase / (TWO_PI * k_tfr)) ** (2.0 / 3.0)
-            if a_phase < a and 2.0 * a_phase - a < floor_radius:
-                continue
-            dv = 2.0 * abs(math.sqrt(mu * (2.0 / a - 1.0 / a_phase)) - v_circ)
-            if dv < best_dv:
-                best_dv = dv
-                best_time = t_phase
+        a_phase = mu ** (1.0 / 3.0) * (t_phase / (TWO_PI * k_tfr)) ** (2.0 / 3.0)
+        if a_phase < a and 2.0 * a_phase - a < floor_radius:
+            continue
+        dv = 2.0 * abs(math.sqrt(mu * (2.0 / a - 1.0 / a_phase)) - v_circ)
+        if dv < best_dv:
+            best_dv = dv
+            best_time = t_phase
     return TransferCost(best_dv, TransferStrategy.PHASE, best_time)
 
 
@@ -397,10 +419,9 @@ class CostMatrix:
     budget: np.ndarray
 
     def __post_init__(self) -> None:
-        for c in self.stages:
-            finite = c[np.isfinite(c)]
-            if finite.size and finite.min() < 0.0:
-                raise ValueError("costs must be non-negative")
+        for s, c in enumerate(self.stages):
+            if not np.all(c >= 0.0):
+                raise ValueError(f"stage {s} costs must be non-negative, not NaN")
 
     @property
     def num_stages(self) -> int:
@@ -418,10 +439,12 @@ def _pairwise_costs(
 ) -> np.ndarray:
     """Vectorised all-pairs transfer pricing for one satellite and stage.
 
-    Mirrors transfer_cost formula-for-formula; the equivalence is pinned
-    by tests.  Returns the cheapest delta_v, shaped (len(from_slots),
-    len(to_slots)).
+    The cheapest strategy of transfer_cost, as plane leg + phase leg:
+    rounding is monotone, so adding one phase leg to each plane candidate
+    keeps their order.  Pinned by tests.  Returns delta_v shaped
+    (len(from_slots), len(to_slots)).
     """
+    rev_pairs = _phase_rev_pairs(max_revs)
     a = from_slots[0].semi_major_axis
     for slot in list(from_slots) + list(to_slots):
         if abs(slot.semi_major_axis - a) > _SMA_TOL_KM:
@@ -446,51 +469,33 @@ def _pairwise_costs(
     n = mean_motion(a)
     floor_radius = EARTH.radius_km + _MIN_PERIAPSIS_CLEARANCE_KM
 
-    # Phasing leg: minimum over rev pairs with the clearance guard.  The
+    # Phase leg: minimum over the rev pairs with the clearance guard.  The
     # guard region covers every negative vis-viva argument, so the NaNs
     # produced under errstate are always replaced.
     phase_dv = np.full(dphi.shape, np.inf)
-    for k_tgt in range(1, max_revs + 1):
+    for k_tgt, k_tfr in rev_pairs:
         t_phase = (TWO_PI * k_tgt + dphi) / n
-        for k_tfr in range(1, max_revs + 1):
-            a_phase = mu ** (1.0 / 3.0) * (t_phase / (TWO_PI * k_tfr)) ** (2.0 / 3.0)
-            bad = (a_phase < a) & (2.0 * a_phase - a < floor_radius)
-            with np.errstate(invalid="ignore"):
-                dv = 2.0 * np.abs(np.sqrt(mu * (2.0 / a - 1.0 / a_phase)) - v)
-            phase_dv = np.minimum(phase_dv, np.where(bad, np.inf, dv))
-    phase_dv = np.where(has_p, phase_dv, 0.0)
+        a_phase = mu ** (1.0 / 3.0) * (t_phase / (TWO_PI * k_tfr)) ** (2.0 / 3.0)
+        bad = (a_phase < a) & (2.0 * a_phase - a < floor_radius)
+        with np.errstate(invalid="ignore"):
+            dv = 2.0 * np.abs(np.sqrt(mu * (2.0 / a - 1.0 / a_phase)) - v)
+        phase_dv = np.minimum(phase_dv, np.where(bad, np.inf, dv))
+    phase_leg = np.where(has_p, phase_dv, 0.0)
 
-    # Plane legs through the same half-angle identities as the scalar ops.
+    # Plane leg through the same half-angle identities as the scalar ops;
+    # a single-axis offset may also fly the combined rotation.
     incl_dv = 2.0 * v * np.sin(np.abs(di) / 2.0)
     i2 = fi[:, None] + di
     raan_dv = 2.0 * v * np.abs(np.sin(fi[:, None]) * np.sin(draan / 2.0))
     radicand = np.sin(di / 2.0) ** 2 + np.sin(fi[:, None]) * np.sin(i2) * np.sin(draan / 2.0) ** 2
     plane_dv = 2.0 * v * np.sqrt(np.clip(radicand, 0.0, 1.0))
-
-    inf = np.inf
-    stay = np.where(~(has_i | has_o | has_p), 0.0, inf)
-    only_p = has_p & ~(has_i | has_o)
-    only_i = has_i & ~(has_o | has_p)
-    only_o = has_o & ~(has_i | has_p)
-    plane_ok = (has_i | has_o) & ~has_p
-    ip = has_i & ~has_o & has_p
-    op = has_o & ~has_i & has_p
-    pp = (has_i | has_o) & has_p
-    # Candidates of the scalar path; none is NaN or -0.0, so the min is
-    # the value of whichever strategy the scalar path picks.
-    stack = np.stack(
-        [
-            stay,
-            np.where(only_p, phase_dv, inf),
-            np.where(only_i, incl_dv, inf),
-            np.where(only_o, raan_dv, inf),
-            np.where(plane_ok, plane_dv, inf),
-            np.where(ip, incl_dv + phase_dv, inf),
-            np.where(op, raan_dv + phase_dv, inf),
-            np.where(pp, plane_dv + phase_dv, inf),
-        ]
+    plane_leg = np.select(
+        [has_i & has_o, has_i, has_o],
+        [plane_dv, np.minimum(incl_dv, plane_dv), np.minimum(raan_dv, plane_dv)],
+        0.0,
     )
-    return stack.min(axis=0)
+    # Both legs are >= +0.0 (or inf), so adding a zero leg is exact.
+    return plane_leg + phase_leg
 
 
 def build_cost_matrix(

@@ -164,10 +164,7 @@ class ReconfigPlan:
             object.__setattr__(self, "objective_bound", self.objective)
 
     def total_cost(self, k: int) -> float:
-        total = 0.0
-        for s in range(self.per_stage_cost.shape[1]):
-            total += float(self.per_stage_cost[k, s])
-        return total
+        return _satellite_totals(self.per_stage_cost)[k]
 
     def to_csv(self, path) -> None:
         """Write `sat, stage, from_slot, to_slot, delta_v_km_s` rows.

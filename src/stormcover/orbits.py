@@ -399,13 +399,13 @@ def propagate(coe: ClassicalOrbitalElements, dt: float, include_j2: bool = True)
 # ---------------------------------------------------------------------------
 
 
-def geodetic_to_eci(point: GeodeticPoint, t: float, rotation_offset: float = 0.0) -> np.ndarray:
+def geodetic_to_eci(point: GeodeticPoint, t: float) -> np.ndarray:
     """Inertial position of a ground point at time ``t``.
 
-    Spherical Earth rotated by theta = rotation_rate * t + rotation_offset, so
-    the returned norm is exactly radius + altitude.
+    Spherical Earth rotated by theta = rotation_rate * t, so the returned
+    norm is exactly radius + altitude.
     """
-    theta = EARTH.rotation_rate_rad_s * t + rotation_offset
+    theta = EARTH.rotation_rate_rad_s * t
     lon = point.longitude + theta
     rho = EARTH.radius_km + point.altitude
     clat = math.cos(point.latitude)
@@ -414,10 +414,8 @@ def geodetic_to_eci(point: GeodeticPoint, t: float, rotation_offset: float = 0.0
     )
 
 
-def secular_angles(
-    coe: ClassicalOrbitalElements, dt: np.ndarray, include_j2: bool = True
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean motion, RAAN and argument of periapsis after ``dt`` seconds.
+def secular_angles(coe: ClassicalOrbitalElements, dt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """J2 mean motion, RAAN and argument of periapsis after ``dt`` seconds.
 
     The secular part of :func:`eci_positions`, shared with the plane
     screen in :mod:`stormcover.visibility`; neither depends on the true
@@ -427,32 +425,23 @@ def secular_angles(
         (n_eff in rad/s, RAAN array, argument-of-periapsis array), the
         angles shaped like ``dt`` and not wrapped.
     """
-    if include_j2:
-        n_eff = j2_mean_motion(coe)
-        raan = coe.raan + j2_raan_rate(coe) * dt
-        argp = coe.arg_periapsis + j2_arg_periapsis_rate(coe) * dt
-    else:
-        n_eff = mean_motion(coe.semi_major_axis)
-        raan = np.full_like(dt, coe.raan)
-        argp = np.full_like(dt, coe.arg_periapsis)
+    n_eff = j2_mean_motion(coe)
+    raan = coe.raan + j2_raan_rate(coe) * dt
+    argp = coe.arg_periapsis + j2_arg_periapsis_rate(coe) * dt
     return n_eff, raan, argp
 
 
 def eci_positions(
-    coe: ClassicalOrbitalElements,
-    times: np.ndarray,
-    include_j2: bool = True,
-    steps: np.ndarray | None = None,
+    coe: ClassicalOrbitalElements, times: np.ndarray, steps: np.ndarray | None = None
 ) -> np.ndarray:
     """Inertial positions of one orbit at many absolute times.
 
-    Vectorized positions of ``propagate(coe, t - epoch)`` for each time t,
-    which must be >= the element epoch.
+    Vectorized positions of ``propagate(coe, t - epoch)`` (with J2) for
+    each time t, which must be >= the element epoch.
 
     Args:
         coe: Elements at their epoch.
         times: Absolute times, s, shape (N,).
-        include_j2: Same meaning as in :func:`propagate`.
         steps: Indices into ``times`` of the positions wanted, or None for
             all of them.  Kepler's equation is still solved at every time,
             because its Newton loop runs until the whole array converges;
@@ -467,7 +456,7 @@ def eci_positions(
     if dt.size and float(dt.min()) < -1e-9:
         raise ValueError("times precede the element epoch")
     e = coe.eccentricity
-    n_eff, raan, argp = secular_angles(coe, dt, include_j2)
+    n_eff, raan, argp = secular_angles(coe, dt)
     m0 = true_to_mean_anomaly(coe.true_anomaly, e)
     big_e = _solve_kepler_array(m0 + n_eff * dt, e)
     if steps is not None:

@@ -209,6 +209,98 @@ def phasing_cost_brute(a_km: float, dphi_rad: float, max_revs: int) -> float:
     return best
 
 
+# The 16 rev-pair searches and the eight-way strategy stack the library
+# priced phasing and transfers with before it tried only the two rev pairs
+# that can win, kept verbatim as their bit-for-bit reference.
+
+_ANGLE_TOL = 1e-12
+_FLOOR_RADIUS_KM = R_EARTH + 100.0
+
+
+def phasing_cost_loop(a_km: float, dphi_rad: float, max_revs: int) -> tuple[float, float]:
+    """(delta_v, transfer_time) of the cheapest rev pair, for a phase
+    offset in (0, 2 pi); the first pair in loop order wins ties."""
+    n = math.sqrt(MU / a_km**3)
+    v_circ = math.sqrt(MU / a_km)
+    best_dv = math.inf
+    best_time = math.inf
+    for k_tgt in range(1, max_revs + 1):
+        t_phase = (TWO_PI * k_tgt + dphi_rad) / n
+        for k_tfr in range(1, max_revs + 1):
+            a_phase = MU ** (1.0 / 3.0) * (t_phase / (TWO_PI * k_tfr)) ** (2.0 / 3.0)
+            if a_phase < a_km and 2.0 * a_phase - a_km < _FLOOR_RADIUS_KM:
+                continue
+            dv = 2.0 * abs(math.sqrt(MU * (2.0 / a_km - 1.0 / a_phase)) - v_circ)
+            if dv < best_dv:
+                best_dv = dv
+                best_time = t_phase
+    return best_dv, best_time
+
+
+def pairwise_costs_loop(from_slots, to_slots, max_revs: int) -> np.ndarray:
+    """(len(from_slots), len(to_slots)) cheapest delta_v between slots
+    sharing one altitude: the phasing minimum over all 16 rev pairs, then
+    the minimum over the eight strategies' masked candidates."""
+    a = from_slots[0].semi_major_axis
+    fi = np.array([s.inclination for s in from_slots])
+    fo = np.array([s.raan for s in from_slots])
+    fu = np.array([s.argument_of_latitude for s in from_slots])
+    ti = np.array([s.inclination for s in to_slots])
+    to = np.array([s.raan for s in to_slots])
+    tu = np.array([s.argument_of_latitude for s in to_slots])
+
+    di = ti[None, :] - fi[:, None]
+    draan = np.mod(to[None, :] - fo[:, None], TWO_PI)
+    draan = np.where(draan > math.pi, draan - TWO_PI, draan)
+    dphi = np.mod(fu[:, None] - tu[None, :], TWO_PI)
+    has_i = np.abs(di) > _ANGLE_TOL
+    has_o = np.abs(draan) > _ANGLE_TOL
+    has_p = (dphi > _ANGLE_TOL) & (dphi < TWO_PI - _ANGLE_TOL)
+
+    v = math.sqrt(MU / a)
+    n = math.sqrt(MU / a**3)
+
+    phase_dv = np.full(dphi.shape, np.inf)
+    for k_tgt in range(1, max_revs + 1):
+        t_phase = (TWO_PI * k_tgt + dphi) / n
+        for k_tfr in range(1, max_revs + 1):
+            a_phase = MU ** (1.0 / 3.0) * (t_phase / (TWO_PI * k_tfr)) ** (2.0 / 3.0)
+            bad = (a_phase < a) & (2.0 * a_phase - a < _FLOOR_RADIUS_KM)
+            with np.errstate(invalid="ignore"):
+                dv = 2.0 * np.abs(np.sqrt(MU * (2.0 / a - 1.0 / a_phase)) - v)
+            phase_dv = np.minimum(phase_dv, np.where(bad, np.inf, dv))
+    phase_dv = np.where(has_p, phase_dv, 0.0)
+
+    incl_dv = 2.0 * v * np.sin(np.abs(di) / 2.0)
+    i2 = fi[:, None] + di
+    raan_dv = 2.0 * v * np.abs(np.sin(fi[:, None]) * np.sin(draan / 2.0))
+    radicand = np.sin(di / 2.0) ** 2 + np.sin(fi[:, None]) * np.sin(i2) * np.sin(draan / 2.0) ** 2
+    plane_dv = 2.0 * v * np.sqrt(np.clip(radicand, 0.0, 1.0))
+
+    inf = np.inf
+    stay = np.where(~(has_i | has_o | has_p), 0.0, inf)
+    only_p = has_p & ~(has_i | has_o)
+    only_i = has_i & ~(has_o | has_p)
+    only_o = has_o & ~(has_i | has_p)
+    plane_ok = (has_i | has_o) & ~has_p
+    ip = has_i & ~has_o & has_p
+    op = has_o & ~has_i & has_p
+    pp = (has_i | has_o) & has_p
+    stack = np.stack(
+        [
+            stay,
+            np.where(only_p, phase_dv, inf),
+            np.where(only_i, incl_dv, inf),
+            np.where(only_o, raan_dv, inf),
+            np.where(plane_ok, plane_dv, inf),
+            np.where(ip, incl_dv + phase_dv, inf),
+            np.where(op, raan_dv + phase_dv, inf),
+            np.where(pp, plane_dv + phase_dv, inf),
+        ]
+    )
+    return stack.min(axis=0)
+
+
 def plane_rotation_angle(i1: float, raan1: float, i2: float, raan2: float) -> float:
     """Angle between two orbit planes via their angular-momentum directions.
 

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from stormcover.harness import MODEL_MATRIX, ScenarioConfig, _TrackWorkspace, default_corpus
 from stormcover.maneuvers import (
     CostMatrix,
     GridMode,
     SlotGridSpec,
     TransferCost,
     TransferStrategy,
+    _pairwise_costs,
+    _phase_rev_pairs,
     build_cost_matrix,
     calibrate_plane_spans,
     combined_plane_cost,
@@ -88,6 +91,27 @@ class TestPhasing:
     def test_bad_rev_count_rejected(self):
         with pytest.raises(ValueError):
             phasing_cost(circular(), 1.0, max_revs=0)
+
+    def test_rev_pairs_closest_below_then_above(self):
+        assert _phase_rev_pairs(1) == ((1, 1),)
+        assert _phase_rev_pairs(4) == ((3, 4), (4, 4))
+        with pytest.raises(ValueError, match="max_revs must be at least 1"):
+            _phase_rev_pairs(0)
+
+    @given(dphi=st.one_of(st.floats(0.0, 1e-12), st.floats(TWO_PI - 1e-12, TWO_PI, exclude_max=True)))
+    def test_offset_within_tolerance_of_whole_turn_is_stay(self, dphi):
+        assert phasing_cost(circular(), dphi) == TransferCost(0.0, TransferStrategy.STAY, 0.0)
+
+    # Down to 6,500 km the clearance guard rejects the pair below the orbit.
+    @given(
+        a=st.floats(6500.0, 9000.0),
+        dphi=st.floats(1e-12, TWO_PI - 1e-12, exclude_min=True, exclude_max=True),
+        max_revs=st.integers(1, 8),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_two_rev_pairs_match_all_pairs_bit_for_bit(self, a, dphi, max_revs):
+        cost = phasing_cost(circular(a=a), dphi, max_revs)
+        assert (cost.delta_v, cost.transfer_time) == oracles.phasing_cost_loop(a, dphi, max_revs)
 
 
 class TestPlaneChanges:
@@ -243,6 +267,66 @@ class TestTransferCost:
             transfer_cost(circular(a=7000.0), circular(a=7010.0))
 
 
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+class TestPairwiseCosts:
+    """The plane leg + phase leg fold over two rev pairs against the
+    16-pair, eight-strategy stack it replaced, bit for bit."""
+
+    # Zero, within a few ulps of the 1e-12 rad offset tolerance, or broad.
+    edge = st.floats(-2e-12, 2e-12)
+    offset = st.one_of(st.just(0.0), edge, st.floats(-0.4, 0.4))
+    slot = st.tuples(offset, offset, st.one_of(st.just(0.0), edge, st.floats(0.0, TWO_PI)))
+
+    @given(
+        a=st.floats(6500.0, 8000.0),
+        i_deg=st.floats(30.0, 150.0),
+        from_offsets=st.lists(slot, min_size=1, max_size=6),
+        to_offsets=st.lists(slot, min_size=1, max_size=6),
+        max_revs=st.integers(1, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_strategy_stack_oracle(self, a, i_deg, from_offsets, to_offsets, max_revs):
+        base = circular(a=a, i_deg=i_deg)
+
+        def slots(offsets):
+            return [
+                replace(
+                    base,
+                    inclination=base.inclination + di,
+                    raan=(base.raan + draan) % TWO_PI,
+                    true_anomaly=(base.true_anomaly + du) % TWO_PI,
+                )
+                for di, draan, du in offsets
+            ]
+
+        froms, tos = slots(from_offsets), slots(to_offsets)
+        got = _pairwise_costs(froms, tos, max_revs)
+        assert _bits(got) == _bits(oracles.pairwise_costs_loop(froms, tos, max_revs))
+
+    def test_corpus_stage_arrays_match_oracle(self):
+        """Every stage array of every slot family on synth-01, -11, -20."""
+        config = ScenarioConfig()
+        tracks = default_corpus(20)
+        initials = [sc.elements for sc in config.satellites]
+        for track in (tracks[0], tracks[10], tracks[19]):
+            ws = _TrackWorkspace(track, config)
+            for spec in MODEL_MATRIX.values():
+                if spec.kind != "reconfig":
+                    continue
+                slots = ws.family_slots(spec)
+                grid = ws.grid_for(spec.num_stages)
+                for s, stage in enumerate(ws.costs_for(spec).stages):
+                    epoch = grid.stage_start_time(s)
+                    for k, slot_list in enumerate(slots):
+                        tos = [propagate(x, epoch) for x in slot_list]
+                        froms = [propagate(initials[k], epoch)] if s == 0 else tos
+                        want = oracles.pairwise_costs_loop(froms, tos, config.max_revs)
+                        assert _bits(stage[k]) == _bits(want), (track.name, spec.name, s, k)
+
+
 class TestSlotGrid:
     def test_phasing_only_spacing(self):
         initial = circular(u_deg=25.0)
@@ -350,6 +434,18 @@ class TestCostMatrix:
         assert epoch0.shape == matrix.stages[1].shape
         assert not np.allclose(epoch0, matrix.stages[1], atol=1e-9)
         del square0
+
+    def test_rejects_nan_and_negative_costs(self):
+        for bad in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="stage 1"):
+                CostMatrix(stages=(np.zeros((1, 1, 2)), np.array([[[0.0, bad]]])), budget=np.ones(1))
+        CostMatrix(stages=(np.array([[[0.0, math.inf]]]),), budget=np.ones(1))
+
+    def test_zero_revs_rejected_before_pricing(self):
+        grid = TimeGrid(duration=7200.0, step=300.0, control_step=1800.0, num_stages=1)
+        slots = generate_slot_grid(circular(), SlotGridSpec(4), 2.0, GridMode.PHASING_ONLY)
+        with pytest.raises(ValueError, match="max_revs must be at least 1"):
+            build_cost_matrix([slots], grid, max_revs=0)
 
     def test_budget_vector(self):
         grid, initials, slot_grids = two_stage_setup()

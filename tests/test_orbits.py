@@ -189,13 +189,12 @@ class TestGeodetic:
 
 
 class TestBatchPropagation:
-    @pytest.mark.parametrize("include_j2", [False, True])
-    def test_matches_scalar_path(self, include_j2):
+    def test_matches_scalar_path(self):
         coe = make_coe(*FLOWN_ORBITS[2][1:])
         times = np.linspace(0.0, 3.0 * orbital_period(coe.semi_major_axis), 40)
-        batch = eci_positions(coe, times, include_j2=include_j2)
+        batch = eci_positions(coe, times)
         for t, pos in zip(times, batch):
-            ref = coe_to_state(propagate(coe, float(t), include_j2=include_j2)).position
+            ref = coe_to_state(propagate(coe, float(t))).position
             assert np.allclose(pos, ref, atol=1e-6)
 
     def test_rejects_times_before_epoch(self):
