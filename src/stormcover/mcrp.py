@@ -15,7 +15,14 @@ exact depth-first branch-and-bound over per-satellite stage paths:
   edge costs are relaxed, so the bound never underestimates), plus the
   same relaxation for every satellite not yet branched on;
 * pruning: once any incumbent exists, a node dies unless its bound
-  strictly beats the incumbent objective.
+  strictly beats the incumbent objective;
+* dominance: a satellite's level is entered at most once per union on
+  the cells it and the satellites after it can reach under their full
+  budgets, unless a later entry brings a strictly larger reward.  Equal
+  unions there give equal completions, the earlier entry's subtree has
+  already raised the incumbent to its best leaf, and leaves only replace
+  the incumbent when strictly better, so the plan is the one the search
+  without this rule returns, in fewer nodes.
 
 The guaranteed contract is the objective: when the solver finishes, the
 returned value is the exact optimum, and the plan is one deterministic
@@ -424,6 +431,12 @@ class _Search:
         self.abort_bound = -math.inf
         self.best_key: Optional[tuple] = None
         self.best_paths: Optional[list] = None
+        # reach[k]: bit positions, in the union's unpacked bits, of the
+        # cells satellites k..K-1 can cover under their full budgets
+        bits = np.unpackbits(inst.afford_from[:, 0].view(np.uint8), axis=-1, bitorder="little")
+        reach = np.bitwise_or.accumulate(bits[::-1], axis=0)[::-1]
+        self.reach = [np.flatnonzero(row) for row in reach]
+        self.entered: dict = {}
 
     def offer(self, flat_path: tuple, z: Optional[int] = None) -> None:
         """Install a candidate incumbent.
@@ -507,10 +520,33 @@ class _Search:
     # -- search ------------------------------------------------------------
 
     def _level(self, k, union, z_union, flat):
+        """Branch on satellite k's path against the union of the paths in ``flat``.
+
+        Dominance: the entry is keyed by k and the union's bits on the
+        cells satellites k..K-1 can reach under their full budgets, and
+        skipped unless its reward beats every earlier entry's with that
+        key.  The plan and reward do not change:
+
+        - an equal key means equal completions: every completion covers
+          only reachable cells, so it adds the same cells to either union;
+        - the earlier entry's subtree has finished, so the incumbent is
+          already at least that entry's best leaf, which is at least this
+          entry's best leaf;
+        - leaves only ever strictly improve, because the last stage's
+          bound is exact (no trailing stages, no later satellites), so no
+          leaf of this entry would have replaced the incumbent;
+        - so the sequence of incumbents is the same, with fewer nodes.
+        """
         inst = self.inst
         if k == inst.K:
             self.offer(tuple(flat), z=z_union)
             return
+        if k:
+            bits = np.unpackbits(union.view(np.uint8), bitorder="little")[self.reach[k]]
+            key = (k, np.packbits(bits).tobytes())
+            if self.entered.get(key, -1) >= z_union:
+                return
+            self.entered[key] = z_union
         tables = self._fresh_tables(k, union)
         self._stages(k, 0, 0, float(inst.budget[k]), union, z_union, flat, tables)
 

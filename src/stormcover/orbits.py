@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +38,8 @@ __all__ = [
     "geodetic_to_eci",
     "secular_angles",
     "eci_positions",
+    "orbit_planes",
+    "plane_positions",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -44,6 +47,9 @@ TWO_PI = 2.0 * math.pi
 # Newton iteration settings for Kepler's equation (residual tolerance in rad).
 KEPLER_TOL = 1e-12
 KEPLER_MAX_ITER = 50
+# Allowance (rad) for floating-point rounding per Newton step, in the step
+# bound of _kepler_certified_steps.
+_KEPLER_ROUNDING = 1e-13
 
 
 @dataclass(frozen=True)
@@ -264,20 +270,80 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
 def _solve_kepler_array(mean_anomaly: np.ndarray, eccentricity: float) -> np.ndarray:
     """Vectorized Newton solve of Kepler's equation; same seed and tolerance as the scalar path.
 
-    The whole array iterates until every entry converges; entries still
-    off after ``KEPLER_MAX_ITER`` steps are solved by bisection instead.
+    The whole array is one row of :func:`_solve_kepler_rows`: it iterates
+    until every entry converges, and entries still off after
+    ``KEPLER_MAX_ITER`` steps are solved by bisection instead.
+    """
+    return _solve_kepler_rows(np.asarray(mean_anomaly, dtype=float)[None, :], eccentricity)[0][0]
+
+
+def _solve_kepler_rows(mean_anomaly: np.ndarray, eccentricity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton solve of Kepler's equation on (R, N) rows, each stopped on its own residual.
+
+    A row iterates until its largest residual is below ``KEPLER_TOL``,
+    exactly as :func:`_solve_kepler_array` does for the single row it is
+    given, so a row's bits do not depend on the other rows.  Entries of a
+    row still off after ``KEPLER_MAX_ITER`` steps are solved by bisection.
+
+    Returns:
+        (E in [0, 2*pi) shaped like ``mean_anomaly``, the Newton steps each
+        row took before its residual check passed; ``KEPLER_MAX_ITER`` for
+        a row that went on to bisection).
     """
     m = np.mod(mean_anomaly, TWO_PI)
     e = eccentricity
     big_e = np.where(m > math.pi, m + e, m)
-    for _ in range(KEPLER_MAX_ITER):
-        f = big_e - e * np.sin(big_e) - m
-        if np.max(np.abs(f)) < KEPLER_TOL:
-            return np.mod(big_e, TWO_PI)
-        big_e = big_e - f / (1.0 - e * np.cos(big_e))
-    off = ~(np.abs(big_e - e * np.sin(big_e) - m) < KEPLER_TOL)
-    big_e[off] = _bisect_kepler(m[off], e)
-    return np.mod(big_e, TWO_PI)
+    steps = np.full(m.shape[0], KEPLER_MAX_ITER)
+    live = np.arange(m.shape[0])
+    for n in range(KEPLER_MAX_ITER):
+        x = big_e[live]
+        f = x - e * np.sin(x) - m[live]
+        done = np.max(np.abs(f), axis=1, initial=0.0) < KEPLER_TOL
+        if done.any():
+            steps[live[done]] = n
+            live, x, f = live[~done], x[~done], f[~done]
+            if not live.size:
+                return np.mod(big_e, TWO_PI), steps
+        big_e[live] = x - f / (1.0 - e * np.cos(x))
+    x, mm = big_e[live], m[live]
+    off = ~(np.abs(x - e * np.sin(x) - mm) < KEPLER_TOL)
+    x[off] = _bisect_kepler(mm[off], e)
+    big_e[live] = x
+    return np.mod(big_e, TWO_PI), steps
+
+
+def _kepler_certified_steps(eccentricity: float) -> int | None:
+    """Newton steps after which every row of :func:`_solve_kepler_rows` has stopped.
+
+    Returns the least n such that, at eccentricity e, the residual check
+    after n steps passes for every mean anomaly, or None when the bound
+    below proves no such n within ``KEPLER_MAX_ITER`` (e above about
+    0.618).  With g(E) = E - e sin E - M, root E* and d_n = |E_n - E*|:
+
+    - the seed error is d_0 <= 2e: E* - M = e sin E*, so the seed M is
+      within e, and the seed M + e (taken when M > pi) within 2e;
+    - Newton gives d_{n+1} <= e / (2 (1 - e)) d_n^2, because
+      |g''| = e |sin E| <= e and g' = 1 - e cos E >= 1 - e everywhere;
+    - the residual is |g(E_n)| <= (1 + e) d_n, since g' <= 1 + e;
+    - floating point adds to each step's iterate, and to the computed
+      residual, a few ulps of numbers below 8 divided by g' >= 0.38
+      (about 2e-14 where a certificate exists); ``_KEPLER_ROUNDING``
+      (1e-13) allows five times that.
+
+    So d_0 <= D_0 = 2e with D_{n+1} = e / (2 (1 - e)) D_n^2 + 1e-13, and
+    the check passes once (1 + e) D_n + 1e-13 < ``KEPLER_TOL``.  A row
+    over a subset of a longer row's entries has the same iterates and so
+    stops no later; if it took exactly the certified count, the longer
+    row stopped at that step too, and the two agree bit for bit.
+    """
+    e = eccentricity
+    rate = e / (2.0 * (1.0 - e))
+    bound = 2.0 * e
+    for n in range(KEPLER_MAX_ITER):
+        if (1.0 + e) * bound + _KEPLER_ROUNDING < KEPLER_TOL:
+            return n
+        bound = rate * bound * bound + _KEPLER_ROUNDING
+    return None
 
 
 def _bisect_kepler(m: np.ndarray, e: float) -> np.ndarray:
@@ -417,9 +483,10 @@ def geodetic_to_eci(point: GeodeticPoint, t: float) -> np.ndarray:
 def secular_angles(coe: ClassicalOrbitalElements, dt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """J2 mean motion, RAAN and argument of periapsis after ``dt`` seconds.
 
-    The secular part of :func:`eci_positions`, shared with the plane
-    screen in :mod:`stormcover.visibility`; neither depends on the true
-    anomaly, so every slot on one orbit plane gets the same arrays.
+    The secular part of :func:`eci_positions`, shared with
+    :func:`plane_positions` and the plane screen in
+    :mod:`stormcover.visibility`; none depends on the true anomaly, so
+    every slot on one orbit plane gets the same arrays.
 
     Returns:
         (n_eff in rad/s, RAAN array, argument-of-periapsis array), the
@@ -431,9 +498,7 @@ def secular_angles(coe: ClassicalOrbitalElements, dt: np.ndarray) -> tuple[float
     return n_eff, raan, argp
 
 
-def eci_positions(
-    coe: ClassicalOrbitalElements, times: np.ndarray, steps: np.ndarray | None = None
-) -> np.ndarray:
+def eci_positions(coe: ClassicalOrbitalElements, times: np.ndarray) -> np.ndarray:
     """Inertial positions of one orbit at many absolute times.
 
     Vectorized positions of ``propagate(coe, t - epoch)`` (with J2) for
@@ -442,27 +507,85 @@ def eci_positions(
     Args:
         coe: Elements at their epoch.
         times: Absolute times, s, shape (N,).
-        steps: Indices into ``times`` of the positions wanted, or None for
-            all of them.  Kepler's equation is still solved at every time,
-            because its Newton loop runs until the whole array converges;
-            only the steps after it run on the selected times, so each
-            returned row is bit-identical to that row of the full call.
 
     Returns:
-        Array of shape (N, 3), km, or (len(steps), 3).
+        Array of shape (N, 3), km.
     """
-    t = np.asarray(times, dtype=float)
-    dt = t - coe.epoch
-    if dt.size and float(dt.min()) < -1e-9:
-        raise ValueError("times precede the element epoch")
+    dt = _elapsed(coe, times)
     e = coe.eccentricity
     n_eff, raan, argp = secular_angles(coe, dt)
     m0 = true_to_mean_anomaly(coe.true_anomaly, e)
-    big_e = _solve_kepler_array(m0 + n_eff * dt, e)
-    if steps is not None:
-        big_e, raan, argp = big_e[steps], raan[steps], argp[steps]
-    nu = np.mod(np.arctan2(np.sqrt(1.0 - e * e) * np.sin(big_e), np.cos(big_e) - e), TWO_PI)
+    return _positions(coe, _solve_kepler_array(m0 + n_eff * dt, e), raan, argp)
 
+
+def orbit_planes(orbits: Sequence[ClassicalOrbitalElements]) -> list[list[int]]:
+    """Indices of ``orbits`` grouped by orbit plane: every element but the
+    true anomaly equal, so the group shares its secular angles."""
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for j, c in enumerate(orbits):
+        key = (c.semi_major_axis, c.eccentricity, c.inclination, c.raan, c.arg_periapsis, c.epoch)
+        groups.setdefault(key, []).append(j)
+    return list(groups.values())
+
+
+def plane_positions(
+    plane: Sequence[ClassicalOrbitalElements], times: np.ndarray, steps: np.ndarray
+) -> np.ndarray:
+    """Inertial positions of the orbits of one plane at selected times.
+
+    Row q is ``eci_positions(plane[q], times)[steps]`` bit for bit, but
+    Kepler's equation runs on the selected times only, as one
+    (orbits x steps) block whose rows each stop on their own residual
+    (:func:`_solve_kepler_rows`).  The full row stops no earlier than its
+    subset and, by :func:`_kepler_certified_steps`, no later than the
+    certified step count, so a block row that took exactly that count
+    holds the full row's bits.  Any other row, and every row of an orbit
+    too eccentric for a certificate, is solved on its full row instead.
+
+    Args:
+        plane: orbits sharing every element but the true anomaly
+            (:func:`orbit_planes`).
+        times: Absolute times, s, shape (N,), none before the epoch.
+        steps: Indices into ``times`` of the positions wanted.
+
+    Returns:
+        Array of shape (len(plane), len(steps), 3), km.
+    """
+    if len(orbit_planes(plane)) != 1:
+        raise ValueError("orbits do not share one orbit plane")
+    coe = plane[0]
+    e = coe.eccentricity
+    dt = _elapsed(coe, times)
+    n_eff, raan, argp = secular_angles(coe, dt[steps])
+    drift = n_eff * dt
+    m0 = np.array([true_to_mean_anomaly(c.true_anomaly, e) for c in plane])
+    need = _kepler_certified_steps(e)
+    if need is None:
+        big_e = np.empty((len(plane), len(steps)))
+        redo = range(len(plane))
+    else:
+        big_e, took = _solve_kepler_rows(m0[:, None] + drift[steps], e)
+        redo = np.flatnonzero(took != need)
+    for q in redo:
+        big_e[q] = _solve_kepler_array(m0[q] + drift, e)[steps]
+    return _positions(coe, big_e, raan, argp)
+
+
+def _elapsed(coe: ClassicalOrbitalElements, times: np.ndarray) -> np.ndarray:
+    """Seconds from the element epoch to each time; none may precede it."""
+    dt = np.asarray(times, dtype=float) - coe.epoch
+    if dt.size and float(dt.min()) < -1e-9:
+        raise ValueError("times precede the element epoch")
+    return dt
+
+
+def _positions(
+    coe: ClassicalOrbitalElements, big_e: np.ndarray, raan: np.ndarray, argp: np.ndarray
+) -> np.ndarray:
+    """Inertial positions on ``coe``'s orbit shape from eccentric anomalies
+    and drifted RAAN and argument of periapsis, all broadcast together."""
+    e = coe.eccentricity
+    nu = np.mod(np.arctan2(np.sqrt(1.0 - e * e) * np.sin(big_e), np.cos(big_e) - e), TWO_PI)
     p = coe.semi_latus_rectum
     r_mag = p / (1.0 + e * np.cos(nu))
     u = argp + nu
@@ -470,7 +593,7 @@ def eci_positions(
     co, so = np.cos(raan), np.sin(raan)
     ci = math.cos(coe.inclination)
     si = math.sin(coe.inclination)
-    out = np.empty(big_e.shape + (3,), dtype=float)
+    out = np.empty(u.shape + (3,), dtype=float)
     out[..., 0] = r_mag * (co * cu - so * su * ci)
     out[..., 1] = r_mag * (so * cu + co * su * ci)
     out[..., 2] = r_mag * (su * si)

@@ -19,21 +19,25 @@ the cone's edge misses the limb) and the horizon limit
 acos(q / r) + acos(q / rho), q = min(rho, R_E), at the apoapsis radius
 r = p / (1 - e) and the target's own radius rho (:func:`_kept_steps`).
 A 1e-6 rad margin is added because :func:`visibility_mask` decides
-points on that boundary from rounded floats.  Kepler's equation still
-runs on each slot's full row, since its Newton loop stops only when the
-whole row has converged; the steps after it run on the kept steps alone,
-so the array is bit-identical to testing every step.
+points on that boundary from rounded floats.  Each plane's slots are then
+propagated and tested as one (slots x kept steps) block.  Kepler's
+equation runs on the kept steps too: a Newton loop over fewer entries can
+stop a step earlier and move bits, so the plane kernel
+(:func:`~stormcover.orbits.plane_positions`) keeps a block row only when
+it took the step count after which every entry provably converges, and
+solves the slot's full row otherwise.  The array is bit-identical to
+testing every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .orbits import EARTH, ClassicalOrbitalElements, TimeGrid, eci_positions, secular_angles
+from .orbits import EARTH, ClassicalOrbitalElements, TimeGrid, orbit_planes, plane_positions, secular_angles
 
 __all__ = [
     "FovSpec",
@@ -157,15 +161,6 @@ def _kept_steps(
     return np.flatnonzero(~(off_plane > reach + _SCREEN_MARGIN))
 
 
-def _planes(slot_list: Sequence[ClassicalOrbitalElements]) -> List[List[int]]:
-    """Slot indices grouped by orbit plane: every element but true anomaly equal."""
-    groups: Dict[Tuple[float, ...], List[int]] = {}
-    for j, c in enumerate(slot_list):
-        key = (c.semi_major_axis, c.eccentricity, c.inclination, c.raan, c.arg_periapsis, c.epoch)
-        groups.setdefault(key, []).append(j)
-    return list(groups.values())
-
-
 def slot_visibility(
     slots: Sequence[Sequence[ClassicalOrbitalElements]],
     targets: np.ndarray,
@@ -183,11 +178,13 @@ def slot_visibility(
     target's own radius, plus a 1e-6 rad margin for the rounding of
     :func:`visibility_mask`.
 
-    Kepler's equation still runs on each slot's full row: its Newton loop
-    stops when the whole row converges, so solving only the kept steps
-    could stop it earlier and move bits.  Only the steps after it run on
-    the kept steps, which makes the result bit-identical to testing every
-    step.
+    Each plane then makes one :func:`~stormcover.orbits.plane_positions`
+    call over its (slots x kept steps) block and one
+    :func:`visibility_mask` call over the same block.  The plane kernel
+    solves Kepler's equation on the kept steps alone and holds each row to
+    its full row's bits by a certified Newton step count, solving the full
+    row only where the certificate fails, so the result is bit-identical
+    to testing every step of every slot.
 
     Args:
         slots: slots[k] lists the candidate orbits of satellite k; every
@@ -212,9 +209,12 @@ def slot_visibility(
     column = targets[:, None, :]
     visible = np.zeros((len(slots), n_slots.pop() if n_slots else 0, grid.num_steps), dtype=bool)
     for k, slot_list in enumerate(slots):
-        for plane in _planes(slot_list):
+        for plane in orbit_planes(slot_list):
             kept = _kept_steps(slot_list[plane[0]], times, unit, rho, fov.half_angle)
-            for j in plane:
-                pos = eci_positions(slot_list[j], times, steps=kept)
-                visible[k, j, kept] = visibility_mask(pos, column[kept], fov.half_angle)[:, 0]
+            if not kept.size:
+                continue
+            pos = plane_positions([slot_list[j] for j in plane], times, kept)
+            targets_block = np.tile(column[kept], (len(plane), 1, 1))
+            seen = visibility_mask(pos.reshape(-1, 3), targets_block, fov.half_angle)
+            visible[k, np.array(plane)[:, None], kept] = seen.reshape(len(plane), kept.size)
     return visible

@@ -42,6 +42,31 @@ def kepler_bisection(mean_anomaly: float, ecc: float, tol: float = 1e-13) -> flo
     return 0.5 * (lo + hi)
 
 
+# The array Newton solve of Kepler's equation as the library ran it on
+# one whole row before it solved blocks of rows, kept verbatim as the
+# reference for _solve_kepler_rows; the library's bisection finish is
+# passed in.
+
+KEPLER_TOL = 1e-12
+KEPLER_MAX_ITER = 50
+
+
+def kepler_newton_row(mean_anomaly: np.ndarray, ecc: float, bisect) -> tuple[np.ndarray, int]:
+    """(E, Newton steps taken) for a 1-D array that iterates until every
+    entry converges; entries still off after the last step are bisected."""
+    m = np.mod(mean_anomaly, TWO_PI)
+    e = ecc
+    big_e = np.where(m > math.pi, m + e, m)
+    for n in range(KEPLER_MAX_ITER):
+        f = big_e - e * np.sin(big_e) - m
+        if np.max(np.abs(f)) < KEPLER_TOL:
+            return np.mod(big_e, TWO_PI), n
+        big_e = big_e - f / (1.0 - e * np.cos(big_e))
+    off = ~(np.abs(big_e - e * np.sin(big_e) - m) < KEPLER_TOL)
+    big_e[off] = bisect(m[off], e)
+    return np.mod(big_e, TWO_PI), KEPLER_MAX_ITER
+
+
 # Element-to-state conversion, the reference ``eci_positions`` is tested
 # against; the library itself only needs positions, in batches.
 
@@ -630,6 +655,23 @@ def score_plan_loops(
                 if count >= coverage_req[s, t, p]:
                     z += rewards[s, t, p]
     return z
+
+
+def memo_free_search(search_cls):
+    """The binary branch-and-bound search as it ran before level entries
+    were pruned by dominance: ``search_cls`` (the library's ``_Search``)
+    with a ``_level`` that enters every level it is called with."""
+
+    class MemoFreeSearch(search_cls):
+        def _level(self, k, union, z_union, flat):
+            inst = self.inst
+            if k == inst.K:
+                self.offer(tuple(flat), z=z_union)
+                return
+            tables = self._fresh_tables(k, union)
+            self._stages(k, 0, 0, float(inst.budget[k]), union, z_union, flat, tables)
+
+    return MemoFreeSearch
 
 
 def merge_stages(full: np.ndarray, factor: int) -> np.ndarray:

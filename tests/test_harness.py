@@ -35,7 +35,7 @@ from stormcover.harness import (
 )
 from stormcover.mcrp import active_point_of_step, build_reward_matrix, score_plan, solve_mcrp
 from stormcover.orbits import TimeGrid, eci_positions, geodetic_to_eci
-from stormcover.tracks import parse_track_csv, serialize_track, track_to_targets
+from stormcover.tracks import parse_track_csv, serialize_track, synthesize_track, track_to_targets
 from stormcover.visibility import visibility_mask
 
 
@@ -520,6 +520,14 @@ class TestEvaluateTrack:
     def test_empty_selection(self, tiny_corpus):
         tracks, config, _, _ = tiny_corpus
         assert evaluate_track(tracks[0], config, models=[]) == {}
+
+    def test_former_node_limit_solve_is_proven(self):
+        # P4 on this 6-day track (the benchmark's corpus seed 2001) needs
+        # more than 10^6 nodes without the level-entry dominance rule
+        track = synthesize_track(40026, 6.0, "east-hemisphere")
+        config = ScenarioConfig(fov_half_angle=30.0 * math.pi / 180.0, node_limit=20_000)
+        results = evaluate_track(track, config, models=["B", "P1", "P2", "P3", "P4"])
+        assert results["P4"].proven and results["P4"].reward == 22.0
 
 
 class TestRunCorpus:

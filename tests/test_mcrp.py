@@ -6,11 +6,15 @@ tie-breaking is pinned down, not just the optimum value.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracles
+from stormcover import mcrp
 from stormcover.maneuvers import CostMatrix
 from stormcover.mcrp import (
     DEFAULT_NODE_LIMIT,
@@ -346,6 +350,49 @@ class TestSolveMatchesExhaustive:
             ref = solve_mcrp_exhaustive(tensor, weighted, costs)
             assert got.objective == ref.objective, f"trial {trial}"
             assert got.paths == ref.paths
+
+
+class TestLevelDominance:
+    """The level-entry memo against the memo-free search it prunes."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sats=st.integers(2, 4),
+        n_stages=st.integers(1, 3),
+        n_slots=st.integers(2, 5),
+        t_stage=st.integers(1, 8),
+        vis_density=st.floats(0.1, 0.7),
+        tied=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_memo_free_search(self, seed, n_sats, n_stages, n_slots, t_stage, vis_density, tied):
+        rng = np.random.default_rng(seed)
+        tensor, rewards, costs = random_instance(
+            rng, n_sats, n_stages, n_slots, t_stage, int(rng.integers(1, 3)),
+            vis_density=vis_density, levels=[0.3, 0.6] if tied else None,
+        )
+        got = solve_mcrp(tensor, rewards, costs)
+        with mock.patch.object(mcrp, "_Search", oracles.memo_free_search(mcrp._Search)):
+            want = solve_mcrp(tensor, rewards, costs)
+        assert got.objective == want.objective and got.paths == want.paths
+        assert got.proven_optimal and want.proven_optimal
+        assert got.objective_bound == want.objective_bound
+        if n_slots ** (n_stages * n_sats) <= 4096:
+            assert got.objective == solve_mcrp_exhaustive(tensor, rewards, costs).objective
+
+    def test_prunes_repeated_entries(self):
+        # three satellites: some level is entered again with a reachable
+        # union it has already been searched under, and is skipped
+        rng = np.random.default_rng(78)
+        tensor, rewards, costs = random_instance(rng, 3, 2, 4, 6, 2, vis_density=0.4)
+        runs = {}
+        for label, cls in (("memo", mcrp._Search), ("free", oracles.memo_free_search(mcrp._Search))):
+            search = cls(mcrp._Instance(tensor, rewards, costs), DEFAULT_NODE_LIMIT)
+            search.offer(tuple([0] * 6))
+            search.solve()
+            runs[label] = (search.nodes, search.best_key, search.best_paths)
+        assert runs["memo"][1:] == runs["free"][1:]
+        assert runs["memo"][0] < runs["free"][0]
 
 
 class TestSolverInvariants:

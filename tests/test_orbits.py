@@ -13,8 +13,12 @@ from stormcover.orbits import (
     EARTH,
     ClassicalOrbitalElements,
     GeodeticPoint,
+    KEPLER_MAX_ITER,
     TimeGrid,
+    _bisect_kepler,
+    _kepler_certified_steps,
     _solve_kepler_array,
+    _solve_kepler_rows,
     eci_positions,
     geodetic_to_eci,
     j2_raan_rate,
@@ -74,6 +78,47 @@ class TestKepler:
         for mi, ei in zip(m, big_e):
             assert abs(ei - oracles.kepler_bisection(mi, e)) < 1e-10
             assert abs(ei - e * math.sin(ei) - mi) < 1e-11
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        e=st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 0.95)),
+        rows=st.integers(1, 5),
+        cols=st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_whole_row_newton_oracle(self, seed, e, rows, cols):
+        m = np.random.default_rng(seed).uniform(-20.0, 20.0, (rows, cols))
+        big_e, steps = _solve_kepler_rows(m, e)
+        for q in range(rows):
+            if cols:
+                want, took = oracles.kepler_newton_row(m[q], e, _bisect_kepler)
+                assert np.array_equal(big_e[q], want) and steps[q] == took
+                assert np.array_equal(_solve_kepler_array(m[q], e), want)
+            else:
+                assert steps[q] == 0
+
+    def test_rows_finish_diverging_entries_like_the_oracle(self):
+        e = 0.8944656812042917
+        m = np.array([[4.938412173144684, 1.0], [3.0, 6.0]])
+        big_e, steps = _solve_kepler_rows(m, e)
+        for q in range(2):
+            want, took = oracles.kepler_newton_row(m[q], e, _bisect_kepler)
+            assert np.array_equal(big_e[q], want) and steps[q] == took
+        assert steps[0] == KEPLER_MAX_ITER > steps[1]
+
+    @pytest.mark.parametrize("e, need", [(0.0, 0), (1e-4, 2), (4.9e-3, 2), (0.03125, 3), (0.5, 6), (0.62, None)])
+    def test_certified_steps(self, e, need):
+        assert _kepler_certified_steps(e) == need
+
+    @given(seed=st.integers(0, 2**32 - 1), e=st.floats(0.0, 0.61))
+    @settings(max_examples=150, deadline=None)
+    def test_no_row_outlasts_its_certificate(self, seed, e):
+        m = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 4000)
+        m[:4] = [0.0, math.pi, math.nextafter(math.pi, 4.0), 1.5 * math.pi]
+        # one entry per row: every mean anomaly's own step count
+        _, steps = _solve_kepler_rows(m[:, None], e)
+        assert steps.max() <= _kepler_certified_steps(e)
 
 
 class TestPropagate:

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from _oracles import StateVector, coe_to_state, is_visible, target_pointing
+from stormcover import orbits
 from stormcover.harness import MODEL_MATRIX, ScenarioConfig, _TrackWorkspace, default_corpus
 from stormcover.orbits import (
     EARTH,
@@ -18,6 +20,8 @@ from stormcover.orbits import (
     TimeGrid,
     eci_positions,
     geodetic_to_eci,
+    j2_mean_motion,
+    plane_positions,
     propagate,
     secular_angles,
 )
@@ -318,18 +322,6 @@ class TestPlaneScreen:
         edge[::3] = False
         assert got[0, 0, edge].all()
 
-    @given(seed=st.integers(0, 2**32 - 1), ecc=st.floats(0.0, 0.05))
-    @settings(max_examples=50, deadline=None)
-    def test_positions_at_kept_steps_are_rows_of_the_full_call(self, seed, ecc):
-        rng = np.random.default_rng(seed)
-        coe = ClassicalOrbitalElements(
-            rng.uniform(R_E + 300.0, R_E + 2000.0), ecc, rng.uniform(0.0, math.pi), *rng.uniform(0.0, 2 * math.pi, 3)
-        )
-        times = np.arange(500) * rng.uniform(10.0, 600.0)
-        steps = np.flatnonzero(rng.uniform(size=times.size) < rng.uniform(0.0, 0.2))
-        full = eci_positions(coe, times)
-        assert np.array_equal(eci_positions(coe, times, steps=steps), full[steps])
-
     def test_subsurface_perigee_is_not_screened(self):
         grid = TimeGrid(duration=3000.0, step=100.0, control_step=100.0)
         coe = ClassicalOrbitalElements(R_E + 100.0, 0.03, 60 * DEG, 1.0, 2.0, 0.5)
@@ -339,6 +331,63 @@ class TestPlaneScreen:
         fov = FovSpec(40 * DEG)
         got = slot_visibility([[coe]], targets, grid, fov)
         assert np.array_equal(got, loop_oracle([[coe]], targets, grid, fov))
+
+
+class TestPlaneKernel:
+    """plane_positions against each orbit's full eci_positions row, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ecc=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        n_orbits=st.integers(1, 6),
+        share=st.floats(0.0, 0.3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_rows_of_the_full_call(self, seed, ecc, n_orbits, share):
+        rng = np.random.default_rng(seed)
+        coe = ClassicalOrbitalElements(
+            rng.uniform(R_E + 300.0, R_E + 2000.0), ecc, rng.uniform(0.0, math.pi), *rng.uniform(0.0, 2 * math.pi, 3)
+        )
+        plane = [replace(coe, true_anomaly=nu) for nu in rng.uniform(0.0, 2 * math.pi, n_orbits)]
+        times = np.arange(500) * rng.uniform(10.0, 600.0)
+        steps = np.flatnonzero(rng.uniform(size=times.size) < share)
+        got = plane_positions(plane, times, steps)
+        assert got.shape == (n_orbits, steps.size, 3)
+        for q, orbit in enumerate(plane):
+            assert np.array_equal(got[q], eci_positions(orbit, times)[steps])
+
+    def test_kept_steps_that_converge_early_fall_back_to_the_full_row(self):
+        # one step at M = 0: the seed is the root, so the block row stops
+        # after 0 Newton steps, short of the certified count, while the
+        # full row needs the certified count
+        coe = ClassicalOrbitalElements(R_E + 700.0, 0.01, 1.0, 0.5, 0.0, 0.0)
+        times = np.arange(200) * 60.0
+        steps = np.array([0])
+        need = orbits._kepler_certified_steps(coe.eccentricity)
+        m_full = j2_mean_motion(coe) * times
+        assert orbits._solve_kepler_rows(m_full[None, steps], coe.eccentricity)[1][0] == 0 < need
+        assert orbits._solve_kepler_rows(m_full[None, :], coe.eccentricity)[1][0] == need
+        with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
+            got = plane_positions([coe], times, steps)
+        assert full_row.call_count == 1
+        assert np.array_equal(got[0], eci_positions(coe, times)[steps])
+
+    def test_orbit_without_certificate_solves_every_full_row(self):
+        coe = ClassicalOrbitalElements(4.0 * R_E, 0.7, 1.0, 0.5, 0.2, 0.0)
+        assert orbits._kepler_certified_steps(coe.eccentricity) is None
+        plane = [replace(coe, true_anomaly=nu) for nu in (0.0, 2.0, 4.0)]
+        times = np.arange(300) * 120.0
+        steps = np.arange(0, 300, 7)
+        with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
+            got = plane_positions(plane, times, steps)
+        assert full_row.call_count == len(plane)
+        for q, orbit in enumerate(plane):
+            assert np.array_equal(got[q], eci_positions(orbit, times)[steps])
+
+    def test_orbits_off_the_plane_rejected(self):
+        coe = ClassicalOrbitalElements(R_E + 700.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="one orbit plane"):
+            plane_positions([coe, replace(coe, raan=0.6)], np.arange(3) * 60.0, np.arange(3))
 
 
 def edge_targets(coe, times, rho, half):
