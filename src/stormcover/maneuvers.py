@@ -5,7 +5,8 @@ two-impulse resize-and-return ellipse, plane changes are single impulses at
 a node, and combinations price the phasing leg after the plane change.
 Phasing tries only the two rev pairs that can win (:func:`_phase_rev_pairs`),
 and the all-pairs matrix is a plane leg (the cheapest plane change covering
-the plane offset) plus a phase leg, each 0 when its offset is.
+the plane offset) plus a phase leg, each 0 when its offset is, priced once
+per pair of orbit planes and once per pair of distinct phases.
 Slot grids put candidate orbits on equally spaced phase offsets and, in the
 unrestricted mode, on inclination and RAAN offsets calibrated so that the
 most distant plane costs exactly the per-satellite fuel budget to reach in
@@ -18,11 +19,22 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .orbits import EARTH, ClassicalOrbitalElements, TimeGrid, mean_motion, propagate
+from .orbits import (
+    EARTH,
+    ClassicalOrbitalElements,
+    TimeGrid,
+    _norm_angle,
+    j2_arg_periapsis_rate,
+    j2_mean_motion,
+    j2_raan_rate,
+    mean_motion,
+    mean_to_true_anomaly,
+    true_to_mean_anomaly,
+)
 
 __all__ = [
     "TransferStrategy",
@@ -135,6 +147,13 @@ def _phase_rev_pairs(max_revs: int) -> Tuple[Tuple[int, int], ...]:
     rejects the closest pair below a it rejects every pair further below.
     The pair below comes first, as in a loop over ascending k_tgt, so the
     first-wins tie-break is kept.
+
+    The argument holds in exact arithmetic.  In floating point, with
+    max_revs >= 15 and an offset within about 2.1e-12 rad of a whole turn,
+    rounding can tie the delta_v of a skipped pair and a tried one (to
+    about 5e-14 km/s), and the transfer_time returned may then be a later
+    pair's than the all-pairs loop returns; the delta_v is equal.  Nothing
+    of the kind was seen with max_revs <= 8.
     """
     if max_revs < 1:
         raise ValueError("max_revs must be at least 1")
@@ -432,46 +451,96 @@ class CostMatrix:
         return self.stages[0].shape[0]
 
 
-def _pairwise_costs(
-    from_slots: Sequence[ClassicalOrbitalElements],
-    to_slots: Sequence[ClassicalOrbitalElements],
-    max_revs: int,
-) -> np.ndarray:
+class _StageAngles(NamedTuple):
+    """Slot angles at one epoch, stored once per distinct value.
+
+    Slot j lies on plane ``plane[j]``, with inclination ``incl`` and RAAN
+    ``raan`` at that index and semi-major axis ``sma``, and has argument
+    of latitude ``u[phase[j]]``.
+    """
+
+    sma: np.ndarray
+    incl: np.ndarray
+    raan: np.ndarray
+    u: np.ndarray
+    plane: np.ndarray
+    phase: np.ndarray
+
+
+def _stage_angles(slots: Sequence[ClassicalOrbitalElements], dt: float) -> _StageAngles:
+    """Each slot's inclination, RAAN and argument of latitude ``dt`` s on.
+
+    The values are those of ``propagate(slot, dt)`` and its
+    ``argument_of_latitude``, bit for bit: the same scalar operations in
+    the same order, with the double wrap the propagated elements' own
+    normalization adds.  The J2 rates and the RAAN and periapsis drift are
+    computed once per orbit plane (a, e, i, RAAN, omega), and Kepler's
+    equation is solved once per distinct (a, e, i, omega, nu), which the
+    RAAN-offset planes of an unrestricted grid share with the center plane.
+    """
+    if dt < 0.0:
+        raise ValueError(f"dt must be >= 0, got {dt}")
+    planes: Dict[tuple, int] = {}
+    phases: Dict[tuple, int] = {}
+    sma: List[float] = []
+    incl: List[float] = []
+    raan: List[float] = []
+    drift: List[Tuple[float, float]] = []  # per plane: (J2 mean motion, omega)
+    u: List[float] = []
+    plane_of = np.empty(len(slots), dtype=np.intp)
+    phase_of = np.empty(len(slots), dtype=np.intp)
+    for j, slot in enumerate(slots):
+        a, e, i, argp = slot.semi_major_axis, slot.eccentricity, slot.inclination, slot.arg_periapsis
+        p = planes.setdefault((a, e, i, slot.raan, argp), len(sma))
+        if p == len(sma):
+            sma.append(a)
+            incl.append(i)
+            if dt == 0.0:
+                raan.append(slot.raan)
+                drift.append((0.0, argp))
+            else:
+                raan.append(_norm_angle(_norm_angle(slot.raan + j2_raan_rate(slot) * dt)))
+                argp_dt = argp + j2_arg_periapsis_rate(slot) * dt
+                drift.append((j2_mean_motion(slot), _norm_angle(_norm_angle(argp_dt))))
+        plane_of[j] = p
+        q = phases.setdefault((a, e, i, argp, slot.true_anomaly), len(u))
+        if q == len(u):
+            n_eff, argp_at = drift[p]
+            nu = slot.true_anomaly
+            if dt != 0.0:
+                m0 = true_to_mean_anomaly(nu, e)
+                nu = _norm_angle(mean_to_true_anomaly(m0 + n_eff * dt, e))
+            u.append(_norm_angle(argp_at + nu))
+        phase_of[j] = q
+    return _StageAngles(np.array(sma), np.array(incl), np.array(raan), np.array(u), plane_of, phase_of)
+
+
+def _pairwise_costs(from_angles: _StageAngles, to_angles: _StageAngles, max_revs: int) -> np.ndarray:
     """Vectorised all-pairs transfer pricing for one satellite and stage.
 
     The cheapest strategy of transfer_cost, as plane leg + phase leg:
     rounding is monotone, so adding one phase leg to each plane candidate
-    keeps their order.  Pinned by tests.  Returns delta_v shaped
-    (len(from_slots), len(to_slots)).
+    keeps their order.  The plane leg is priced on the distinct planes and
+    the phase leg on the distinct arguments of latitude, then both are
+    gathered to slot pairs; each entry is the same elementwise arithmetic
+    on the same values as a slot-by-slot evaluation.  Pinned by tests.
+    Returns delta_v shaped (len(from slots), len(to slots)).
     """
     rev_pairs = _phase_rev_pairs(max_revs)
-    a = from_slots[0].semi_major_axis
-    for slot in list(from_slots) + list(to_slots):
-        if abs(slot.semi_major_axis - a) > _SMA_TOL_KM:
-            raise ValueError("slot grids must share one altitude")
-    fi = np.array([s.inclination for s in from_slots])
-    fo = np.array([s.raan for s in from_slots])
-    fu = np.array([s.argument_of_latitude for s in from_slots])
-    ti = np.array([s.inclination for s in to_slots])
-    to = np.array([s.raan for s in to_slots])
-    tu = np.array([s.argument_of_latitude for s in to_slots])
-
-    di = ti[None, :] - fi[:, None]
-    draan = np.mod(to[None, :] - fo[:, None], TWO_PI)
-    draan = np.where(draan > math.pi, draan - TWO_PI, draan)
-    dphi = np.mod(fu[:, None] - tu[None, :], TWO_PI)
-    has_i = np.abs(di) > _ANGLE_TOL
-    has_o = np.abs(draan) > _ANGLE_TOL
-    has_p = (dphi > _ANGLE_TOL) & (dphi < TWO_PI - _ANGLE_TOL)
-
+    a = float(from_angles.sma[0])
+    if np.any(np.abs(np.concatenate([from_angles.sma, to_angles.sma]) - a) > _SMA_TOL_KM):
+        raise ValueError("slot grids must share one altitude")
     mu = EARTH.mu_km3_s2
     v = math.sqrt(mu / a)
     n = mean_motion(a)
     floor_radius = EARTH.radius_km + _MIN_PERIAPSIS_CLEARANCE_KM
 
-    # Phase leg: minimum over the rev pairs with the clearance guard.  The
-    # guard region covers every negative vis-viva argument, so the NaNs
-    # produced under errstate are always replaced.
+    # Phase leg on (from, to) arguments of latitude: minimum over the rev
+    # pairs with the clearance guard.  The guard region covers every
+    # negative vis-viva argument, so the NaNs produced under errstate are
+    # always replaced.
+    dphi = np.mod(from_angles.u[:, None] - to_angles.u[None, :], TWO_PI)
+    has_p = (dphi > _ANGLE_TOL) & (dphi < TWO_PI - _ANGLE_TOL)
     phase_dv = np.full(dphi.shape, np.inf)
     for k_tgt, k_tfr in rev_pairs:
         t_phase = (TWO_PI * k_tgt + dphi) / n
@@ -482,18 +551,26 @@ def _pairwise_costs(
         phase_dv = np.minimum(phase_dv, np.where(bad, np.inf, dv))
     phase_leg = np.where(has_p, phase_dv, 0.0)
 
-    # Plane leg through the same half-angle identities as the scalar ops;
-    # a single-axis offset may also fly the combined rotation.
+    # Plane leg on (from, to) planes, through the same half-angle
+    # identities as the scalar ops; a single-axis offset may also fly the
+    # combined rotation.
+    fi = from_angles.incl[:, None]
+    di = to_angles.incl[None, :] - fi
+    draan = np.mod(to_angles.raan[None, :] - from_angles.raan[:, None], TWO_PI)
+    draan = np.where(draan > math.pi, draan - TWO_PI, draan)
+    has_i = np.abs(di) > _ANGLE_TOL
+    has_o = np.abs(draan) > _ANGLE_TOL
     incl_dv = 2.0 * v * np.sin(np.abs(di) / 2.0)
-    i2 = fi[:, None] + di
-    raan_dv = 2.0 * v * np.abs(np.sin(fi[:, None]) * np.sin(draan / 2.0))
-    radicand = np.sin(di / 2.0) ** 2 + np.sin(fi[:, None]) * np.sin(i2) * np.sin(draan / 2.0) ** 2
+    raan_dv = 2.0 * v * np.abs(np.sin(fi) * np.sin(draan / 2.0))
+    radicand = np.sin(di / 2.0) ** 2 + np.sin(fi) * np.sin(fi + di) * np.sin(draan / 2.0) ** 2
     plane_dv = 2.0 * v * np.sqrt(np.clip(radicand, 0.0, 1.0))
     plane_leg = np.select(
         [has_i & has_o, has_i, has_o],
         [plane_dv, np.minimum(incl_dv, plane_dv), np.minimum(raan_dv, plane_dv)],
         0.0,
     )
+    plane_leg = plane_leg[from_angles.plane][:, to_angles.plane]
+    phase_leg = phase_leg[from_angles.phase][:, to_angles.phase]
     # Both legs are >= +0.0 (or inf), so adding a zero leg is exact.
     return plane_leg + phase_leg
 
@@ -509,10 +586,14 @@ def build_cost_matrix(
     """Assemble c[s][k][i][j] for every stage boundary.
 
     slots[k] lists satellite k's slots, the same for every stage (the grid
-    does not move, the orbits in it drift).  Each slot is propagated once
-    to each stage-boundary epoch, so later stages see the accumulated
-    nodal drift; from stage 1 on, the from- and to-slots are that one
-    propagated list.
+    does not move, the orbits in it drift).  Each slot's angles are
+    propagated once to each stage-boundary epoch, so later stages see the
+    accumulated nodal drift; from stage 1 on, the from- and to-slots are
+    that one propagated list.  At each epoch the J2 drift is computed once
+    per orbit plane and Kepler's equation solved once per distinct phase
+    (:func:`_stage_angles`); the plane leg is priced once per pair of
+    planes and the phase leg once per pair of distinct arguments of
+    latitude, then both are gathered to the (from, to) slot pairs.
 
     Args:
         initial_orbits: where each satellite actually starts; defaults to
@@ -534,9 +615,9 @@ def build_cost_matrix(
             continue
         per_sat_cost = []
         for k in range(n_sats):
-            to_slots = [propagate(slot, epoch) for slot in slots[k]]
-            from_slots = [propagate(initial_orbits[k], epoch)] if s == 0 else to_slots
-            per_sat_cost.append(_pairwise_costs(from_slots, to_slots, max_revs))
+            to_angles = _stage_angles(slots[k], epoch)
+            from_angles = _stage_angles([initial_orbits[k]], epoch) if s == 0 else to_angles
+            per_sat_cost.append(_pairwise_costs(from_angles, to_angles, max_revs))
         priced[epoch] = np.stack(per_sat_cost)
     return CostMatrix(
         stages=tuple(priced[time_grid.stage_start_time(s)] for s in range(time_grid.num_stages)),

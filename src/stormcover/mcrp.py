@@ -67,6 +67,10 @@ DEFAULT_NODE_LIMIT = 1_000_000
 # Joint-path cap for the exhaustive oracle.
 _EXHAUSTIVE_CAP = 10_000_000
 
+# Largest (rows, V, J) temporary of the completion frontiers, in float64
+# entries (4 MB).
+_FRONTIER_BLOCK = 1 << 19
+
 
 # ---------------------------------------------------------------------------
 # Rewards
@@ -356,6 +360,10 @@ class _Instance:
         # and the frontier prices budget accumulation across stages, which
         # per-stage maxima ignore.  Root gains only shrink as the union
         # grows, so these lookups stay admissible anywhere in the tree.
+        # Each stage's (J, V, J) sum is reduced along its contiguous last
+        # axis, the to-slot, in blocks of from-slot rows of at most
+        # _FRONTIER_BLOCK entries; min is exact, so the reduction order
+        # keeps the tables' bits.
         root_pc = np.bitwise_count(self.words).sum(axis=-1).astype(np.int64)
         self.trail_cost = []   # [k][s]: J nondecreasing cost-per-value rows
         self.trail_frame = []  # [k][s]: slot-independent row, min over slots
@@ -367,7 +375,11 @@ class _Instance:
             per_stage = []
             for s in range(n_stages - 2, -1, -1):
                 edge = np.asarray(costs.stages[s + 1][k], dtype=float)
-                cand = (edge[:, :, None] + minc[None, :, :]).min(axis=1)
+                minc_t = np.ascontiguousarray(minc.T)
+                cand = np.empty((edge.shape[0], minc_t.shape[0]))
+                rows = max(1, _FRONTIER_BLOCK // minc_t.size)
+                for i in range(0, edge.shape[0], rows):
+                    cand[i : i + rows] = (edge[i : i + rows, None, :] + minc_t).min(axis=2)
                 per_stage.append(cand)
                 idx = np.maximum(v_axis[None, :] - g[s][:, None], 0)
                 minc = np.take_along_axis(cand, idx, axis=1)

@@ -335,6 +335,12 @@ def _kepler_certified_steps(eccentricity: float) -> int | None:
     over a subset of a longer row's entries has the same iterates and so
     stops no later; if it took exactly the certified count, the longer
     row stopped at that step too, and the two agree bit for bit.
+
+    The bound is tight up to e of about 0.3 and loose above it: at
+    e = 0.5 and 0.6 it certifies 6 and 9 steps, where the worst of 20,000
+    random mean anomalies stopped after 5.  Every block row of such an
+    orbit takes fewer steps than certified, so :func:`plane_positions`
+    solves it a second time on its full row.
     """
     e = eccentricity
     rate = e / (2.0 * (1.0 - e))

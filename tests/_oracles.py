@@ -674,6 +674,36 @@ def memo_free_search(search_cls):
     return MemoFreeSearch
 
 
+def instance_frontiers_loop(inst) -> tuple[list, list, list]:
+    """(trail_cost, trail_frame, root_cap) of a solver instance, built as
+    the library built them before reducing along a contiguous axis: each
+    stage's whole (J, J, V) sum reduced along its middle (from-slot) axis.
+
+    ``inst`` supplies the packed cell words, the cost matrix and budgets.
+    """
+    root_pc = np.bitwise_count(inst.words).sum(axis=-1).astype(np.int64)
+    trail_cost, trail_frame, root_cap = [], [], []
+    for k in range(inst.K):
+        g = root_pc[k]
+        v_axis = np.arange(int(g.max(axis=1).sum()) + 1)
+        minc = np.where(v_axis[None, :] <= g[-1][:, None], 0.0, np.inf)
+        per_stage = []
+        for s in range(inst.S - 2, -1, -1):
+            edge = np.asarray(inst.costs.stages[s + 1][k], dtype=float)
+            cand = (edge[:, :, None] + minc[None, :, :]).min(axis=1)
+            per_stage.append(cand)
+            idx = np.maximum(v_axis[None, :] - g[s][:, None], 0)
+            minc = np.take_along_axis(cand, idx, axis=1)
+        per_stage.reverse()
+        entry = np.asarray(inst.costs.stages[0][k][0], dtype=float)
+        total = (entry[:, None] + minc).min(axis=0)
+        cap = int(np.searchsorted(total, inst.budget[k], side="right")) - 1
+        root_cap.append(max(cap, 0))
+        trail_cost.append([cand.tolist() for cand in per_stage])
+        trail_frame.append([cand.min(axis=0).tolist() for cand in per_stage])
+    return trail_cost, trail_frame, root_cap
+
+
 def merge_stages(full: np.ndarray, factor: int) -> np.ndarray:
     """Join runs of ``factor`` consecutive stages of a bool (S, K, J, T_s, P)
     visibility array end to end in time, giving S / factor coarser stages."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from stormcover import mcrp
+from stormcover.harness import MODEL_MATRIX, ScenarioConfig, _TrackWorkspace, default_corpus
 from stormcover.maneuvers import CostMatrix
 from stormcover.mcrp import (
     DEFAULT_NODE_LIMIT,
@@ -393,6 +394,55 @@ class TestLevelDominance:
             runs[label] = (search.nodes, search.best_key, search.best_paths)
         assert runs["memo"][1:] == runs["free"][1:]
         assert runs["memo"][0] < runs["free"][0]
+
+
+class TestFrontiers:
+    """The completion frontiers against the whole-array reduction they
+    replaced, bit for bit."""
+
+    @staticmethod
+    def _assert_match(inst):
+        got = (inst.trail_cost, inst.trail_frame, inst.root_cap)
+        # float repr round-trips, so equal reprs are equal bits
+        assert repr(got) == repr(oracles.instance_frontiers_loop(inst))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sats=st.integers(1, 3),
+        n_stages=st.integers(1, 4),
+        n_slots=st.integers(1, 7),
+        t_stage=st.integers(1, 8),
+        vis_density=st.floats(0.1, 0.9),
+        tied=st.booleans(),
+        unreachable=st.booleans(),
+        block=st.sampled_from([1, 7, mcrp._FRONTIER_BLOCK]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_instances_match_oracle(
+        self, seed, n_sats, n_stages, n_slots, t_stage, vis_density, tied, unreachable, block
+    ):
+        rng = np.random.default_rng(seed)
+        tensor, rewards, costs = random_instance(
+            rng, n_sats, n_stages, n_slots, t_stage, int(rng.integers(1, 3)),
+            vis_density=vis_density, levels=[0.3, 0.6] if tied else None,
+        )
+        if unreachable:
+            # edges the periapsis guard excludes are priced +inf
+            stages = [c.copy() for c in costs.stages]
+            for c in stages:
+                c[rng.random(c.shape) < 0.3] = np.inf
+            costs = CostMatrix(stages=tuple(stages), budget=costs.budget)
+        with mock.patch.object(mcrp, "_FRONTIER_BLOCK", block):
+            self._assert_match(mcrp._Instance(tensor, rewards, costs))
+
+    def test_synth_20_u2_matches_oracle(self):
+        ws = _TrackWorkspace(default_corpus(20)[19], ScenarioConfig())
+        spec = MODEL_MATRIX["U2"]
+        args = (ws.tensor_for(spec), ws.rewards_for(spec.num_stages), ws.costs_for(spec))
+        # one block per stage, and many
+        for block in (mcrp._FRONTIER_BLOCK, 1 << 12):
+            with mock.patch.object(mcrp, "_FRONTIER_BLOCK", block):
+                self._assert_match(mcrp._Instance(*args))
 
 
 class TestSolverInvariants:
