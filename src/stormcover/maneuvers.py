@@ -467,52 +467,88 @@ class _StageAngles(NamedTuple):
     phase: np.ndarray
 
 
-def _stage_angles(slots: Sequence[ClassicalOrbitalElements], dt: float) -> _StageAngles:
-    """Each slot's inclination, RAAN and argument of latitude ``dt`` s on.
+class _SlotGroups(NamedTuple):
+    """A slot list grouped by orbit plane (a, e, i, RAAN, omega) and by
+    phase (a, e, i, omega, nu), each group stood for by its first slot.
 
-    The values are those of ``propagate(slot, dt)`` and its
-    ``argument_of_latitude``, bit for bit: the same scalar operations in
-    the same order, with the double wrap the propagated elements' own
-    normalization adds.  The J2 rates and the RAAN and periapsis drift are
-    computed once per orbit plane (a, e, i, RAAN, omega), and Kepler's
-    equation is solved once per distinct (a, e, i, omega, nu), which the
-    RAAN-offset planes of an unrestricted grid share with the center plane.
+    Slot j is on plane ``plane[j]`` and phase ``phase[j]``; the first slot
+    of phase q is on plane ``phase_plane[q]``.
     """
-    if dt < 0.0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
+
+    planes: Tuple[ClassicalOrbitalElements, ...]
+    phases: Tuple[ClassicalOrbitalElements, ...]
+    phase_plane: Tuple[int, ...]
+    plane: np.ndarray
+    phase: np.ndarray
+
+
+def _group_slots(slots: Sequence[ClassicalOrbitalElements]) -> _SlotGroups:
+    """Plane and phase groups of a slot list, in first-occurrence order."""
     planes: Dict[tuple, int] = {}
     phases: Dict[tuple, int] = {}
-    sma: List[float] = []
-    incl: List[float] = []
-    raan: List[float] = []
-    drift: List[Tuple[float, float]] = []  # per plane: (J2 mean motion, omega)
-    u: List[float] = []
+    plane_slots: List[ClassicalOrbitalElements] = []
+    phase_slots: List[ClassicalOrbitalElements] = []
+    phase_plane: List[int] = []
     plane_of = np.empty(len(slots), dtype=np.intp)
     phase_of = np.empty(len(slots), dtype=np.intp)
     for j, slot in enumerate(slots):
         a, e, i, argp = slot.semi_major_axis, slot.eccentricity, slot.inclination, slot.arg_periapsis
-        p = planes.setdefault((a, e, i, slot.raan, argp), len(sma))
-        if p == len(sma):
-            sma.append(a)
-            incl.append(i)
-            if dt == 0.0:
-                raan.append(slot.raan)
-                drift.append((0.0, argp))
-            else:
-                raan.append(_norm_angle(_norm_angle(slot.raan + j2_raan_rate(slot) * dt)))
-                argp_dt = argp + j2_arg_periapsis_rate(slot) * dt
-                drift.append((j2_mean_motion(slot), _norm_angle(_norm_angle(argp_dt))))
+        p = planes.setdefault((a, e, i, slot.raan, argp), len(plane_slots))
+        if p == len(plane_slots):
+            plane_slots.append(slot)
+        q = phases.setdefault((a, e, i, argp, slot.true_anomaly), len(phase_slots))
+        if q == len(phase_slots):
+            phase_slots.append(slot)
+            phase_plane.append(p)
         plane_of[j] = p
-        q = phases.setdefault((a, e, i, argp, slot.true_anomaly), len(u))
-        if q == len(u):
-            n_eff, argp_at = drift[p]
-            nu = slot.true_anomaly
-            if dt != 0.0:
-                m0 = true_to_mean_anomaly(nu, e)
-                nu = _norm_angle(mean_to_true_anomaly(m0 + n_eff * dt, e))
-            u.append(_norm_angle(argp_at + nu))
         phase_of[j] = q
-    return _StageAngles(np.array(sma), np.array(incl), np.array(raan), np.array(u), plane_of, phase_of)
+    return _SlotGroups(
+        tuple(plane_slots), tuple(phase_slots), tuple(phase_plane), plane_of, phase_of
+    )
+
+
+def _stage_angles(slots, dt: float) -> _StageAngles:
+    """Each slot's inclination, RAAN and argument of latitude ``dt`` s on.
+
+    ``slots`` is a slot list or its :func:`_group_slots` groups, which do
+    not depend on ``dt`` and so can be formed once for every epoch.
+    The values are those of ``propagate(slot, dt)`` and its
+    ``argument_of_latitude``, bit for bit: the same scalar operations in
+    the same order, with the double wrap the propagated elements' own
+    normalization adds.  The J2 rates and the RAAN and periapsis drift are
+    computed once per orbit plane, and Kepler's equation is solved once
+    per phase, which the RAAN-offset planes of an unrestricted grid share
+    with the center plane.
+    """
+    if dt < 0.0:
+        raise ValueError(f"dt must be >= 0, got {dt}")
+    groups = slots if isinstance(slots, _SlotGroups) else _group_slots(slots)
+    raan: List[float] = []
+    drift: List[Tuple[float, float]] = []  # per plane: (J2 mean motion, omega)
+    for slot in groups.planes:
+        if dt == 0.0:
+            raan.append(slot.raan)
+            drift.append((0.0, slot.arg_periapsis))
+        else:
+            raan.append(_norm_angle(_norm_angle(slot.raan + j2_raan_rate(slot) * dt)))
+            argp_dt = slot.arg_periapsis + j2_arg_periapsis_rate(slot) * dt
+            drift.append((j2_mean_motion(slot), _norm_angle(_norm_angle(argp_dt))))
+    u: List[float] = []
+    for slot, p in zip(groups.phases, groups.phase_plane):
+        n_eff, argp_at = drift[p]
+        nu = slot.true_anomaly
+        if dt != 0.0:
+            m0 = true_to_mean_anomaly(nu, slot.eccentricity)
+            nu = _norm_angle(mean_to_true_anomaly(m0 + n_eff * dt, slot.eccentricity))
+        u.append(_norm_angle(argp_at + nu))
+    return _StageAngles(
+        np.array([slot.semi_major_axis for slot in groups.planes]),
+        np.array([slot.inclination for slot in groups.planes]),
+        np.array(raan),
+        np.array(u),
+        groups.plane,
+        groups.phase,
+    )
 
 
 def _pairwise_costs(from_angles: _StageAngles, to_angles: _StageAngles, max_revs: int) -> np.ndarray:
@@ -589,11 +625,12 @@ def build_cost_matrix(
     does not move, the orbits in it drift).  Each slot's angles are
     propagated once to each stage-boundary epoch, so later stages see the
     accumulated nodal drift; from stage 1 on, the from- and to-slots are
-    that one propagated list.  At each epoch the J2 drift is computed once
-    per orbit plane and Kepler's equation solved once per distinct phase
-    (:func:`_stage_angles`); the plane leg is priced once per pair of
-    planes and the phase leg once per pair of distinct arguments of
-    latitude, then both are gathered to the (from, to) slot pairs.
+    that one propagated list.  Each list is grouped into orbit planes and
+    phases once per call (:func:`_group_slots`); at each epoch the J2
+    drift is computed once per plane and Kepler's equation solved once
+    per phase (:func:`_stage_angles`); the plane leg is priced once per
+    pair of planes and the phase leg once per pair of distinct arguments
+    of latitude, then both are gathered to the (from, to) slot pairs.
 
     Args:
         initial_orbits: where each satellite actually starts; defaults to
@@ -609,14 +646,16 @@ def build_cost_matrix(
         initial_orbits = [slot_list[0] for slot_list in slots]
     if priced is None:
         priced = {}
+    groups = [_group_slots(slot_list) for slot_list in slots]
+    starts = [_group_slots([orbit]) for orbit in initial_orbits]
     for s in range(time_grid.num_stages):
         epoch = time_grid.stage_start_time(s)
         if epoch in priced:
             continue
         per_sat_cost = []
         for k in range(n_sats):
-            to_angles = _stage_angles(slots[k], epoch)
-            from_angles = _stage_angles([initial_orbits[k]], epoch) if s == 0 else to_angles
+            to_angles = _stage_angles(groups[k], epoch)
+            from_angles = _stage_angles(starts[k], epoch) if s == 0 else to_angles
             per_sat_cost.append(_pairwise_costs(from_angles, to_angles, max_revs))
         priced[epoch] = np.stack(per_sat_cost)
     return CostMatrix(

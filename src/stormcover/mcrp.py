@@ -7,6 +7,11 @@ satellites see it.  With unit rewards and a single-coverage requirement
 the cells collapse to bitsets, coverage to a union, and the solver runs an
 exact depth-first branch-and-bound over per-satellite stage paths:
 
+* cell bitsets: the active cells are numbered in (stage, step, target)
+  order, each satellite's (slot, cell) visibility rows are packed into
+  uint64 words once, and a per-stage word mask keeps stage s's bit range
+  in the (satellite, stage, slot) row; no per-cell boolean array outlives
+  the build, and only the weighted / multi-coverage search unpacks one;
 * marginal tables: for the satellite whose path is being branched on, the
   per-(stage, slot) count of still-uncovered cells that slot would add,
   recomputed against the union committed by earlier satellites;
@@ -276,14 +281,32 @@ def score_plan(plan: ReconfigPlan, visible: np.ndarray, rewards: RewardMatrix) -
 
 
 def _pack_words(vec: np.ndarray) -> np.ndarray:
-    """Pack boolean rows (..., W) into little-endian uint64 words."""
+    """Pack boolean rows (..., W) into little-endian uint64 words, at
+    least one per row."""
     bits = np.packbits(np.ascontiguousarray(vec), axis=-1, bitorder="little")
-    pad = (-bits.shape[-1]) % 8
+    pad = 8 * max(1, -(-bits.shape[-1] // 8)) - bits.shape[-1]
     if pad:
         bits = np.concatenate(
             [bits, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
         )
     return np.ascontiguousarray(bits).view(np.uint64)
+
+
+def _cell_words(visible: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """(K, S, J, W64) words: bit c of [k, s, j] is set when satellite k in
+    slot j sees active cell c during stage s.
+
+    Cells are numbered in (stage, step, target) order, so stage s owns one
+    contiguous bit range.  Each satellite's (J, W) rows are packed once and
+    ANDed with a word mask per stage range; the unpacked rows die here.
+    """
+    n_stages, n_sats, n_slots = visible.shape[:3]
+    stage_words = _pack_words(np.nonzero(act)[0] == np.arange(n_stages)[:, None])  # (S, W64)
+    words = np.empty((n_sats, n_stages, n_slots, stage_words.shape[-1]), dtype=np.uint64)
+    for k in range(n_sats):
+        rows = _pack_words(np.transpose(visible[:, k], (1, 0, 2, 3))[:, act])  # (J, W64)
+        np.bitwise_and(rows, stage_words[:, None], out=words[k])
+    return words
 
 
 class _Instance:
@@ -308,14 +331,10 @@ class _Instance:
             np.all(np.isin(rewards.pi, (0.0, 1.0)))
         )
 
-        rows = np.transpose(visible[:, :, : self.J], (1, 2, 0, 3, 4))[:, :, act]  # (K, J, W)
-        cell_stage = np.nonzero(act)[0]
-        bounds = np.searchsorted(cell_stage, np.arange(n_stages + 1))
-        self.masks = np.zeros((n_sats, n_stages, self.J, max(self.W, 1)), dtype=bool)
-        for s in range(n_stages):
-            lo, hi = bounds[s], bounds[s + 1]
-            self.masks[:, s, :, lo:hi] = rows[:, :, lo:hi]
-        self.words = _pack_words(self.masks)  # (K, S, J, W64)
+        # (K, S, J, W64) cell bitsets, packed from each satellite's rows
+        # and split by stage in words (_cell_words).  The binary route
+        # reads only these; _GeneralSearch unpacks its own dense mask.
+        self.words = _cell_words(visible[:, :, : self.J], act)
         self.zero_words = np.zeros(self.words.shape[-1], dtype=np.uint64)
 
         # Budget-relaxation tables: the cheapest way to appear in a slot at
@@ -688,9 +707,13 @@ class _GeneralSearch:
         self.abort_bound = -math.inf
         self.best_key: Optional[tuple] = None
         self.best_paths: Optional[list] = None
+        # (K, S, J, max(W, 1)): the one dense per-cell array, on this route only
+        self.masks = np.unpackbits(
+            inst.words.view(np.uint8), axis=-1, bitorder="little"
+        )[..., : max(inst.W, 1)].view(bool)
         self.cell_idx = [
             [
-                [np.nonzero(inst.masks[k, s, j])[0] for j in range(inst.J)]
+                [np.nonzero(self.masks[k, s, j])[0] for j in range(inst.J)]
                 for s in range(inst.S)
             ]
             for k in range(inst.K)
@@ -729,7 +752,7 @@ class _GeneralSearch:
         if inst.W == 0:
             return np.zeros((inst.K - k, inst.S, inst.J)), 0.0
         open_w = np.where(counts[: inst.W] < inst.cell_req, inst.cell_weights, 0.0)
-        pot = (inst.masks[k:, :, :, : inst.W] * open_w).sum(axis=-1)
+        pot = (self.masks[k:, :, :, : inst.W] * open_w).sum(axis=-1)
         suffix = 0.0
         for off in range(1, pot.shape[0]):
             kk = k + off

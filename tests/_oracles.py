@@ -674,6 +674,27 @@ def memo_free_search(search_cls):
     return MemoFreeSearch
 
 
+def instance_words_dense(visible: np.ndarray, pi: np.ndarray, n_slots: int) -> tuple:
+    """(words, masks) of a solver instance, built as the library built them
+    before packing rows once per satellite: a dense (K, S, J, max(W, 1))
+    boolean mask, zero outside each stage's cell range, then packed into
+    little-endian uint64 words, zero-padded to a whole word.
+    """
+    n_stages, n_sats = visible.shape[:2]
+    act = pi > 0.0
+    width = int(act.sum())
+    rows = np.transpose(visible[:, :, :n_slots], (1, 2, 0, 3, 4))[:, :, act]  # (K, J, W)
+    bounds = np.searchsorted(np.nonzero(act)[0], np.arange(n_stages + 1))
+    masks = np.zeros((n_sats, n_stages, n_slots, max(width, 1)), dtype=bool)
+    for s in range(n_stages):
+        lo, hi = bounds[s], bounds[s + 1]
+        masks[:, s, :, lo:hi] = rows[:, :, lo:hi]
+    bits = np.packbits(masks, axis=-1, bitorder="little")
+    pad = (-bits.shape[-1]) % 8
+    bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
+    return np.ascontiguousarray(bits).view(np.uint64), masks
+
+
 def instance_frontiers_loop(inst) -> tuple[list, list, list]:
     """(trail_cost, trail_frame, root_cap) of a solver instance, built as
     the library built them before reducing along a contiguous axis: each

@@ -6,6 +6,7 @@ tie-breaking is pinned down, not just the optimum value.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -443,6 +444,75 @@ class TestFrontiers:
         for block in (mcrp._FRONTIER_BLOCK, 1 << 12):
             with mock.patch.object(mcrp, "_FRONTIER_BLOCK", block):
                 self._assert_match(mcrp._Instance(*args))
+
+
+class TestCellWords:
+    """The packed cell words against the dense-mask build they replaced,
+    bit for bit, and the memory that build needs."""
+
+    @pytest.fixture(scope="class")
+    def synth_20_u2_30(self):
+        config = ScenarioConfig(fov_half_angle=math.radians(30.0))
+        ws = _TrackWorkspace(default_corpus(20)[19], config)
+        spec = MODEL_MATRIX["U2"]
+        return ws.tensor_for(spec), ws.rewards_for(spec.num_stages), ws.costs_for(spec)
+
+    @staticmethod
+    def _assert_match(visible, rewards, costs):
+        inst = mcrp._Instance(visible, rewards, costs)
+        words, masks = oracles.instance_words_dense(visible, rewards.pi, inst.J)
+        assert inst.words.dtype == words.dtype and inst.words.shape == words.shape
+        assert np.array_equal(inst.words, words)
+        assert not hasattr(inst, "masks")
+        derived = mcrp._GeneralSearch(inst, 0).masks
+        assert derived.dtype == masks.dtype and np.array_equal(derived, masks)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sats=st.integers(1, 3),
+        n_stages=st.integers(1, 4),
+        n_slots=st.integers(1, 6),
+        t_stage=st.integers(1, 12),
+        n_points=st.integers(1, 3),
+        rewards_kind=st.sampled_from(["unit", "weighted", "double", "zero"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_instances_match_dense_oracle(
+        self, seed, n_sats, n_stages, n_slots, t_stage, n_points, rewards_kind
+    ):
+        rng = np.random.default_rng(seed)
+        tensor, rewards, costs = random_instance(
+            rng, n_sats, n_stages, n_slots, t_stage, n_points,
+            max_req=2 if rewards_kind == "double" else 1,
+        )
+        if rewards_kind == "weighted":
+            rewards = RewardMatrix(pi=rewards.pi * rng.uniform(0.5, 3.0, size=rewards.pi.shape),
+                                   coverage_req=rewards.coverage_req)
+        elif rewards_kind == "zero":
+            rewards = RewardMatrix(pi=np.zeros_like(rewards.pi), coverage_req=rewards.coverage_req)
+        self._assert_match(tensor, rewards, costs)
+
+    def test_synth_20_u2_matches_dense_oracle(self, synth_20_u2_30):
+        self._assert_match(*synth_20_u2_30)
+
+    def test_build_peak_is_linear_in_its_inputs(self, synth_20_u2_30):
+        """Besides the words it keeps, the build holds one satellite's
+        unpacked rows, then the frontier temporaries.  A dense
+        (K, S, J, W) mask alone is S = 4 times the (P = 1) visibility and
+        breaks the bound."""
+        visible = synth_20_u2_30[0]
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            inst = mcrp._Instance(*synth_20_u2_30)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        bound = 2 * visible.nbytes + inst.words.nbytes
+        assert peak < bound
 
 
 class TestSolverInvariants:
