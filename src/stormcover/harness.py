@@ -5,17 +5,18 @@ solve at a time.  Here the pieces are wired into the comparison the
 project exists for: eight observation concepts run against the same set
 of moving-target tracks, scored by the same reward arithmetic.
 
-The concept matrix::
+The concept matrix, over two slot grids: phasing (20 phases on the
+initial plane) and unrestricted (9 planes of 15 phases)::
 
-    name  stages  phases  plane axis  scored by
-    B        1       1        1       all-stay plan on a one-slot grid
-    A        1       1        1       per-satellite slew schedules
-    P1       2      10        1       reconfiguration, phasing slots
-    P2       2      20        1       reconfiguration, phasing slots
-    P3       4      10        1       reconfiguration, phasing slots
-    P4       4      20        1       reconfiguration, phasing slots
-    U1       2      15        5       reconfiguration, plane + phasing
-    U2       4      15        5       reconfiguration, plane + phasing
+    name  stages  grid          slots       scored by
+    B        1    phasing       [0:1]       all-stay plan on slot 0
+    A        1    phasing       [0:1]       per-satellite slew schedules
+    P1       2    phasing       [::2] (10)  reconfiguration, phasing slots
+    P2       2    phasing       all         reconfiguration, phasing slots
+    P3       4    phasing       [::2] (10)  reconfiguration, phasing slots
+    P4       4    phasing       all         reconfiguration, phasing slots
+    U1       2    unrestricted  all         reconfiguration, plane + phasing
+    U2       4    unrestricted  all         reconfiguration, plane + phasing
 
 Model B goes through the same visibility tensor and reward matrix as the
 reconfiguration concepts (an all-stay plan whose only slot is the initial
@@ -26,18 +27,18 @@ an observation count rather than a coverage count, which can favour A in
 dense constellations and is noted wherever the numbers are reported.
 
 Every grid step rewards one cell, the storm's active target, so the
-visibility of a slot family is one (satellite, slot, step) array over
-the whole horizon, built against the (step, 3) active-target table.
-Each stage count's tensor is a reshape of that array, so every concept
-sharing a slot family reads the very same bits, and "the baseline is the
-slot-0 row of every tensor" is an exact statement.
+visibility of a slot grid is one (satellite, slot, step) array over the
+whole horizon, built against the (step, 3) active-target table.  Each
+concept's tensor is a reshape of its slots of that array, and its stage
+costs a slice of the grid's, so B is slot 0 of the phasing grid and P1
+reads P2's even phases, bit for bit.
 
 Later concepts are warm-started from earlier winners mapped onto their
-grid.  Phase doubling lands on bitwise-identical slot angles and stage
-splitting lands on bitwise-identical boundary epochs with zero-cost
-stays, so a mapped winner is always budget-feasible and the chained
-models can never score below their coarser parents, whether or not the
-solver finishes its optimality proof.
+slots.  A source's slots are the target's own or every other one of
+them, and stage splitting lands on bitwise-identical boundary epochs
+with zero-cost stays, so a mapped winner is always budget-feasible and
+the chained models can never score below their coarser parents, whether
+or not the solver finishes its optimality proof.
 """
 
 from __future__ import annotations
@@ -140,43 +141,45 @@ DEFAULT_SATELLITES: Tuple[Spacecraft, ...] = (
 class ModelSpec:
     """Shape of one observation concept.
 
-    kind is "baseline", "agile", or "reconfig"; the grid fields only
-    matter for the reconfiguration kinds (baseline runs on the degenerate
-    one-slot grid so it shares their code path).
+    kind is "baseline", "agile", or "reconfig"; grid names the slot grid
+    in _SLOT_GRIDS and slots the slice of it the concept reads.  Both only
+    matter for the kinds scored through the visibility tensor (baseline
+    runs on slot 0 so it shares the reconfiguration code path).
     """
 
     name: str
     kind: str
     num_stages: int
-    num_phases: int
-    num_plane_axis: int
+    grid: str
+    slots: slice
 
-    @property
-    def family(self) -> Tuple[int, int]:
-        """Key of the slot grid this concept shares with its siblings."""
-        return (self.num_phases, self.num_plane_axis)
 
+# The two slot grids every concept views: grid name -> (mode, shape).
+_SLOT_GRIDS: Dict[str, Tuple[GridMode, SlotGridSpec]] = {
+    "phasing": (GridMode.PHASING_ONLY, SlotGridSpec(num_phases=20)),
+    "unrestricted": (GridMode.UNRESTRICTED, SlotGridSpec(num_phases=15, num_plane_axis=5)),
+}
 
 MODEL_MATRIX: Dict[str, ModelSpec] = {
-    "B": ModelSpec("B", "baseline", 1, 1, 1),
-    "A": ModelSpec("A", "agile", 1, 1, 1),
-    "P1": ModelSpec("P1", "reconfig", 2, 10, 1),
-    "P2": ModelSpec("P2", "reconfig", 2, 20, 1),
-    "P3": ModelSpec("P3", "reconfig", 4, 10, 1),
-    "P4": ModelSpec("P4", "reconfig", 4, 20, 1),
-    "U1": ModelSpec("U1", "reconfig", 2, 15, 5),
-    "U2": ModelSpec("U2", "reconfig", 4, 15, 5),
+    "B": ModelSpec("B", "baseline", 1, "phasing", slice(0, 1)),
+    "A": ModelSpec("A", "agile", 1, "phasing", slice(0, 1)),
+    "P1": ModelSpec("P1", "reconfig", 2, "phasing", slice(0, None, 2)),
+    "P2": ModelSpec("P2", "reconfig", 2, "phasing", slice(None)),
+    "P3": ModelSpec("P3", "reconfig", 4, "phasing", slice(0, None, 2)),
+    "P4": ModelSpec("P4", "reconfig", 4, "phasing", slice(None)),
+    "U1": ModelSpec("U1", "reconfig", 2, "unrestricted", slice(None)),
+    "U2": ModelSpec("U2", "reconfig", 4, "unrestricted", slice(None)),
 }
 
 MODEL_ORDER: Tuple[str, ...] = tuple(MODEL_MATRIX)
 
-# Warm-start sources per model: (source name, mapping) pairs, applied when
-# the source ran earlier in the same track evaluation.
-_WARM_SOURCES: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    "P2": (("P1", "phase-double"),),
-    "P3": (("P1", "stage-split"),),
-    "P4": (("P2", "stage-split"), ("P3", "phase-double")),
-    "U2": (("U1", "stage-split"),),
+# Warm-start sources per model, applied when the source ran earlier in the
+# same track evaluation; each source reads the same grid as its target.
+_WARM_SOURCES: Dict[str, Tuple[str, ...]] = {
+    "P2": ("P1",),
+    "P3": ("P1",),
+    "P4": ("P2", "P3"),
+    "U2": ("U1",),
 }
 
 
@@ -413,17 +416,18 @@ class ModelResult:
 
 
 class _TrackWorkspace:
-    """Shared per-track caches: grids, tensors, rewards, cost matrices."""
+    """Shared per-track caches: time grids, rewards, and per slot grid the
+    slots, visibility and priced stage costs."""
 
     def __init__(self, track: TcTrack, config: ScenarioConfig):
         self.track = track
         self.config = config
         self._grids: Dict[int, TimeGrid] = {}
-        self._slots: Dict[Tuple[int, int], List[List[ClassicalOrbitalElements]]] = {}
-        self._visible: Dict[Tuple[int, int], np.ndarray] = {}
         self._rewards: Dict[int, RewardMatrix] = {}
-        # family -> stage epoch -> delta_v stage array
-        self._costs: Dict[Tuple[int, int], Dict[float, np.ndarray]] = {}
+        # slot grid name -> slots, visibility, stage epoch -> delta_v array
+        self._slots: Dict[str, List[List[ClassicalOrbitalElements]]] = {}
+        self._visible: Dict[str, np.ndarray] = {}
+        self._costs: Dict[str, Dict[float, np.ndarray]] = {}
         base = self.grid_for(1)
         self.targets = track_to_targets(track, base)
         self.table = target_eci_table(self.targets, base)
@@ -435,28 +439,27 @@ class _TrackWorkspace:
             )
         return self._grids[stages]
 
-    def family_slots(self, spec: ModelSpec) -> List[List[ClassicalOrbitalElements]]:
-        key = spec.family
-        if key not in self._slots:
-            mode = GridMode.UNRESTRICTED if spec.num_plane_axis > 1 else GridMode.PHASING_ONLY
-            gspec = SlotGridSpec(num_phases=spec.num_phases, num_plane_axis=spec.num_plane_axis)
-            self._slots[key] = [
+    def grid_slots(self, grid: str) -> List[List[ClassicalOrbitalElements]]:
+        """Every satellite's slots on the named slot grid."""
+        if grid not in self._slots:
+            mode, gspec = _SLOT_GRIDS[grid]
+            self._slots[grid] = [
                 generate_slot_grid(sc.elements, gspec, self.config.budget_km_s, mode)
                 for sc in self.config.satellites
             ]
-        return self._slots[key]
+        return self._slots[grid]
 
     def tensor_for(self, spec: ModelSpec) -> np.ndarray:
-        """The family's (K, J, T) visibility viewed as (S, K, J, T_s, 1)."""
-        if spec.family not in self._visible:
-            self._visible[spec.family] = slot_visibility(
-                self.family_slots(spec), self.table, self.grid_for(1), self.config.fov
+        """The concept's slots of its grid's (K, J, T) visibility, viewed
+        as (S, K, J, T_s, 1)."""
+        if spec.grid not in self._visible:
+            self._visible[spec.grid] = slot_visibility(
+                self.grid_slots(spec.grid), self.table, self.grid_for(1), self.config.fov
             )
-        visible = self._visible[spec.family]
+        visible = self._visible[spec.grid][:, spec.slots]
         n_sats, n_slots, _ = visible.shape
-        n_stages = spec.num_stages
-        t_stage = self.grid_for(n_stages).steps_per_stage
-        return visible.reshape(n_sats, n_slots, n_stages, t_stage, 1).transpose(2, 0, 1, 3, 4)
+        t_stage = self.grid_for(spec.num_stages).steps_per_stage
+        return visible.reshape(n_sats, n_slots, spec.num_stages, t_stage, 1).transpose(2, 0, 1, 3, 4)
 
     def rewards_for(self, stages: int) -> RewardMatrix:
         if stages not in self._rewards:
@@ -464,17 +467,20 @@ class _TrackWorkspace:
         return self._rewards[stages]
 
     def costs_for(self, spec: ModelSpec) -> CostMatrix:
-        """The concept's cost matrix, assembled from the family's stage
-        arrays: stage epochs shared by the 2- and 4-stage concepts (0 and
-        T/2) are priced once and referenced by both."""
-        return build_cost_matrix(
-            self.family_slots(spec),
+        """The concept's cost matrix, sliced from its grid's stage arrays:
+        each stage epoch is priced once per grid, and the 2- and 4-stage
+        concepts share the epochs 0 and T/2."""
+        full = build_cost_matrix(
+            self.grid_slots(spec.grid),
             self.grid_for(spec.num_stages),
             max_revs=self.config.max_revs,
             budget=self.config.budget_km_s,
             initial_orbits=[sc.elements for sc in self.config.satellites],
-            priced=self._costs.setdefault(spec.family, {}),
+            priced=self._costs.setdefault(spec.grid, {}),
         )
+        sl = spec.slots
+        stages = tuple(c[:, :, sl] if s == 0 else c[:, sl, sl] for s, c in enumerate(full.stages))
+        return CostMatrix(stages=stages, budget=full.budget)
 
 
 def _run_baseline(ws: _TrackWorkspace) -> ModelResult:
@@ -526,37 +532,26 @@ def _run_agile(ws: _TrackWorkspace) -> ModelResult:
     return ModelResult("A", total, True, time.perf_counter() - t0, schedules=schedules)
 
 
-def _map_flat(flat: Tuple[int, ...], source: ModelSpec, target: ModelSpec, kind: str, n_sats: int) -> Tuple[int, ...]:
-    """Re-index a flat slot vector from the source grid onto the target's."""
-    if kind == "phase-double":
-        mapped = []
-        for j in flat:
-            plane, phase = divmod(j, source.num_phases)
-            mapped.append(plane * target.num_phases + 2 * phase)
-        return tuple(mapped)
-    if kind == "stage-split":
-        factor = target.num_stages // source.num_stages
-        mapped = []
-        for k in range(n_sats):
-            path = flat[k * source.num_stages : (k + 1) * source.num_stages]
-            for j in path:
-                mapped.extend([j] * factor)
-        return tuple(mapped)
-    raise ValueError(f"unknown warm mapping {kind!r}")
+def _warm_candidates(spec: ModelSpec, results: Dict[str, ModelResult], grid_size: int) -> List[Tuple[int, ...]]:
+    """Seeds mapped from the model's warm sources.
 
-
-def _warm_candidates(spec: ModelSpec, results: Dict[str, ModelResult], n_sats: int) -> List[Tuple[int, ...]]:
-    """Seeds mapped from the model's warm sources.  By construction each
-    costs exactly what its source path did (identical slot floats,
+    Each source slot goes to its index on the shared grid of ``grid_size``
+    slots, then to that grid slot's index among the target's slots, and
+    each stage repeats once per target stage it spans.  By construction a
+    seed costs exactly what its source path did (identical slot floats,
     zero-cost stays at shared epochs); solve_mcrp still checks every
     seed's budget and raises on one that does not fit."""
     out = []
-    for source_name, kind in _WARM_SOURCES.get(spec.name, ()):
+    target = range(grid_size)[spec.slots]
+    for source_name in _WARM_SOURCES.get(spec.name, ()):
         source = results.get(source_name)
         if source is None or source.plan is None:
             continue
-        flat = tuple(j for path in source.plan.paths for j in path[1:])
-        out.append(_map_flat(flat, MODEL_MATRIX[source_name], spec, kind, n_sats))
+        source_spec = MODEL_MATRIX[source_name]
+        on_grid = range(grid_size)[source_spec.slots]
+        repeat = spec.num_stages // source_spec.num_stages
+        paths = source.plan.paths
+        out.append(tuple(target.index(on_grid[j]) for path in paths for j in path[1:] for _ in range(repeat)))
     return out
 
 
@@ -565,7 +560,7 @@ def _run_reconfig(ws: _TrackWorkspace, spec: ModelSpec, results: Dict[str, Model
     tensor = ws.tensor_for(spec)
     rewards = ws.rewards_for(spec.num_stages)
     costs = ws.costs_for(spec)
-    warm = _warm_candidates(spec, results, len(ws.config.satellites))
+    warm = _warm_candidates(spec, results, len(ws.grid_slots(spec.grid)[0]))
     plan = solve_mcrp(
         tensor, rewards, costs, node_limit=ws.config.node_limit, warm_starts=warm
     )
@@ -636,7 +631,8 @@ def run_corpus(
     if threads == 1 or len(jobs) <= 1:
         all_results = [_evaluate_job(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # fork starts every worker at the first submit: none beyond the tracks
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             all_results = list(pool.map(_evaluate_job, jobs))
     report = build_report(tracks, config.models, all_results)
     return report, all_results

@@ -742,3 +742,70 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float, radius: flo
     dlon = lon2 - lon1
     h = math.sin(0.5 * dlat) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(0.5 * dlon) ** 2
     return 2.0 * radius * math.asin(min(1.0, math.sqrt(h)))
+
+
+# ---------------------------------------------------------------------------
+# Four slot families: the workspace before its two slot grids
+# ---------------------------------------------------------------------------
+
+# concept -> (num_stages, num_phases, num_plane_axis): each distinct
+# (num_phases, num_plane_axis) pair was a slot family with its own slots,
+# visibility and priced stage costs
+FAMILY_SHAPES = {
+    "B": (1, 1, 1),
+    "A": (1, 1, 1),
+    "P1": (2, 10, 1),
+    "P2": (2, 20, 1),
+    "P3": (4, 10, 1),
+    "P4": (4, 20, 1),
+    "U1": (2, 15, 5),
+    "U2": (4, 15, 5),
+}
+
+# warm sources per concept with the mapping kind each one used
+FAMILY_WARM_SOURCES = {
+    "P2": (("P1", "phase-double"),),
+    "P3": (("P1", "stage-split"),),
+    "P4": (("P2", "stage-split"), ("P3", "phase-double")),
+    "U2": (("U1", "stage-split"),),
+}
+
+
+def family_slots(initials, budget: float, family, generate_slot_grid, grid_spec, grid_mode) -> list:
+    """Every satellite's slots on a (num_phases, num_plane_axis) family,
+    with the grid mode chosen from the plane count.  The library's
+    ``generate_slot_grid``, ``SlotGridSpec`` and ``GridMode`` are passed in."""
+    num_phases, num_plane_axis = family
+    mode = grid_mode.UNRESTRICTED if num_plane_axis > 1 else grid_mode.PHASING_ONLY
+    spec = grid_spec(num_phases=num_phases, num_plane_axis=num_plane_axis)
+    return [generate_slot_grid(orbit, spec, budget, mode) for orbit in initials]
+
+
+def map_flat(flat: tuple, source: str, target: str, kind: str, n_sats: int) -> tuple:
+    """Re-index a flat slot vector from the source family onto the target's."""
+    src_stages, src_phases, _ = FAMILY_SHAPES[source]
+    dst_stages, dst_phases, _ = FAMILY_SHAPES[target]
+    if kind == "phase-double":
+        mapped = []
+        for j in flat:
+            plane, phase = divmod(j, src_phases)
+            mapped.append(plane * dst_phases + 2 * phase)
+        return tuple(mapped)
+    if kind == "stage-split":
+        factor = dst_stages // src_stages
+        mapped = []
+        for k in range(n_sats):
+            for j in flat[k * src_stages : (k + 1) * src_stages]:
+                mapped.extend([j] * factor)
+        return tuple(mapped)
+    raise ValueError(f"unknown warm mapping {kind!r}")
+
+
+def family_warm_seeds(target: str, paths_by_model: dict, n_sats: int) -> list:
+    """The seeds of ``target`` from whichever of its sources have paths."""
+    out = []
+    for source, kind in FAMILY_WARM_SOURCES.get(target, ()):
+        if source in paths_by_model:
+            flat = tuple(j for path in paths_by_model[source] for j in path[1:])
+            out.append(map_flat(flat, source, target, kind, n_sats))
+    return out

@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from stormcover import harness
 from stormcover.harness import (
+    _SLOT_GRIDS,
+    _WARM_SOURCES,
     DEFAULT_SATELLITES,
     MODEL_MATRIX,
     MODEL_ORDER,
     ComparisonReport,
-    ModelSpec,
+    ModelResult,
     ScenarioConfig,
     _TrackWorkspace,
-    _map_flat,
     _safe_name,
     _warm_candidates,
     build_report,
@@ -33,10 +35,15 @@ from stormcover.harness import (
     run_corpus,
     write_outputs,
 )
-from stormcover.mcrp import active_point_of_step, build_reward_matrix, score_plan, solve_mcrp
+from stormcover.maneuvers import GridMode, SlotGridSpec, build_cost_matrix, generate_slot_grid
+from stormcover.mcrp import ReconfigPlan, active_point_of_step, build_reward_matrix, score_plan, solve_mcrp
 from stormcover.orbits import TimeGrid, eci_positions, geodetic_to_eci
 from stormcover.tracks import parse_track_csv, serialize_track, synthesize_track, track_to_targets
-from stormcover.visibility import visibility_mask
+from stormcover.visibility import slot_visibility, visibility_mask
+
+
+# slots per satellite on each slot grid: 20 phases, and 9 planes x 15 phases
+GRID_SIZES = {"phasing": 20, "unrestricted": 135}
 
 
 def short_track(name="TINY", samples=4, lat0=15.0, lon0=-55.0) -> bytes:
@@ -79,19 +86,32 @@ class TestModelMatrix:
         assert MODEL_MATRIX["A"].kind == "agile"
         for name in ("P1", "P2", "P3", "P4", "U1", "U2"):
             assert MODEL_MATRIX[name].kind == "reconfig"
-        assert (MODEL_MATRIX["P1"].num_stages, MODEL_MATRIX["P1"].num_phases) == (2, 10)
-        assert (MODEL_MATRIX["P2"].num_stages, MODEL_MATRIX["P2"].num_phases) == (2, 20)
-        assert (MODEL_MATRIX["P3"].num_stages, MODEL_MATRIX["P3"].num_phases) == (4, 10)
-        assert (MODEL_MATRIX["P4"].num_stages, MODEL_MATRIX["P4"].num_phases) == (4, 20)
-        for name in ("U1", "U2"):
-            assert MODEL_MATRIX[name].num_phases == 15
-            assert MODEL_MATRIX[name].num_plane_axis == 5
+        assert _SLOT_GRIDS["phasing"] == (GridMode.PHASING_ONLY, SlotGridSpec(num_phases=20))
+        assert _SLOT_GRIDS["unrestricted"] == (GridMode.UNRESTRICTED, SlotGridSpec(15, num_plane_axis=5))
+        shapes = {
+            name: (spec.num_stages, spec.grid, len(range(GRID_SIZES[spec.grid])[spec.slots]))
+            for name, spec in MODEL_MATRIX.items()
+        }
+        assert shapes == {
+            "B": (1, "phasing", 1),
+            "A": (1, "phasing", 1),
+            "P1": (2, "phasing", 10),
+            "P2": (2, "phasing", 20),
+            "P3": (4, "phasing", 10),
+            "P4": (4, "phasing", 20),
+            "U1": (2, "unrestricted", 135),
+            "U2": (4, "unrestricted", 135),
+        }
 
     def test_family_groups_grid_sharers(self):
-        assert MODEL_MATRIX["P1"].family == MODEL_MATRIX["P3"].family
-        assert MODEL_MATRIX["P2"].family == MODEL_MATRIX["P4"].family
-        assert MODEL_MATRIX["U1"].family == MODEL_MATRIX["U2"].family
-        assert MODEL_MATRIX["P1"].family != MODEL_MATRIX["P2"].family
+        def view(name):
+            spec = MODEL_MATRIX[name]
+            return spec.grid, spec.slots
+
+        assert view("B") == ("phasing", slice(0, 1))
+        assert view("P1") == view("P3") == ("phasing", slice(0, None, 2))
+        assert view("P2") == view("P4") == ("phasing", slice(None))
+        assert view("U1") == view("U2") == ("unrestricted", slice(None))
 
     def test_five_reference_satellites(self):
         assert len(DEFAULT_SATELLITES) == 5
@@ -379,9 +399,11 @@ class TestActiveTargetTensor:
         fine = {}
         for name in models:
             spec = MODEL_MATRIX[name]
-            if spec.family not in fine:
-                fine[spec.family] = dense_fine_tensor(track, config, ws.family_slots(spec))
-            full = oracles.merge_stages(fine[spec.family], 4 // spec.num_stages)
+            key = (spec.grid, repr(spec.slots))
+            if key not in fine:
+                slots = [slot_list[spec.slots] for slot_list in ws.grid_slots(spec.grid)]
+                fine[key] = dense_fine_tensor(track, config, slots)
+            full = oracles.merge_stages(fine[key], 4 // spec.num_stages)
             n_stages, _, _, t_stage, n_points = full.shape
             n_steps = n_stages * t_stage
             rewards = build_reward_matrix(n_steps, n_points, n_stages)
@@ -399,11 +421,116 @@ class TestActiveTargetTensor:
                 assert score_plan(got, full, rewards) == got.objective
                 continue
             costs = ws.costs_for(spec)
-            warm = _warm_candidates(spec, results, len(config.satellites))
+            warm = _warm_candidates(spec, results, len(ws.grid_slots(spec.grid)[0]))
             ref = solve_mcrp(full, rewards, costs, node_limit=config.node_limit, warm_starts=warm)
             assert ref.paths == got.paths, name
             assert ref.objective == got.objective, name
             assert ref.proven_optimal == got.proven_optimal, name
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _with_paths(paths_by_model) -> dict:
+    """Results holding only the given slot paths, as warm sources."""
+    out = {}
+    for name, paths in paths_by_model.items():
+        n_stages = len(paths[0]) - 1
+        plan = ReconfigPlan(paths=paths, per_stage_cost=np.zeros((len(paths), n_stages)), objective=0.0)
+        out[name] = ModelResult(name, 0.0, True, 0.0, plan=plan)
+    return out
+
+
+class TestTwoSlotGrids:
+    """The two slot grids against the four slot families they replaced
+    (tests/_oracles.py), bit for bit: tensors, stage costs, warm seeds."""
+
+    RECONFIG = ("P1", "P2", "P3", "P4", "U1", "U2")
+
+    @pytest.mark.parametrize("fov_deg", [45.0, 30.0])
+    @pytest.mark.parametrize("index", [0, 10, 19])
+    def test_matches_four_family_path(self, index, fov_deg):
+        track = default_corpus(20)[index]
+        config = ScenarioConfig(fov_half_angle=math.radians(fov_deg))
+        initials = [sc.elements for sc in config.satellites]
+        results = evaluate_track(track, config, ("B",) + self.RECONFIG)
+        ws = _TrackWorkspace(track, config)
+        slots, visible, priced = {}, {}, {}
+        for name in ("B",) + self.RECONFIG:
+            spec = MODEL_MATRIX[name]
+            family = oracles.FAMILY_SHAPES[name][1:]
+            if family not in slots:
+                slots[family] = oracles.family_slots(
+                    initials, config.budget_km_s, family, generate_slot_grid, SlotGridSpec, GridMode
+                )
+                visible[family] = slot_visibility(slots[family], ws.table, ws.grid_for(1), config.fov)
+            n_sats, n_slots, _ = visible[family].shape
+            t_stage = ws.grid_for(spec.num_stages).steps_per_stage
+            want = visible[family].reshape(n_sats, n_slots, spec.num_stages, t_stage, 1).transpose(2, 0, 1, 3, 4)
+            assert _bits(ws.tensor_for(spec)) == _bits(want), name
+            if spec.kind == "baseline":
+                continue
+            want_costs = build_cost_matrix(
+                slots[family],
+                ws.grid_for(spec.num_stages),
+                max_revs=config.max_revs,
+                budget=config.budget_km_s,
+                initial_orbits=initials,
+                priced=priced.setdefault(family, {}),
+            )
+            got_costs = ws.costs_for(spec)
+            assert got_costs.num_stages == want_costs.num_stages == spec.num_stages
+            for s, (got, want) in enumerate(zip(got_costs.stages, want_costs.stages)):
+                assert _bits(got) == _bits(want), (name, s)
+            assert np.array_equal(got_costs.budget, want_costs.budget)
+
+            grid_size = len(ws.grid_slots(spec.grid)[0])
+            paths = {source: results[source].plan.paths for source in _WARM_SOURCES.get(name, ())}
+            want_seeds = oracles.family_warm_seeds(name, paths, n_sats)
+            assert _warm_candidates(spec, results, grid_size) == want_seeds, name
+
+    def test_warm_seeds_match_on_every_source_slot(self):
+        rng = np.random.default_rng(16)
+        n_sats = 5
+        for _ in range(25):
+            paths = {}
+            for name in self.RECONFIG:
+                spec = MODEL_MATRIX[name]
+                n_slots = len(range(GRID_SIZES[spec.grid])[spec.slots])
+                if rng.random() < 0.8:
+                    stages = rng.integers(0, n_slots, size=(n_sats, spec.num_stages))
+                    paths[name] = tuple((0,) + tuple(int(j) for j in row) for row in stages)
+            results = _with_paths(paths)
+            for name in MODEL_ORDER:
+                spec = MODEL_MATRIX[name]
+                got = _warm_candidates(spec, results, GRID_SIZES[spec.grid])
+                assert got == oracles.family_warm_seeds(name, paths, n_sats), name
+
+
+class TestSlotGridCalls:
+    """Each track builds each slot grid's slots and visibility once."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(harness, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("models, grids", [(MODEL_ORDER, 2), (("B", "A"), 1)])
+    def test_one_build_per_grid(self, monkeypatch, models, grids):
+        visibility = self._count(monkeypatch, "slot_visibility")
+        slot_grids = self._count(monkeypatch, "generate_slot_grid")
+        config = ScenarioConfig(satellites=DEFAULT_SATELLITES[:2], models=models)
+        evaluate_track(default_corpus(20)[0], config)
+        assert len(visibility) == grids
+        assert len(slot_grids) == grids * 2
 
 
 class TestSolverMetamorphic:
@@ -465,20 +592,30 @@ class TestSolverMetamorphic:
 
 class TestWarmMapping:
     def test_phase_double_keeps_plane_and_doubles_phase(self):
-        src, dst = MODEL_MATRIX["U1"], ModelSpec("X", "reconfig", 2, 30, 5)
-        # slot 17 on a 15-phase grid is plane 1, phase 2
-        assert _map_flat((17,), src, dst, "phase-double", 1) == (1 * 30 + 4,)
-        src, dst = MODEL_MATRIX["P1"], MODEL_MATRIX["P2"]
-        assert _map_flat((0, 7), src, dst, "phase-double", 1) == (0, 14)
+        # P1's slot j is the phasing grid's slot 2j, which is P2's slot 2j
+        results = _with_paths({"P1": ((0, 0, 7), (0, 9, 3))})
+        assert _warm_candidates(MODEL_MATRIX["P2"], results, 20) == [(0, 14, 18, 6)]
+        results = _with_paths({"P3": ((0, 1, 2, 3, 9),)})
+        assert _warm_candidates(MODEL_MATRIX["P4"], results, 20) == [(2, 4, 6, 18)]
 
     def test_stage_split_repeats_per_satellite(self):
-        src, dst = MODEL_MATRIX["P1"], MODEL_MATRIX["P3"]
-        flat = (1, 2, 3, 4)  # two satellites, two stages each
-        assert _map_flat(flat, src, dst, "stage-split", 2) == (1, 1, 2, 2, 3, 3, 4, 4)
+        results = _with_paths({"P1": ((0, 1, 2), (0, 3, 4))})  # two satellites, two stages each
+        assert _warm_candidates(MODEL_MATRIX["P3"], results, 20) == [(1, 1, 2, 2, 3, 3, 4, 4)]
+        results = _with_paths({"U1": ((0, 134, 17),)})
+        assert _warm_candidates(MODEL_MATRIX["U2"], results, 135) == [(134, 134, 17, 17)]
 
-    def test_unknown_mapping(self):
-        with pytest.raises(ValueError, match="unknown warm mapping"):
-            _map_flat((0,), MODEL_MATRIX["P1"], MODEL_MATRIX["P2"], "sideways", 1)
+    def test_every_source_lies_on_its_targets_slots(self):
+        # the one mapping holds only if each source reads a subset of its
+        # target's slots on the same grid, and splits into its stages
+        for name, sources in _WARM_SOURCES.items():
+            target = MODEL_MATRIX[name]
+            on_target = set(range(GRID_SIZES[target.grid])[target.slots])
+            for source_name in sources:
+                source = MODEL_MATRIX[source_name]
+                assert source.grid == target.grid, (name, source_name)
+                assert set(range(GRID_SIZES[source.grid])[source.slots]) <= on_target, (name, source_name)
+                assert target.num_stages % source.num_stages == 0, (name, source_name)
+                assert MODEL_ORDER.index(source_name) < MODEL_ORDER.index(name)
 
 
 class TestEvaluateTrack:
@@ -545,6 +682,28 @@ class TestRunCorpus:
         threaded, _ = run_corpus(tracks, config, threads=2)
         assert np.array_equal(threaded.rewards, report.rewards)
         assert np.array_equal(threaded.proven, report.proven)
+
+    def test_no_more_workers_than_tracks(self, tiny_corpus, monkeypatch):
+        tracks, config, report, _ = tiny_corpus
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        pooled, _ = run_corpus(tracks, config, threads=64)
+        assert asked == [len(tracks)]
+        assert np.array_equal(pooled.rewards, report.rewards)
 
     def test_empty_corpus(self):
         report, per_track = run_corpus((), tiny_config(), threads=1)

@@ -386,7 +386,8 @@ class TestPairwiseCosts:
             _pairwise_costs(angles, angles, 4)
 
     def test_corpus_stage_arrays_match_oracle(self):
-        """Every stage array of every slot family on synth-01, -11, -20."""
+        """Every stage array of every reconfiguration concept, each a slice
+        of its slot grid's arrays, on synth-01, -11, -20."""
         config = ScenarioConfig()
         tracks = default_corpus(20)
         initials = [sc.elements for sc in config.satellites]
@@ -395,7 +396,7 @@ class TestPairwiseCosts:
             for spec in MODEL_MATRIX.values():
                 if spec.kind != "reconfig":
                     continue
-                slots = ws.family_slots(spec)
+                slots = [slot_list[spec.slots] for slot_list in ws.grid_slots(spec.grid)]
                 grid = ws.grid_for(spec.num_stages)
                 for s, stage in enumerate(ws.costs_for(spec).stages):
                     epoch = grid.stage_start_time(s)
