@@ -252,8 +252,15 @@ class ScenarioConfig:
             raise ValueError("max_revs must be at least 1")
         if self.node_limit < 0:
             raise ValueError("node_limit must be non-negative")
-        if self.budget_km_s < 0.0:
-            raise ValueError("budget_km_s must be non-negative")
+        if not self.budget_km_s >= 0.0:
+            raise ValueError(f"budget_km_s must be non-negative, got {self.budget_km_s:g}")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step_s must be positive and finite, got {self.step:g}")
+        ratio = self.control_step / self.step
+        if not (math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
+            raise ValueError(
+                f"control_step_s {self.control_step:g} is not a positive multiple of step_s {self.step:g}"
+            )
         # the cone and slew rules live in FovSpec and AgilityConfig; building
         # both here fails a bad value before any compute, named by its key
         try:
@@ -311,6 +318,9 @@ _CONFIG_FIELDS: Dict[str, Tuple[str, Callable[[str], object]]] = {
 
 _CONFIG_KEYS = frozenset(_CONFIG_FIELDS) | {"tracks"}
 
+# ScenarioConfig fields checked as a pair: the control step is a multiple of the step
+_STEP_FIELDS = ("step", "control_step")
+
 
 def parse_config(
     text: str, base_dir: Optional[str] = None
@@ -343,22 +353,32 @@ def parse_config(
 
     kwargs = {}
     for key, (name, conv) in _CONFIG_FIELDS.items():
+        if key in values:
+            lineno, val = values[key]
+            try:
+                kwargs[name] = conv(val)
+            except ValueError as exc:
+                raise ValueError(f"config line {lineno}: bad {key}: {exc}") from None
+    for key, (name, _) in _CONFIG_FIELDS.items():
         if key not in values:
             continue
-        lineno, val = values[key]
+        # the config's own rules on this value alone (the step and the
+        # control step as a pair), whose messages name the key, so a bad
+        # value is reported against its line
+        together = _STEP_FIELDS if name in _STEP_FIELDS else (name,)
         try:
-            kwargs[name] = conv(val)
+            ScenarioConfig(**{n: kwargs[n] for n in together if n in kwargs})
         except ValueError as exc:
-            raise ValueError(f"config line {lineno}: bad {key}: {exc}") from None
-        try:
-            # the config's own rules on this value alone, whose messages
-            # name the key, so a bad value is reported against its line
-            ScenarioConfig(**{name: kwargs[name]})
-        except ValueError as exc:
-            raise ValueError(f"config line {lineno}: {exc}") from None
-    tracks_spec = values.get("tracks")
+            raise ValueError(f"config line {values[key][0]}: {exc}") from None
     config = ScenarioConfig(**kwargs)
+    tracks_spec = values.get("tracks")
     tracks = _load_tracks(tracks_spec[1] if tracks_spec else "synthetic:20", base_dir)
+    for track in tracks:
+        try:
+            TimeGrid(track.duration_seconds, config.step, config.control_step)
+        except ValueError as exc:
+            where = f"config line {values['step_s'][0]}: " if "step_s" in values else ""
+            raise ValueError(f"{where}step_s {config.step:g}, track {track.name!r}: {exc}") from None
     return config, tracks
 
 

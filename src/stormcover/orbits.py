@@ -539,41 +539,46 @@ def plane_positions(
 ) -> np.ndarray:
     """Inertial positions of the orbits of one plane at selected times.
 
-    Row q is ``eci_positions(plane[q], times)[steps]`` bit for bit, but
-    Kepler's equation runs on the selected times only, as one
+    Entry (q, l) is ``eci_positions(plane[q], times)[steps[q, l]]`` bit
+    for bit, but Kepler's equation runs on the selected times only, as one
     (orbits x steps) block whose rows each stop on their own residual
     (:func:`_solve_kepler_rows`).  The full row stops no earlier than its
     subset and, by :func:`_kepler_certified_steps`, no later than the
     certified step count, so a block row that took exactly that count
     holds the full row's bits.  Any other row, and every row of an orbit
     too eccentric for a certificate, is solved on its full row instead.
+    A row may repeat a step: a duplicate entry leaves the row's largest
+    residual, and so its stopping step, as it was.
 
     Args:
         plane: orbits sharing every element but the true anomaly
             (:func:`orbit_planes`).
         times: Absolute times, s, shape (N,), none before the epoch.
-        steps: Indices into ``times`` of the positions wanted.
+        steps: Indices into ``times`` of the positions wanted, shaped
+            (len(plane), L), one row per orbit, or (L,) for the same
+            steps on every orbit.
 
     Returns:
-        Array of shape (len(plane), len(steps), 3), km.
+        Array of shape (len(plane), L, 3), km.
     """
     if len(orbit_planes(plane)) != 1:
         raise ValueError("orbits do not share one orbit plane")
     coe = plane[0]
     e = coe.eccentricity
     dt = _elapsed(coe, times)
+    steps = np.broadcast_to(steps, (len(plane), np.shape(steps)[-1]))
     n_eff, raan, argp = secular_angles(coe, dt[steps])
     drift = n_eff * dt
     m0 = np.array([true_to_mean_anomaly(c.true_anomaly, e) for c in plane])
     need = _kepler_certified_steps(e)
     if need is None:
-        big_e = np.empty((len(plane), len(steps)))
+        big_e = np.empty(steps.shape)
         redo = range(len(plane))
     else:
         big_e, took = _solve_kepler_rows(m0[:, None] + drift[steps], e)
         redo = np.flatnonzero(took != need)
     for q in redo:
-        big_e[q] = _solve_kepler_array(m0[q] + drift, e)[steps]
+        big_e[q] = _solve_kepler_array(m0[q] + drift, e)[steps[q]]
     return _positions(coe, big_e, raan, argp)
 
 

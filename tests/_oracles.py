@@ -621,6 +621,50 @@ def slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_ma
     return visible
 
 
+def plane_screen_visibility(
+    slots, targets, grid, fov, orbit_planes, secular_angles, plane_positions, visibility_mask
+) -> np.ndarray:
+    """The library's slot visibility with its screen across the orbit plane
+    only: a step is dropped for every slot of a plane when the target's
+    angle from the plane's great circle exceeds the cone's reach (plus a
+    1e-6 rad margin), and each plane's slots are positioned and tested on
+    all the steps left.  The library's kernels are passed in, so a
+    comparison isolates the screen along the plane, bit for bit."""
+    targets = np.asarray(targets, dtype=float)
+    times = np.arange(grid.num_steps, dtype=float) * grid.step
+    rho = np.linalg.norm(targets, axis=1)
+    unit = targets / rho[:, None]
+    column = targets[:, None, :]
+    half = fov.half_angle
+    n_slots = len(slots[0]) if len(slots) else 0
+    visible = np.zeros((len(slots), n_slots, grid.num_steps), dtype=bool)
+    for k, slot_list in enumerate(slots):
+        for plane in orbit_planes(slot_list):
+            coe = slot_list[plane[0]]
+            p, e = coe.semi_latus_rectum, coe.eccentricity
+            if p / (1.0 + e) <= R_EARTH:
+                kept = np.arange(grid.num_steps)
+            else:
+                _, raan, _ = secular_angles(coe, times - coe.epoch)
+                si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
+                sin_off = np.abs(si * (np.sin(raan) * unit[:, 0] - np.cos(raan) * unit[:, 1]) + ci * unit[:, 2])
+                off_plane = np.arcsin(np.minimum(sin_off, 1.0))
+                apoapsis = p / (1.0 - e)
+                q = np.minimum(rho, R_EARTH)
+                edge = apoapsis * math.sin(half)
+                horizon = np.arccos(q / apoapsis) + np.arccos(q / rho)
+                cone = np.arcsin(np.minimum(edge / rho, 1.0)) - half
+                reach = np.where(edge < q, np.minimum(cone, horizon), horizon)
+                kept = np.flatnonzero(~(off_plane > reach + 1e-6))
+            if not kept.size:
+                continue
+            pos = plane_positions([slot_list[j] for j in plane], times, kept)
+            targets_block = np.tile(column[kept], (len(plane), 1, 1))
+            seen = visibility_mask(pos.reshape(-1, 3), targets_block, half)
+            visible[k, np.array(plane)[:, None], kept] = seen.reshape(len(plane), kept.size)
+    return visible
+
+
 # ---------------------------------------------------------------------------
 # Reward / coverage oracles
 # ---------------------------------------------------------------------------

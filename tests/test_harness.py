@@ -287,6 +287,37 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 1: bad models.*unknown"):
             parse_config("models = B,WAT\n")
 
+    @pytest.mark.parametrize("value", ["-5", "0", "inf", "nan"])
+    def test_step_not_positive_and_finite_cites_line(self, value):
+        with pytest.raises(ValueError, match="config line 2: step_s must be positive and finite"):
+            parse_config(f"fov_deg = 30\nstep_s = {value}\n")
+
+    def test_step_not_dividing_the_control_step_cites_line(self):
+        with pytest.raises(ValueError, match="config line 1: control_step_s 1800 is not a positive multiple of step_s 7"):
+            parse_config("step_s = 7\n")
+
+    def test_mismatched_pair_cites_the_step_line(self):
+        with pytest.raises(ValueError, match="config line 2: control_step_s 1000 is not a positive multiple of step_s 300"):
+            parse_config("control_step_s = 1000\nstep_s = 300\n")
+        with pytest.raises(ValueError, match="config line 1: control_step_s 150 is not a positive multiple"):
+            parse_config("step_s = 300\ncontrol_step_s = 150\n")
+
+    def test_step_and_control_step_read_as_a_pair(self):
+        config, _ = parse_config("step_s = 600\ncontrol_step_s = 1200\ntracks = synthetic:1\n")
+        assert (config.step, config.control_step) == (600.0, 1200.0)
+
+    def test_track_not_a_multiple_of_the_step_cites_line_and_track(self):
+        # 2.75 days is 237,600 s, not a whole number of 7 s steps
+        with pytest.raises(ValueError, match=r"config line 2: step_s 7, track 'synth-01': duration 237600.0 s is not a positive multiple of step 7.0 s"):
+            parse_config("control_step_s = 700\nstep_s = 7\ntracks = synthetic:2\n")
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_bad_budget_cites_line(self, value):
+        # nan < 0 is False, so a nan budget once priced every transfer
+        # infeasible and scored P1 at exactly B's reward
+        with pytest.raises(ValueError, match="config line 1: budget_km_s must be non-negative"):
+            parse_config(f"budget_km_s = {value}\n")
+
     def test_bad_synthetic_count(self):
         with pytest.raises(ValueError, match="bad synthetic track count"):
             parse_config("tracks = synthetic:many\n")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from _oracles import StateVector, coe_to_state, is_visible, target_pointing
-from stormcover import orbits
+from stormcover import orbits, visibility
 from stormcover.harness import ScenarioConfig, _TrackWorkspace, default_corpus
 from stormcover.orbits import (
     EARTH,
@@ -21,6 +21,7 @@ from stormcover.orbits import (
     eci_positions,
     geodetic_to_eci,
     j2_mean_motion,
+    mean_to_true_anomaly,
     plane_positions,
     propagate,
     secular_angles,
@@ -270,6 +271,19 @@ def loop_oracle(slots, targets, grid, fov):
     return oracles.slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_mask)
 
 
+def plane_screen_oracle(slots, targets, grid, fov, positions=plane_positions):
+    return oracles.plane_screen_visibility(
+        slots, targets, grid, fov, orbits.orbit_planes, secular_angles, positions, visibility_mask
+    )
+
+
+def assert_matches_oracles(slots, targets, grid, fov):
+    got = slot_visibility(slots, targets, grid, fov)
+    assert np.array_equal(got, plane_screen_oracle(slots, targets, grid, fov))
+    assert np.array_equal(got, loop_oracle(slots, targets, grid, fov))
+    return got
+
+
 class TestPlaneScreen:
     """The screened slot_visibility against the per-slot loop, bit for bit."""
 
@@ -355,6 +369,32 @@ class TestPlaneKernel:
         for q, orbit in enumerate(plane):
             assert np.array_equal(got[q], eci_positions(orbit, times)[steps])
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ecc=st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.4, 0.6)),
+        n_orbits=st.integers(1, 6),
+        share=st.floats(0.0, 0.3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_padded_rows_are_rows_of_the_full_call(self, seed, ecc, n_orbits, share):
+        # ragged step lists, each padded to the widest by repeating one of
+        # its own steps, as slot_visibility builds them
+        rng = np.random.default_rng(seed)
+        coe = ClassicalOrbitalElements(
+            rng.uniform(R_E + 300.0, R_E + 2000.0) / (1.0 - ecc), ecc, rng.uniform(0.0, math.pi),
+            *rng.uniform(0.0, 2 * math.pi, 3),
+        )
+        plane = [replace(coe, true_anomaly=nu) for nu in rng.uniform(0.0, 2 * math.pi, n_orbits)]
+        times = np.arange(400) * rng.uniform(10.0, 600.0)
+        rows = [np.flatnonzero(rng.uniform(size=times.size) < share) for _ in plane]
+        rows = [r if r.size else rng.integers(0, times.size, 1) for r in rows]
+        width = max(r.size for r in rows)
+        steps = np.stack([np.concatenate([r, np.full(width - r.size, rng.choice(r))]) for r in rows])
+        got = plane_positions(plane, times, steps)
+        assert got.shape == (n_orbits, width, 3)
+        for q, orbit in enumerate(plane):
+            assert np.array_equal(got[q], eci_positions(orbit, times)[steps[q]])
+
     def test_kept_steps_that_converge_early_fall_back_to_the_full_row(self):
         # one step at M = 0: the seed is the root, so the block row stops
         # after 0 Newton steps, short of the certified count, while the
@@ -389,19 +429,22 @@ class TestPlaneKernel:
             plane_positions([coe, replace(coe, raan=0.6)], np.arange(3) * 60.0, np.arange(3))
 
 
-def edge_targets(coe, times, rho, half):
+def edge_targets(coe, times, rho, half, along=0):
     """Per step, the point at radius rho straight out of the orbit plane
-    from the satellite's nadir point, at the widest angle visibility_mask
-    still calls visible there: a scan finds the last visible angle and
-    bisection narrows it to the float where the mask flips."""
+    (or, with ``along`` +1 or -1, ahead or behind along the ground track,
+    per step where ``along`` is an array) from the
+    satellite's nadir point, at the widest angle visibility_mask still
+    calls visible there: a scan finds the last visible angle and bisection
+    narrows it to the float where the mask flips."""
     pos = eci_positions(coe, times)
     up = pos / np.linalg.norm(pos, axis=1, keepdims=True)
     _, raan, _ = secular_angles(coe, times)
     si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
     normal = np.stack([si * np.sin(raan), -si * np.cos(raan), np.full_like(raan, ci)], axis=1)
+    side = np.cross(normal, up) * np.reshape(along, (-1, 1)) if np.any(along) else normal
 
     def points(beta):
-        return (np.cos(beta)[..., None] * up[:, None] + np.sin(beta)[..., None] * normal[:, None]) * rho[:, None, None]
+        return (np.cos(beta)[..., None] * up[:, None] + np.sin(beta)[..., None] * side[:, None]) * rho[:, None, None]
 
     scan = np.linspace(0.0, math.pi, 2001)
     seen = visibility_mask(pos, points(np.broadcast_to(scan, (len(times), scan.size))), half)
@@ -413,3 +456,163 @@ def edge_targets(coe, times, rho, half):
         ok = visibility_mask(pos, points(mid[:, None]), half)[:, 0]
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return points(lo[:, None])[:, 0]
+
+
+class TestPhaseScreen:
+    """The screen along the plane against the plane-screen-only path and
+    the per-slot loop, bit for bit."""
+
+    @pytest.mark.parametrize("fov_deg", [30.0, 45.0])
+    def test_corpus_matches_plane_screen_oracle(self, fov_deg):
+        config = ScenarioConfig(fov_half_angle=fov_deg * DEG)
+        for track in default_corpus(20):
+            ws = _TrackWorkspace(track, config)
+            for grid in ("phasing", "unrestricted"):
+                slots = ws.grid_slots(grid)
+                got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
+                want = plane_screen_oracle(slots, ws.table, ws.grid_for(1), config.fov)
+                assert np.array_equal(got, want), (track.name, grid)
+
+    def test_positions_few_of_the_plane_kept_cells(self, monkeypatch):
+        # synth-11 at 30 deg: the plane screen alone positions every kept
+        # step of every slot on the plane; both screens, under a tenth
+        track = default_corpus(20)[10]
+        config = ScenarioConfig(fov_half_angle=30 * DEG)
+        ws = _TrackWorkspace(track, config)
+        cells = {"plane": 0, "both": 0}
+
+        def counting(key):
+            def positions(plane, times, steps):
+                cells[key] += len(plane) * np.shape(steps)[-1]
+                return plane_positions(plane, times, steps)
+
+            return positions
+
+        monkeypatch.setattr(visibility, "plane_positions", counting("both"))
+        for grid in ("phasing", "unrestricted"):
+            slots = ws.grid_slots(grid)
+            got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
+            want = plane_screen_oracle(slots, ws.table, ws.grid_for(1), config.fov, counting("plane"))
+            assert np.array_equal(got, want)
+        assert 0 < cells["both"] < 0.1 * cells["plane"]
+
+    @given(
+        a_km=st.floats(R_E + 150.0, R_E + 40000.0),
+        ecc=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+        inc=st.floats(0.0, math.pi),
+        raan=st.floats(0.0, 2 * math.pi),
+        argp=st.floats(0.0, 2 * math.pi),
+        nu=st.floats(0.0, 2 * math.pi),
+        half=st.floats(1e-4, math.pi / 2 - 1e-6),
+        step=st.floats(30.0, 900.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_targets_at_the_ground_track_edge(self, a_km, ecc, inc, raan, argp, nu, half, step, seed):
+        # each step's target lies on slot 0's ground track, at the last
+        # in-plane angle the mask still sees, ahead or behind
+        a_km = max(a_km, (R_E + 150.0) / (1.0 - ecc))
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(duration=24 * step, step=step, control_step=step)
+        plane = [ClassicalOrbitalElements(a_km, ecc, inc, raan, argp, nu + q * 2.1) for q in range(3)]
+        times = np.arange(grid.num_steps) * grid.step
+        rho = R_E + rng.choice([0.0, 0.0, 1.0, 100.0], size=grid.num_steps) * rng.uniform(0.0, 1.0, grid.num_steps)
+        targets = edge_targets(plane[0], times, rho, half, along=rng.choice([-1.0, 1.0], grid.num_steps))
+        slots = [plane, [replace(plane[0], raan=raan + 0.5, true_anomaly=nu + q) for q in range(3)]]
+        fov = FovSpec(half)
+        got = assert_matches_oracles(slots, targets, grid, fov)
+        assert got[0, 0].all()
+
+    @given(
+        a_km=st.floats(R_E + 150.0, 45000.0),
+        height=st.floats(0.0, 100.0),
+        half=st.floats(1e-3, math.pi / 2 - 1e-6),
+        south=st.booleans(),
+        nu=st.floats(0.0, 2 * math.pi),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_polar_targets_under_equatorial_orbits(self, a_km, height, half, south, nu):
+        # the target is pi/2 from every point of the plane, where the
+        # in-plane bound is clamped and a high orbit's reach passes pi/2
+        grid = TimeGrid(duration=3600.0 * 24, step=3600.0, control_step=3600.0)
+        slots = [[ClassicalOrbitalElements(a_km, 0.0, 0.0, 0.0, 0.0, nu + q * 1.3) for q in range(4)]]
+        pole = np.array([0.0, 0.0, -1.0 if south else 1.0]) * (R_E + height)
+        assert_matches_oracles(slots, np.tile(pole, (grid.num_steps, 1)), grid, FovSpec(half))
+
+    def test_geostationary_ring_sees_a_raised_pole(self):
+        grid = TimeGrid(duration=3600.0 * 24, step=3600.0, control_step=3600.0)
+        slots = [[ClassicalOrbitalElements(42164.0, 0.0, 0.0, 0.0, 0.0, q * 1.3) for q in range(4)]]
+        pole = np.tile([0.0, 0.0, R_E + 100.0], (grid.num_steps, 1))
+        assert assert_matches_oracles(slots, pole, grid, FovSpec(30 * DEG)).all()
+        ground = np.tile([0.0, 0.0, R_E], (grid.num_steps, 1))
+        assert not assert_matches_oracles(slots, ground, grid, FovSpec(30 * DEG)).any()
+
+    @given(
+        ecc=st.sampled_from([0.3, 0.45, 0.5, 0.55, 0.7]),
+        perigee_km=st.floats(R_E + 150.0, R_E + 5000.0),
+        inc=st.floats(0.0, math.pi),
+        raan=st.floats(0.0, 2 * math.pi),
+        argp=st.floats(0.0, 2 * math.pi),
+        nu=st.floats(0.0, 2 * math.pi),
+        half=st.floats(1e-3, math.pi / 2 - 1e-6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_eccentric_orbits_either_side_of_the_skip(self, ecc, perigee_km, inc, raan, argp, nu, half, seed):
+        rng = np.random.default_rng(seed)
+        coe = ClassicalOrbitalElements(perigee_km / (1.0 - ecc), ecc, inc, raan, argp, nu)
+        grid = TimeGrid(duration=48 * 600.0, step=600.0, control_step=600.0)
+        times = np.arange(grid.num_steps) * grid.step
+        plane = [replace(coe, true_anomaly=nu + q * 0.9) for q in range(7)]
+        rho = np.full(grid.num_steps, R_E)
+        targets = edge_targets(coe, times, rho, half, along=rng.choice([-1.0, 0.0, 1.0]))
+        scatter = rng.normal(0.0, 1.0, (grid.num_steps, 3))
+        pick = rng.uniform(size=grid.num_steps) < 0.5
+        targets[pick] = (scatter / np.linalg.norm(scatter, axis=1, keepdims=True) * R_E)[pick]
+        fov = FovSpec(half)
+        assert_matches_oracles([plane], targets, grid, fov)
+        unit = targets / np.linalg.norm(targets, axis=1, keepdims=True)
+        kept, reach = visibility._kept_steps(coe, times, unit, rho, half)
+        cells = visibility._phase_cells(plane, times, unit, kept, reach)
+        if ecc > visibility._PHASE_SCREEN_MAX_ECC:
+            assert cells.all()
+
+    def test_screen_drops_cells_below_the_skip(self):
+        coe = ClassicalOrbitalElements((R_E + 600.0) / 0.5, 0.5, 1.0, 0.3, 0.2, 0.0)
+        plane = [replace(coe, true_anomaly=q * 0.9) for q in range(7)]
+        times = np.arange(48) * 600.0
+        pos = eci_positions(coe, times)
+        unit = pos / np.linalg.norm(pos, axis=1, keepdims=True)
+        rho = np.full(times.size, R_E)
+        kept, reach = visibility._kept_steps(coe, times, unit, rho, 10 * DEG)
+        assert kept.size == times.size
+        cells = visibility._phase_cells(plane, times, unit, kept, reach)
+        assert cells[0].all() and not cells.all()
+        with mock.patch.object(visibility, "_PHASE_SCREEN_MAX_ECC", 0.49):
+            assert visibility._phase_cells(plane, times, unit, kept, reach).all()
+
+    def test_cells_near_perigee_fall_back_to_the_full_row(self):
+        # eight steps per anomalistic orbit and the slot 3e-3 rad past
+        # perigee at step 0, with each step's target at the perigee point:
+        # only every eighth step survives, each within 5e-3 rad of the
+        # apsis, where Newton converges a step before the certified count
+        coe = ClassicalOrbitalElements(R_E + 700.0, 0.002, 1.0, 0.5, 0.0, mean_to_true_anomaly(3e-3, 0.002))
+        step = 2 * math.pi / j2_mean_motion(coe) / 8
+        grid = TimeGrid(duration=64 * step, step=step, control_step=step)
+        times = np.arange(grid.num_steps) * grid.step
+        _, raan, argp = secular_angles(coe, times)
+        ci, si = math.cos(coe.inclination), math.sin(coe.inclination)
+        node = np.stack([np.cos(raan), np.sin(raan), np.zeros_like(raan)], axis=1)
+        ahead = np.stack([-np.sin(raan) * ci, np.cos(raan) * ci, np.full_like(raan, si)], axis=1)
+        targets = (np.cos(argp)[:, None] * node + np.sin(argp)[:, None] * ahead) * R_E
+        fov = FovSpec(0.1)
+        need = orbits._kepler_certified_steps(coe.eccentricity)
+        mean = orbits.true_to_mean_anomaly(coe.true_anomaly, coe.eccentricity) + j2_mean_motion(coe) * times
+        assert orbits._solve_kepler_rows(mean[None, ::8], coe.eccentricity)[1][0] < need
+        assert orbits._solve_kepler_rows(mean[None, :], coe.eccentricity)[1][0] == need
+        with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
+            got = slot_visibility([[coe]], targets, grid, fov)
+        assert full_row.call_count == 1
+        assert np.array_equal(got, plane_screen_oracle([[coe]], targets, grid, fov))
+        assert np.array_equal(got, loop_oracle([[coe]], targets, grid, fov))
+        assert np.array_equal(np.flatnonzero(got[0, 0]), np.arange(0, grid.num_steps, 8))
