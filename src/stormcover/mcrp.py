@@ -299,13 +299,18 @@ def _cell_words(visible: np.ndarray, act: np.ndarray) -> np.ndarray:
     Cells are numbered in (stage, step, target) order, so stage s owns one
     contiguous bit range.  Each satellite's (J, W) rows are packed once and
     ANDed with a word mask per stage range; the unpacked rows die here.
+    When every cell is active, as with one active target per step, the
+    rows are the (J, S T_s P) reshape of the satellite's slots, which is a
+    view of a (K, J, T) array's slot rows, so nothing is gathered.
     """
     n_stages, n_sats, n_slots = visible.shape[:3]
     stage_words = _pack_words(np.nonzero(act)[0] == np.arange(n_stages)[:, None])  # (S, W64)
     words = np.empty((n_sats, n_stages, n_slots, stage_words.shape[-1]), dtype=np.uint64)
+    every = act.all()
     for k in range(n_sats):
-        rows = _pack_words(np.transpose(visible[:, k], (1, 0, 2, 3))[:, act])  # (J, W64)
-        np.bitwise_and(rows, stage_words[:, None], out=words[k])
+        rows = np.transpose(visible[:, k], (1, 0, 2, 3))
+        rows = rows.reshape(n_slots, -1) if every else rows[:, act]
+        np.bitwise_and(_pack_words(rows), stage_words[:, None], out=words[k])  # (J, W64) rows
     return words
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +39,8 @@ __all__ = [
     "secular_angles",
     "eci_positions",
     "orbit_planes",
-    "plane_positions",
+    "OrbitTable",
+    "cell_positions",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -277,13 +278,19 @@ def _solve_kepler_array(mean_anomaly: np.ndarray, eccentricity: float) -> np.nda
     return _solve_kepler_rows(np.asarray(mean_anomaly, dtype=float)[None, :], eccentricity)[0][0]
 
 
-def _solve_kepler_rows(mean_anomaly: np.ndarray, eccentricity: float) -> tuple[np.ndarray, np.ndarray]:
-    """Newton solve of Kepler's equation on (R, N) rows, each stopped on its own residual.
+def _solve_kepler_rows(
+    mean_anomaly: np.ndarray, eccentricity: float | np.ndarray, starts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton solve of Kepler's equation on rows, each stopped on its own residual.
 
-    A row iterates until its largest residual is below ``KEPLER_TOL``,
-    exactly as :func:`_solve_kepler_array` does for the single row it is
-    given, so a row's bits do not depend on the other rows.  Entries of a
-    row still off after ``KEPLER_MAX_ITER`` steps are solved by bisection.
+    The rows are those of a 2-D ``mean_anomaly`` or, given ``starts``, the
+    runs of a 1-D one that begin at each of those ascending indices (every
+    run non-empty).  ``eccentricity`` is one value or, for runs, one per
+    entry, equal along a run.  A row iterates until its largest residual
+    is below ``KEPLER_TOL``, exactly as :func:`_solve_kepler_array` does
+    for the single row it is given, so a row's bits do not depend on the
+    other rows.  Entries of a row still off after ``KEPLER_MAX_ITER``
+    steps are solved by bisection.
 
     Returns:
         (E in [0, 2*pi) shaped like ``mean_anomaly``, the Newton steps each
@@ -291,24 +298,29 @@ def _solve_kepler_rows(mean_anomaly: np.ndarray, eccentricity: float) -> tuple[n
         a row that went on to bisection).
     """
     m = np.mod(mean_anomaly, TWO_PI)
+    if starts is None:
+        rows, width = m.shape
+        if not m.size:
+            return m, np.zeros(rows, dtype=int)
+        big_e, steps = _solve_kepler_rows(m.ravel(), eccentricity, np.arange(0, m.size, width))
+        return big_e.reshape(m.shape), steps
     e = eccentricity
     big_e = np.where(m > math.pi, m + e, m)
-    steps = np.full(m.shape[0], KEPLER_MAX_ITER)
-    live = np.arange(m.shape[0])
+    steps = np.full(starts.size, KEPLER_MAX_ITER)
+    live = slice(None)  # the entries of rows still iterating
     for n in range(KEPLER_MAX_ITER):
-        x = big_e[live]
-        f = x - e * np.sin(x) - m[live]
-        done = np.max(np.abs(f), axis=1, initial=0.0) < KEPLER_TOL
-        if done.any():
-            steps[live[done]] = n
-            live, x, f = live[~done], x[~done], f[~done]
-            if not live.size:
+        f = big_e - e * np.sin(big_e) - m
+        stop = (np.maximum.reduceat(np.abs(f), starts) < KEPLER_TOL) & (steps == KEPLER_MAX_ITER)
+        if stop.any():
+            steps[stop] = n
+            if not (steps == KEPLER_MAX_ITER).any():
                 return np.mod(big_e, TWO_PI), steps
-        big_e[live] = x - f / (1.0 - e * np.cos(x))
-    x, mm = big_e[live], m[live]
-    off = ~(np.abs(x - e * np.sin(x) - mm) < KEPLER_TOL)
-    x[off] = _bisect_kepler(mm[off], e)
-    big_e[live] = x
+            live = np.repeat(steps == KEPLER_MAX_ITER, np.diff(starts, append=m.size))
+        big_e[live] -= (f / (1.0 - e * np.cos(big_e)))[live]
+    # a stopped row's residuals are all below the tolerance, so only the
+    # rows still iterating have entries off
+    off = ~(np.abs(big_e - e * np.sin(big_e) - m) < KEPLER_TOL)
+    big_e[off] = _bisect_kepler(m[off], np.broadcast_to(e, m.shape)[off])
     return np.mod(big_e, TWO_PI), steps
 
 
@@ -338,9 +350,9 @@ def _kepler_certified_steps(eccentricity: float) -> int | None:
 
     The bound is tight up to e of about 0.3 and loose above it: at
     e = 0.5 and 0.6 it certifies 6 and 9 steps, where the worst of 20,000
-    random mean anomalies stopped after 5.  Every block row of such an
-    orbit takes fewer steps than certified, so :func:`plane_positions`
-    solves it a second time on its full row.
+    random mean anomalies stopped after 5.  Every row of such an orbit
+    takes fewer steps than certified, so :func:`cell_positions` solves it
+    a second time on its full row.
     """
     e = eccentricity
     rate = e / (2.0 * (1.0 - e))
@@ -489,10 +501,9 @@ def geodetic_to_eci(point: GeodeticPoint, t: float) -> np.ndarray:
 def secular_angles(coe: ClassicalOrbitalElements, dt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """J2 mean motion, RAAN and argument of periapsis after ``dt`` seconds.
 
-    The secular part of :func:`eci_positions`, shared with
-    :func:`plane_positions` and the plane screen in
-    :mod:`stormcover.visibility`; none depends on the true anomaly, so
-    every slot on one orbit plane gets the same arrays.
+    The secular part of :func:`eci_positions`.  None depends on the true
+    anomaly, so every slot on one orbit plane gets the same arrays;
+    :class:`OrbitTable` holds the same constants for many orbits.
 
     Returns:
         (n_eff in rad/s, RAAN array, argument-of-periapsis array), the
@@ -521,7 +532,9 @@ def eci_positions(coe: ClassicalOrbitalElements, times: np.ndarray) -> np.ndarra
     e = coe.eccentricity
     n_eff, raan, argp = secular_angles(coe, dt)
     m0 = true_to_mean_anomaly(coe.true_anomaly, e)
-    return _positions(coe, _solve_kepler_array(m0 + n_eff * dt, e), raan, argp)
+    big_e = _solve_kepler_array(m0 + n_eff * dt, e)
+    i = coe.inclination
+    return _positions(e, coe.semi_latus_rectum, math.cos(i), math.sin(i), big_e, raan, argp)
 
 
 def orbit_planes(orbits: Sequence[ClassicalOrbitalElements]) -> list[list[int]]:
@@ -534,52 +547,92 @@ def orbit_planes(orbits: Sequence[ClassicalOrbitalElements]) -> list[list[int]]:
     return list(groups.values())
 
 
-def plane_positions(
-    plane: Sequence[ClassicalOrbitalElements], times: np.ndarray, steps: np.ndarray
-) -> np.ndarray:
-    """Inertial positions of the orbits of one plane at selected times.
+class OrbitTable(NamedTuple):
+    """What :func:`eci_positions` derives from each of R orbits before it
+    reads a time, one (R,) array per field, in the same arithmetic, so
+    every position built from it carries the same bits.  Indexing the
+    fields with one integer gives one orbit's scalars (:meth:`take`).
+    """
 
-    Entry (q, l) is ``eci_positions(plane[q], times)[steps[q, l]]`` bit
-    for bit, but Kepler's equation runs on the selected times only, as one
-    (orbits x steps) block whose rows each stop on their own residual
-    (:func:`_solve_kepler_rows`).  The full row stops no earlier than its
-    subset and, by :func:`_kepler_certified_steps`, no later than the
-    certified step count, so a block row that took exactly that count
-    holds the full row's bits.  Any other row, and every row of an orbit
-    too eccentric for a certificate, is solved on its full row instead.
-    A row may repeat a step: a duplicate entry leaves the row's largest
-    residual, and so its stopping step, as it was.
+    epoch: np.ndarray
+    eccentricity: np.ndarray
+    semi_latus_rectum: np.ndarray
+    cos_i: np.ndarray
+    sin_i: np.ndarray
+    n_eff: np.ndarray  # J2 mean motion, rad/s
+    raan: np.ndarray  # at epoch; drifts at raan_rate
+    raan_rate: np.ndarray
+    argp: np.ndarray  # at epoch; drifts at argp_rate
+    argp_rate: np.ndarray
+    certified: np.ndarray  # _kepler_certified_steps, -1 for none
+    mean_anomaly: np.ndarray  # at epoch
+
+    @classmethod
+    def of(cls, orbits: Sequence[ClassicalOrbitalElements], planes: Sequence[Sequence[int]]) -> "OrbitTable":
+        """The table of ``orbits``, a non-empty sequence.  Everything but
+        the mean anomaly is computed once per orbit plane, for the groups
+        of indices into ``orbits`` in ``planes`` (as :func:`orbit_planes`
+        groups them)."""
+        plane = np.empty(len(orbits), dtype=int)
+        shared = []
+        for q, group in enumerate(planes):
+            plane[group] = q
+            c = orbits[group[0]]
+            need = _kepler_certified_steps(c.eccentricity)
+            shared.append((
+                c.epoch, c.eccentricity, c.semi_latus_rectum, math.cos(c.inclination), math.sin(c.inclination),
+                j2_mean_motion(c), c.raan, j2_raan_rate(c), c.arg_periapsis, j2_arg_periapsis_rate(c),
+                -1 if need is None else need,
+            ))
+        mean_anomaly = np.array([true_to_mean_anomaly(c.true_anomaly, c.eccentricity) for c in orbits])
+        return cls(*(np.array(column)[plane] for column in zip(*shared)), mean_anomaly)
+
+    def take(self, index) -> "OrbitTable":
+        """The orbits at ``index``: an index array, or one integer for scalars."""
+        return OrbitTable(*(field[index] for field in self))
+
+
+def cell_positions(orbits: OrbitTable, which: np.ndarray, times: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Inertial positions of many orbits, each at its own selected times.
+
+    Cell i is ``eci_positions(orbit which[i], times)[steps[i]]`` bit for
+    bit, but Kepler's equation runs on the cells alone, as one ragged
+    solve whose rows, the runs of equal ``which``, each stop on their own
+    largest residual (:func:`_solve_kepler_rows`).  An orbit's full row
+    stops no earlier than its subset and, by
+    :func:`_kepler_certified_steps`, no later than the certified step
+    count, so a run that took exactly that count holds the full row's
+    bits.  Any other run, and every run of an orbit too eccentric for a
+    certificate, is solved on its orbit's full row instead.  A run may
+    repeat a step: a duplicate leaves the run's largest residual, and so
+    its stopping step, as it was.  Keeping each orbit's cells in one run
+    keeps the rows, and the full-row solves, to one per orbit.
 
     Args:
-        plane: orbits sharing every element but the true anomaly
-            (:func:`orbit_planes`).
-        times: Absolute times, s, shape (N,), none before the epoch.
-        steps: Indices into ``times`` of the positions wanted, shaped
-            (len(plane), L), one row per orbit, or (L,) for the same
-            steps on every orbit.
+        orbits: the orbits' constants (:class:`OrbitTable`).
+        which: (N,) index into ``orbits`` of each cell.
+        times: Absolute times, s, shape (T,), none before any epoch.
+        steps: (N,) index into ``times`` of each cell.
 
     Returns:
-        Array of shape (len(plane), L, 3), km.
+        Array of shape (N, 3), km.
     """
-    if len(orbit_planes(plane)) != 1:
-        raise ValueError("orbits do not share one orbit plane")
-    coe = plane[0]
-    e = coe.eccentricity
-    dt = _elapsed(coe, times)
-    steps = np.broadcast_to(steps, (len(plane), np.shape(steps)[-1]))
-    n_eff, raan, argp = secular_angles(coe, dt[steps])
-    drift = n_eff * dt
-    m0 = np.array([true_to_mean_anomaly(c.true_anomaly, e) for c in plane])
-    need = _kepler_certified_steps(e)
-    if need is None:
-        big_e = np.empty(steps.shape)
-        redo = range(len(plane))
-    else:
-        big_e, took = _solve_kepler_rows(m0[:, None] + drift[steps], e)
-        redo = np.flatnonzero(took != need)
-    for q in redo:
-        big_e[q] = _solve_kepler_array(m0[q] + drift, e)[steps[q]]
-    return _positions(coe, big_e, raan, argp)
+    times = np.asarray(times, dtype=float)
+    if times.size and float(times.min() - orbits.epoch.max()) < -1e-9:
+        raise ValueError("times precede the element epoch")
+    if not np.size(which):
+        return np.empty((0, 3))
+    starts = np.flatnonzero(np.diff(which, prepend=-1))
+    ends = np.append(starts[1:], len(which))
+    c = orbits.take(which)
+    dt = times[steps] - c.epoch
+    big_e, took = _solve_kepler_rows(c.mean_anomaly + c.n_eff * dt, c.eccentricity, starts)
+    for r in np.flatnonzero(took != c.certified[starts]):
+        q, run = which[starts[r]], slice(starts[r], ends[r])
+        full = orbits.mean_anomaly[q] + orbits.n_eff[q] * (times - orbits.epoch[q])
+        big_e[run] = _solve_kepler_array(full, orbits.eccentricity[q])[steps[run]]
+    raan, argp = c.raan + c.raan_rate * dt, c.argp + c.argp_rate * dt
+    return _positions(c.eccentricity, c.semi_latus_rectum, c.cos_i, c.sin_i, big_e, raan, argp)
 
 
 def _elapsed(coe: ClassicalOrbitalElements, times: np.ndarray) -> np.ndarray:
@@ -591,21 +644,24 @@ def _elapsed(coe: ClassicalOrbitalElements, times: np.ndarray) -> np.ndarray:
 
 
 def _positions(
-    coe: ClassicalOrbitalElements, big_e: np.ndarray, raan: np.ndarray, argp: np.ndarray
+    e: float | np.ndarray,
+    p: float | np.ndarray,
+    cos_i: float | np.ndarray,
+    sin_i: float | np.ndarray,
+    big_e: np.ndarray,
+    raan: np.ndarray,
+    argp: np.ndarray,
 ) -> np.ndarray:
-    """Inertial positions on ``coe``'s orbit shape from eccentric anomalies
-    and drifted RAAN and argument of periapsis, all broadcast together."""
-    e = coe.eccentricity
+    """Inertial positions from the orbit shape (e, p, cos i, sin i),
+    eccentric anomalies and drifted RAAN and argument of periapsis, all
+    broadcast together."""
     nu = np.mod(np.arctan2(np.sqrt(1.0 - e * e) * np.sin(big_e), np.cos(big_e) - e), TWO_PI)
-    p = coe.semi_latus_rectum
     r_mag = p / (1.0 + e * np.cos(nu))
     u = argp + nu
     cu, su = np.cos(u), np.sin(u)
     co, so = np.cos(raan), np.sin(raan)
-    ci = math.cos(coe.inclination)
-    si = math.sin(coe.inclination)
     out = np.empty(u.shape + (3,), dtype=float)
-    out[..., 0] = r_mag * (co * cu - so * su * ci)
-    out[..., 1] = r_mag * (so * cu + co * su * ci)
-    out[..., 2] = r_mag * (su * si)
+    out[..., 0] = r_mag * (co * cu - so * su * cos_i)
+    out[..., 1] = r_mag * (so * cu + co * su * cos_i)
+    out[..., 2] = r_mag * (su * sin_i)
     return out

@@ -10,49 +10,57 @@ uses the vectorised mask it is built from.
 Nearly every cell of that array is False: a slot grid carries one phase
 comb per orbit plane, and at most steps the target lies far off the
 plane's ground track, or far along it from the slot.
-:func:`slot_visibility` therefore screens each plane twice before it
-propagates anything.  Both screens bound the central angle between a
-slot's sub-satellite point and the target from below and drop a cell when
-that bound exceeds the cone's reach: the smaller of the cone limit
-asin(r sin(eta) / rho) - eta (while the cone's edge misses the limb) and
-the horizon limit acos(q / r) + acos(q / rho), q = min(rho, R_E), at the
-apoapsis radius r = p / (1 - e) and the target's own radius rho.
+:func:`slot_visibility` therefore screens the cells before it propagates
+anything, in one pass over the grid.  Both screens bound the central angle
+between a slot's sub-satellite point and the target from below and drop a
+cell when that bound exceeds the cone's reach (:func:`_reach`): the
+smaller of the cone limit asin(r sin(eta) / rho) - eta (while the cone's
+edge misses the limb) and the horizon limit acos(q / r) + acos(q / rho),
+q = min(rho, R_E), at the apoapsis radius r = p / (1 - e) and the
+target's own radius rho.  The reach depends on the orbit only through r,
+so it is computed once per distinct apoapsis.
 
-- Across the plane (:func:`_kept_steps`): a satellite sits on the
-  plane's great circle, so the target's angle from that circle bounds
-  the central angle, and a step is dropped for every slot on the plane.
-- Along the plane (:func:`_phase_cells`): the in-plane angle between the
-  slot and the target's projection bounds it too, up to pi/2.  The slot's
-  argument of latitude comes from its mean anomaly, without a Kepler
-  solve, widened by the largest equation of centre.
+- Across the plane (:func:`_kept_steps`, one plane at a time): a
+  satellite sits on the plane's great circle, so the target's angle from
+  that circle bounds the central angle, and a step is dropped for every
+  slot on the plane.
+- Along the plane (:func:`_phase_cells`, one satellite at a time): the
+  in-plane angle between the slot and the target's projection bounds it
+  too, up to pi/2.  The slot's argument of latitude comes from its mean
+  anomaly, without a Kepler solve, widened by the largest equation of
+  centre, so the slots a step keeps are those whose mean anomaly at epoch
+  falls in one window, found by a binary search among the plane's slots.
 
 A 1e-6 rad margin is added to the reach because :func:`visibility_mask`
-decides points on that boundary from rounded floats.  Each plane's slots
-are then propagated and tested as one block of the cells that survive
-both screens, one row per slot.  Kepler's equation runs on those cells
-too: a Newton loop over fewer entries can stop a step earlier and move
-bits, so the plane kernel (:func:`~stormcover.orbits.plane_positions`)
-keeps a block row only when it took the step count after which every
-entry provably converges, and solves the slot's full row otherwise.  The
-array is bit-identical to testing every step.
+decides points on that boundary from rounded floats.  The J2 constants of
+each plane and the mean anomaly at epoch of each slot are computed once,
+into an :class:`~stormcover.orbits.OrbitTable` that both screens and the
+kernel read.  Every cell of the grid left by both screens is then
+positioned by one :func:`~stormcover.orbits.cell_positions` call, one
+ragged row per slot, and tested by one :func:`visibility_mask` call.
+Kepler's equation runs on those cells only: a Newton loop over fewer
+entries can stop a step earlier and move bits, so the kernel keeps a row
+only when it took the step count after which every entry provably
+converges, and solves the slot's full row otherwise.  The array is
+bit-identical to testing every step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .orbits import (
     EARTH,
     ClassicalOrbitalElements,
+    OrbitTable,
     TimeGrid,
+    cell_positions,
     orbit_planes,
-    plane_positions,
-    secular_angles,
-    true_to_mean_anomaly,
 )
 
 __all__ = [
@@ -136,19 +144,12 @@ def visibility_mask(
     return in_cone & ~blocked & (dd > 0.0)
 
 
-def _kept_steps(
-    coe: ClassicalOrbitalElements,
-    times: np.ndarray,
-    unit: np.ndarray,
-    rho: np.ndarray,
-    half_angle: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Steps at which a slot on ``coe``'s plane may see its target, and the reach there.
+def _reach(apoapsis: float, rho: np.ndarray, half_angle: float) -> np.ndarray:
+    """Widest central angle, per step, at which the nadir cone of a
+    satellite at radius ``apoapsis`` sees a point at the target's radius
+    rho unblocked.
 
-    The target's angle from the plane's great circle is tested against the
-    widest central angle at which the nadir cone of a satellite at radius
-    r sees a point at the target's radius rho unblocked.  With
-    q = min(rho, R_E), the radius of the sphere that blocks the view:
+    With q = min(rho, R_E), the radius of the sphere that blocks the view:
 
     - horizon limit: acos(q / r) + acos(q / rho), where the line of sight
       grazes that sphere;
@@ -158,48 +159,57 @@ def _kept_steps(
       horizon and only the horizon limits.
 
     The reach is the smaller of the two.  Both grow with r, so the apoapsis
-    radius p / (1 - e) bounds every point of the orbit.  A plane whose
-    perigee does not clear the Earth is not screened, and its reach is
-    infinite.
-
-    Returns:
-        (indices of the kept steps, the reach in rad at each of them).
+    radius p / (1 - e) bounds every point of the orbit.
     """
-    p, e = coe.semi_latus_rectum, coe.eccentricity
-    if p / (1.0 + e) <= EARTH.radius_km:
-        return np.arange(len(times)), np.full(len(times), np.inf)
-    _, raan, _ = secular_angles(coe, times - coe.epoch)
-    si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
-    # |normal . unit| with the plane normal (si sin O, -si cos O, ci)
-    sin_off = np.abs(si * (np.sin(raan) * unit[:, 0] - np.cos(raan) * unit[:, 1]) + ci * unit[:, 2])
-    off_plane = np.arcsin(np.minimum(sin_off, 1.0))
-
-    apoapsis = p / (1.0 - e)
     q = np.minimum(rho, EARTH.radius_km)
     edge = apoapsis * math.sin(half_angle)
     horizon = np.arccos(q / apoapsis) + np.arccos(q / rho)
     cone = np.arcsin(np.minimum(edge / rho, 1.0)) - half_angle
-    reach = np.where(edge < q, np.minimum(cone, horizon), horizon)
+    return np.where(edge < q, np.minimum(cone, horizon), horizon)
+
+
+def _kept_steps(
+    plane: OrbitTable, times: np.ndarray, unit: np.ndarray, reach_at: Callable[[float], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps at which a slot on one orbit plane may see its target, and the reach there.
+
+    ``plane`` is one orbit's row of an :class:`~stormcover.orbits.OrbitTable`
+    and ``reach_at`` gives :func:`_reach` at an apoapsis radius.  The
+    target's angle from the plane's great circle, from the J2-drifted node
+    as :func:`~stormcover.orbits.eci_positions` drifts it, is tested
+    against the reach at the plane's apoapsis.  A plane whose perigee does
+    not clear the Earth is not screened, and its reach is infinite.
+
+    Returns:
+        (indices of the kept steps, the reach in rad at each of them).
+    """
+    p, e = plane.semi_latus_rectum, plane.eccentricity
+    if p / (1.0 + e) <= EARTH.radius_km:
+        return np.arange(len(times)), np.full(len(times), np.inf)
+    raan = plane.raan + plane.raan_rate * (times - plane.epoch)
+    # |normal . unit| with the plane normal (si sin O, -si cos O, ci)
+    sin_off = np.abs(plane.sin_i * (np.sin(raan) * unit[:, 0] - np.cos(raan) * unit[:, 1]) + plane.cos_i * unit[:, 2])
+    off_plane = np.arcsin(np.minimum(sin_off, 1.0))
+    reach = reach_at(p / (1.0 - e))
     # a NaN (a target at the Earth's centre) compares False and is kept
     kept = np.flatnonzero(~(off_plane > reach + _SCREEN_MARGIN))
     return kept, reach[kept]
 
 
-def _centre_bound(e: float) -> float:
+def _centre_bound(e: np.ndarray) -> np.ndarray:
     """Largest |nu - M| at eccentricity e: e + 2 asin(e / (1 + sqrt(1 - e^2)))."""
-    return e + 2.0 * math.asin(e / (1.0 + math.sqrt(1.0 - e * e)))
+    return e + 2.0 * np.arcsin(e / (1.0 + np.sqrt(1.0 - e * e)))
 
 
 def _phase_cells(
-    plane: Sequence[ClassicalOrbitalElements],
+    orbits: OrbitTable,
+    planes: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
     times: np.ndarray,
     unit: np.ndarray,
-    kept: np.ndarray,
-    reach: np.ndarray,
-) -> np.ndarray:
-    """Which (slot, kept step) cells of one plane the in-plane screen keeps.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which cells of one satellite's slots the in-plane screen keeps.
 
-    In the plane's frame, with node N = (cos O, sin O, 0),
+    In a plane's frame, with node N = (cos O, sin O, 0),
     Q = (-sin O cos i, cos O cos i, sin i) and normal W = N x Q, the target
     direction is cos(off) (cos u_t N + sin u_t Q) + sin(off) W, where off
     is its angle from the plane (:func:`_kept_steps`) and
@@ -221,34 +231,70 @@ def _phase_cells(
       which is at most asin(beta).
 
     So a cell with min(max(|wrap(u_t - omega - M)| - C(e), 0), pi/2) above
-    the reach plus the 1e-6 rad margin cannot be visible.  The margin holds
-    this screen's rounding as well as the mask's.  M is the float the plane
-    kernel solves, whose Newton stop leaves E within 1e-12 / (1 - e) of the
-    root, and d nu / dE <= sqrt((1 + e) / (1 - e)), so at e <= 0.5 the
-    solved nu is within 1e-11 rad of the nu above.  u_t is within 1e-7 rad
-    of its own angle where cos(off) >= 1e-7; where the projection is
-    shorter, off and so d are within 1e-7 of pi/2, which bounds the clamped
-    term.  Above e = 0.5 every cell is kept: C(e) passes 1 rad, so the
-    screen drops little, and the Kepler error grows as (1 - e)^(-3/2).
+    the reach plus the 1e-6 rad margin cannot be visible.  While that limit
+    is below pi/2, the cells kept are exactly the slots whose M_0 lies on
+    the circle within C(e) + limit of u_t - omega - n_bar dt, a window
+    found by one binary search per (plane, kept step) pair among the
+    plane's slots sorted by M_0; at or above pi/2, or where the window
+    would span the circle, every slot of the plane is kept.  The margin
+    holds this screen's rounding as well as the mask's.  The window's
+    centre and the search keys (M_0 plus 8 pi per plane) are rounded
+    within about 1e-11 rad while n_bar dt stays below 1e4 rad (some 100
+    days in low orbit).  :func:`~stormcover.orbits.cell_positions` solves
+    M = M_0 + n_bar dt in floats, its Newton stop leaves E within
+    1e-12 / (1 - e) of the root, and d nu / dE <= sqrt((1 + e) / (1 - e)),
+    so at e <= 0.5 the solved nu is within 1e-11 rad of the nu above.  u_t is within 1e-7 rad of its own
+    angle where cos(off) >= 1e-7; where the projection is shorter, off and
+    so d are within 1e-7 of pi/2, which bounds the clamped term.  Above
+    e = 0.5 every cell is kept (C(e) counts as infinite): C(e) passes
+    1 rad, so the screen drops little, and the Kepler error grows as
+    (1 - e)^(-3/2).
+
+    Args:
+        orbits: the constants of every slot (:class:`OrbitTable`).
+        planes: one satellite's orbit planes with kept steps, each as (the
+            indices into ``orbits`` of its slots, the steps
+            :func:`_kept_steps` kept, the reach at them).
 
     Returns:
-        Boolean (len(plane), len(kept)) mask of the cells that may be seen.
+        (slot, step) index arrays of the cells kept, each slot's cells
+        together and in step order.
     """
-    coe = plane[0]
-    e = coe.eccentricity
-    if e > _PHASE_SCREEN_MAX_ECC:
-        return np.ones((len(plane), kept.size), dtype=bool)
-    dt = times[kept] - coe.epoch
-    n_eff, raan, argp = secular_angles(coe, dt)
+    size = np.array([kept.size for _, kept, _ in planes])
+    n_slots = np.array([len(slots) for slots, _, _ in planes])
+    plane = np.repeat(np.arange(len(planes)), size)
+    step = np.concatenate([kept for _, kept, _ in planes])
+    limit = np.concatenate([reach for _, _, reach in planes]) + _SCREEN_MARGIN
+    pair = orbits.take(np.array([slots[0] for slots, _, _ in planes])[plane])
+    dt = times[step] - pair.epoch
+    raan = pair.raan + pair.raan_rate * dt
     co, so = np.cos(raan), np.sin(raan)
-    ci, si = math.cos(coe.inclination), math.sin(coe.inclination)
-    x, y, z = unit[kept].T
-    u_target = np.arctan2(ci * (y * co - x * so) + si * z, x * co + y * so)
-    m0 = np.array([true_to_mean_anomaly(c.true_anomaly, e) for c in plane])
-    mean_lat = argp + (m0[:, None] + n_eff * dt)
-    gap = np.abs(np.mod(u_target - mean_lat + math.pi, 2.0 * math.pi) - math.pi)
-    lower = np.minimum(np.maximum(gap - _centre_bound(e), 0.0), math.pi / 2.0)
-    return ~(lower > reach + _SCREEN_MARGIN)
+    x, y, z = unit[step].T
+    u_target = np.arctan2(pair.cos_i * (y * co - x * so) + pair.sin_i * z, x * co + y * so)
+    e = pair.eccentricity
+    half = np.minimum(np.where(e > _PHASE_SCREEN_MAX_ECC, np.inf, _centre_bound(e)) + limit, math.pi)
+    # each plane's slots sorted by M_0 in [0, 2 pi), then again 2 pi on,
+    # planes 8 pi apart, so that one search finds a window that wraps
+    slots = np.concatenate([slots for slots, _, _ in planes])
+    key = np.repeat(np.arange(len(planes)) * 8.0 * math.pi, n_slots) + orbits.mean_anomaly[slots]
+    key = np.concatenate([key, key + 2.0 * math.pi])
+    order = np.argsort(key, kind="stable")
+    key, ring = key[order], np.concatenate([slots, slots])[order]
+    centre = u_target - (pair.argp + pair.argp_rate * dt) - pair.n_eff * dt
+    lo = np.mod(centre - half, 2.0 * math.pi) + plane * 8.0 * math.pi
+    start = np.searchsorted(key, lo)
+    end = np.searchsorted(key, lo + 2.0 * half, side="right")
+    # a NaN limit (a target at the Earth's centre) keeps every slot too
+    every = ~((half < math.pi) & (limit < math.pi / 2.0))
+    first = 2 * (np.cumsum(n_slots) - n_slots)[plane]
+    start = np.where(every, first, start)
+    count = np.where(every, n_slots[plane], end - start)
+    cell = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    slot = ring[cell]
+    # each slot's cells together; a slot lies on one plane, whose pairs
+    # are in step order
+    order = np.argsort(slot, kind="stable")
+    return slot[order], np.repeat(step, count)[order]
 
 
 def slot_visibility(
@@ -259,25 +305,25 @@ def slot_visibility(
 ) -> np.ndarray:
     """Nadir-cone visibility of each step's active target from every slot.
 
-    Each satellite's slots are grouped by orbit plane.  For each plane and
-    step, the plane's normal (from the J2-drifted RAAN, by the arithmetic
-    of :func:`~stormcover.orbits.eci_positions`) gives the target's angle
-    from the plane's great circle.  The step is dropped for every slot on
-    the plane when that angle exceeds the cone's unblocked reach
-    (:func:`_kept_steps`) at the apoapsis radius p / (1 - e) and the
-    target's own radius, plus a 1e-6 rad margin for the rounding of
-    :func:`visibility_mask`.  On the steps left, a slot's cell is dropped
-    when its in-plane angle from the target, bounded from the mean anomaly
-    and the largest equation of centre, exceeds the same reach
-    (:func:`_phase_cells`).
+    One pass over the whole slot grid.  The J2 constants of each
+    satellite's orbit planes and every slot's mean anomaly at epoch are
+    computed once (:class:`~stormcover.orbits.OrbitTable`), and the cone's
+    reach (:func:`_reach`) once per distinct apoapsis radius.  Each plane
+    is then screened across the plane (:func:`_kept_steps`): a step is
+    dropped for every slot on the plane when the target's angle from the
+    plane's great circle exceeds the reach, plus a 1e-6 rad margin for the
+    rounding of :func:`visibility_mask`.  Each satellite's slots are then
+    screened along their planes at the steps left (:func:`_phase_cells`):
+    a cell is dropped when its in-plane angle from the target, bounded
+    from the mean anomaly and the largest equation of centre, exceeds the
+    same reach, so each step keeps the slots whose mean anomaly at epoch
+    falls in one window of the plane's slots sorted by it.
 
-    Each plane then makes one :func:`~stormcover.orbits.plane_positions`
-    call and one :func:`visibility_mask` call over its surviving cells,
-    one row per slot, each row padded to the widest by repeating its own
-    first step.  The plane kernel solves Kepler's equation on those cells
-    alone and holds each row to its full row's bits by a certified Newton
-    step count, solving the full row only where the certificate fails, so
-    the result is bit-identical to testing every step of every slot.
+    Every cell of the grid that survives both screens is positioned by one
+    :func:`~stormcover.orbits.cell_positions` call, with each slot's cells
+    as one ragged Newton row held to its full row's bits by a certified
+    step count, and tested by one :func:`visibility_mask` call.  The result
+    is bit-identical to testing every step of every slot.
 
     Args:
         slots: slots[k] lists the candidate orbits of satellite k; every
@@ -296,25 +342,31 @@ def slot_visibility(
     n_slots = {len(slot_list) for slot_list in slots}
     if len(n_slots) > 1:
         raise ValueError(f"satellites list unequal slot counts {sorted(n_slots)}")
+    n_slot = n_slots.pop() if n_slots else 0
+    visible = np.zeros((len(slots), n_slot, grid.num_steps), dtype=bool)
+    if not visible.size:
+        return visible
     times = np.arange(grid.num_steps, dtype=float) * grid.step
     rho = np.linalg.norm(targets, axis=1)
     unit = targets / rho[:, None]
-    visible = np.zeros((len(slots), n_slots.pop() if n_slots else 0, grid.num_steps), dtype=bool)
-    for k, slot_list in enumerate(slots):
-        for plane in orbit_planes(slot_list):
-            orbits = [slot_list[j] for j in plane]
-            kept, reach = _kept_steps(orbits[0], times, unit, rho, fov.half_angle)
-            cells = _phase_cells(orbits, times, unit, kept, reach)
-            rows = np.flatnonzero(cells.any(axis=1))
-            if not rows.size:
-                continue
-            cells = cells[rows]
-            count = cells.sum(axis=1)
-            # each row's kept columns first, padded with its first one
-            cols = np.argsort(~cells, axis=1, kind="stable")[:, : count.max()]
-            cols = np.where(np.arange(cols.shape[1]) < count[:, None], cols, cols[:, :1])
-            steps = kept[cols]
-            pos = plane_positions([orbits[r] for r in rows], times, steps)
-            seen = visibility_mask(pos.reshape(-1, 3), targets[steps.reshape(-1), None], fov.half_angle)
-            visible[k, np.array(plane)[rows, None], steps] = seen.reshape(steps.shape)
+    reach_at = functools.cache(lambda apoapsis: _reach(apoapsis, rho, fov.half_angle))
+    # each satellite's orbit planes, as indices into the flattened grid
+    by_sat = [
+        [[k * n_slot + j for j in plane] for plane in orbit_planes(slot_list)]
+        for k, slot_list in enumerate(slots)
+    ]
+    orbits = OrbitTable.of([c for slot_list in slots for c in slot_list], [g for sat in by_sat for g in sat])
+    which, steps = [], []
+    for planes in by_sat:
+        screened = [(group, *_kept_steps(orbits.take(group[0]), times, unit, reach_at)) for group in planes]
+        screened = [plane for plane in screened if plane[1].size]
+        if screened:
+            slot, step = _phase_cells(orbits, screened, times, unit)
+            which.append(slot)
+            steps.append(step)
+    if which:
+        which, steps = np.concatenate(which), np.concatenate(steps)
+        pos = cell_positions(orbits, which, times, steps)
+        seen = visibility_mask(pos, targets[steps, None], fov.half_angle)
+        visible.reshape(-1, grid.num_steps)[which, steps] = seen[:, 0]
     return visible

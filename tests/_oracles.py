@@ -621,6 +621,26 @@ def slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_ma
     return visible
 
 
+def _plane_kept_steps(coe, times, unit, rho, half, secular_angles):
+    """(kept steps, reach at them) of the screen across one orbit plane, as
+    the library computed it for each plane on its own."""
+    p, e = coe.semi_latus_rectum, coe.eccentricity
+    if p / (1.0 + e) <= R_EARTH:
+        return np.arange(len(times)), np.full(len(times), np.inf)
+    _, raan, _ = secular_angles(coe, times - coe.epoch)
+    si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
+    sin_off = np.abs(si * (np.sin(raan) * unit[:, 0] - np.cos(raan) * unit[:, 1]) + ci * unit[:, 2])
+    off_plane = np.arcsin(np.minimum(sin_off, 1.0))
+    apoapsis = p / (1.0 - e)
+    q = np.minimum(rho, R_EARTH)
+    edge = apoapsis * math.sin(half)
+    horizon = np.arccos(q / apoapsis) + np.arccos(q / rho)
+    cone = np.arcsin(np.minimum(edge / rho, 1.0)) - half
+    reach = np.where(edge < q, np.minimum(cone, horizon), horizon)
+    kept = np.flatnonzero(~(off_plane > reach + 1e-6))
+    return kept, reach[kept]
+
+
 def plane_screen_visibility(
     slots, targets, grid, fov, orbit_planes, secular_angles, plane_positions, visibility_mask
 ) -> np.ndarray:
@@ -641,27 +661,95 @@ def plane_screen_visibility(
     for k, slot_list in enumerate(slots):
         for plane in orbit_planes(slot_list):
             coe = slot_list[plane[0]]
-            p, e = coe.semi_latus_rectum, coe.eccentricity
-            if p / (1.0 + e) <= R_EARTH:
-                kept = np.arange(grid.num_steps)
-            else:
-                _, raan, _ = secular_angles(coe, times - coe.epoch)
-                si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
-                sin_off = np.abs(si * (np.sin(raan) * unit[:, 0] - np.cos(raan) * unit[:, 1]) + ci * unit[:, 2])
-                off_plane = np.arcsin(np.minimum(sin_off, 1.0))
-                apoapsis = p / (1.0 - e)
-                q = np.minimum(rho, R_EARTH)
-                edge = apoapsis * math.sin(half)
-                horizon = np.arccos(q / apoapsis) + np.arccos(q / rho)
-                cone = np.arcsin(np.minimum(edge / rho, 1.0)) - half
-                reach = np.where(edge < q, np.minimum(cone, horizon), horizon)
-                kept = np.flatnonzero(~(off_plane > reach + 1e-6))
+            kept, _ = _plane_kept_steps(coe, times, unit, rho, half, secular_angles)
             if not kept.size:
                 continue
             pos = plane_positions([slot_list[j] for j in plane], times, kept)
             targets_block = np.tile(column[kept], (len(plane), 1, 1))
             seen = visibility_mask(pos.reshape(-1, 3), targets_block, half)
             visible[k, np.array(plane)[:, None], kept] = seen.reshape(len(plane), kept.size)
+    return visible
+
+
+def plane_positions(orbits, plane, times, steps) -> np.ndarray:
+    """The library's position kernel for the orbits of one plane, as it ran
+    before one kernel call positioned a whole slot grid, kept as the
+    reference for it.  Entry (q, l) is
+    ``eci_positions(plane[q], times)[steps[q, l]]``: Kepler's equation runs
+    as one (orbits x steps) block whose rows each stop on their own
+    residual, and a row that took other than the certified Newton step
+    count, or any row of an orbit with no certificate, is solved again on
+    its full row.  ``steps`` is (len(plane), L), or (L,) for every orbit.
+    The library's ``orbits`` module is passed in for its kernels."""
+    if len(orbits.orbit_planes(plane)) != 1:
+        raise ValueError("orbits do not share one orbit plane")
+    coe = plane[0]
+    e = coe.eccentricity
+    dt = orbits._elapsed(coe, times)
+    steps = np.broadcast_to(steps, (len(plane), np.shape(steps)[-1]))
+    n_eff, raan, argp = orbits.secular_angles(coe, dt[steps])
+    drift = n_eff * dt
+    m0 = np.array([orbits.true_to_mean_anomaly(c.true_anomaly, e) for c in plane])
+    need = orbits._kepler_certified_steps(e)
+    if need is None:
+        big_e = np.empty(steps.shape)
+        redo = range(len(plane))
+    else:
+        big_e, took = orbits._solve_kepler_rows(m0[:, None] + drift[steps], e)
+        redo = np.flatnonzero(took != need)
+    for q in redo:
+        big_e[q] = orbits._solve_kepler_array(m0[q] + drift, e)[steps[q]]
+    i = coe.inclination
+    return orbits._positions(e, coe.semi_latus_rectum, math.cos(i), math.sin(i), big_e, raan, argp)
+
+
+def per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask) -> np.ndarray:
+    """The library's slot visibility as it ran one orbit plane at a time,
+    kept as the reference for the pass over the whole grid.  Each plane is
+    screened across the plane, then each of its slots along it (from the
+    mean anomaly, widened by the largest equation of centre, skipped above
+    e = 0.5), and the surviving cells are positioned by
+    :func:`plane_positions`, one row per slot padded to the widest by
+    repeating the row's first step, and tested.  The library's ``orbits``
+    module and ``visibility_mask`` are passed in."""
+    targets = np.asarray(targets, dtype=float)
+    times = np.arange(grid.num_steps, dtype=float) * grid.step
+    rho = np.linalg.norm(targets, axis=1)
+    unit = targets / rho[:, None]
+    n_slots = len(slots[0]) if len(slots) else 0
+    visible = np.zeros((len(slots), n_slots, grid.num_steps), dtype=bool)
+    for k, slot_list in enumerate(slots):
+        for plane in orbits.orbit_planes(slot_list):
+            group = [slot_list[j] for j in plane]
+            coe = group[0]
+            e = coe.eccentricity
+            kept, reach = _plane_kept_steps(coe, times, unit, rho, fov.half_angle, orbits.secular_angles)
+            if e > 0.5:
+                cells = np.ones((len(group), kept.size), dtype=bool)
+            else:
+                dt = times[kept] - coe.epoch
+                n_eff, raan, argp = orbits.secular_angles(coe, dt)
+                co, so = np.cos(raan), np.sin(raan)
+                ci, si = math.cos(coe.inclination), math.sin(coe.inclination)
+                x, y, z = unit[kept].T
+                u_target = np.arctan2(ci * (y * co - x * so) + si * z, x * co + y * so)
+                m0 = np.array([orbits.true_to_mean_anomaly(c.true_anomaly, e) for c in group])
+                mean_lat = argp + (m0[:, None] + n_eff * dt)
+                gap = np.abs(np.mod(u_target - mean_lat + math.pi, 2.0 * math.pi) - math.pi)
+                centre = e + 2.0 * math.asin(e / (1.0 + math.sqrt(1.0 - e * e)))
+                lower = np.minimum(np.maximum(gap - centre, 0.0), math.pi / 2.0)
+                cells = ~(lower > reach + 1e-6)
+            rows = np.flatnonzero(cells.any(axis=1))
+            if not rows.size:
+                continue
+            cells = cells[rows]
+            count = cells.sum(axis=1)
+            cols = np.argsort(~cells, axis=1, kind="stable")[:, : count.max()]
+            cols = np.where(np.arange(cols.shape[1]) < count[:, None], cols, cols[:, :1])
+            steps = kept[cols]
+            pos = plane_positions(orbits, [group[r] for r in rows], times, steps)
+            seen = visibility_mask(pos.reshape(-1, 3), targets[steps.reshape(-1), None], fov.half_angle)
+            visible[k, np.array(plane)[rows, None], steps] = seen.reshape(steps.shape)
     return visible
 
 
@@ -737,6 +825,20 @@ def instance_words_dense(visible: np.ndarray, pi: np.ndarray, n_slots: int) -> t
     pad = (-bits.shape[-1]) % 8
     bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
     return np.ascontiguousarray(bits).view(np.uint64), masks
+
+
+def cell_words_gather(visible: np.ndarray, act: np.ndarray, pack_words) -> np.ndarray:
+    """(K, S, J, W64) cell words as the library built them before it read
+    a fully active instance's rows as a reshape: every satellite's rows
+    gathered through the boolean ``act`` mask, packed by the library's
+    ``pack_words`` and ANDed with each stage's word range."""
+    n_stages, n_sats, n_slots = visible.shape[:3]
+    stage_words = pack_words(np.nonzero(act)[0] == np.arange(n_stages)[:, None])
+    words = np.empty((n_sats, n_stages, n_slots, stage_words.shape[-1]), dtype=np.uint64)
+    for k in range(n_sats):
+        rows = pack_words(np.transpose(visible[:, k], (1, 0, 2, 3))[:, act])
+        np.bitwise_and(rows, stage_words[:, None], out=words[k])
+    return words
 
 
 def instance_frontiers_loop(inst) -> tuple[list, list, list]:

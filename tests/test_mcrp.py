@@ -492,6 +492,33 @@ class TestCellWords:
             rewards = RewardMatrix(pi=np.zeros_like(rewards.pi), coverage_req=rewards.coverage_req)
         self._assert_match(tensor, rewards, costs)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sats=st.integers(1, 3),
+        n_stages=st.integers(1, 4),
+        n_slots=st.integers(1, 6),
+        t_stage=st.integers(1, 40),
+        n_points=st.integers(1, 3),
+        density=st.sampled_from([1.0, 0.5, 0.05]),
+        empty_stage=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_words_match_the_gather_path(
+        self, seed, n_sats, n_stages, n_slots, t_stage, n_points, density, empty_stage
+    ):
+        # the (S, K, J, T_s, P) view the harness hands over, of a (K, J, T)
+        # array when P = 1, and active masks full, sparse or with a stage
+        # that has no active cell
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(size=(n_sats, n_slots, n_stages, t_stage, n_points)) < 0.3
+        visible = base.transpose(2, 0, 1, 3, 4)
+        act = rng.uniform(size=(n_stages, t_stage, n_points)) < density
+        if empty_stage:
+            act[rng.integers(n_stages)] = False
+        got = mcrp._cell_words(visible, act)
+        want = oracles.cell_words_gather(visible, act, mcrp._pack_words)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_synth_20_u2_matches_dense_oracle(self, synth_20_u2_30):
         self._assert_match(*synth_20_u2_30)
 

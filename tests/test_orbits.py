@@ -98,6 +98,22 @@ class TestKepler:
             else:
                 assert steps[q] == 0
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eccs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 0.95)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ragged_rows_match_whole_row_newton_oracle(self, seed, eccs):
+        # runs of unequal length, each with its own eccentricity
+        rng = np.random.default_rng(seed)
+        rows = [rng.uniform(-20.0, 20.0, rng.integers(1, 30)) for _ in eccs]
+        starts = np.cumsum([0] + [r.size for r in rows[:-1]])
+        e = np.repeat(eccs, [r.size for r in rows])
+        big_e, steps = _solve_kepler_rows(np.concatenate(rows), e, starts)
+        for q, (m, ecc) in enumerate(zip(rows, eccs)):
+            want, took = oracles.kepler_newton_row(m, ecc, _bisect_kepler)
+            assert np.array_equal(big_e[starts[q] : starts[q] + m.size], want) and steps[q] == took
+
     def test_rows_finish_diverging_entries_like_the_oracle(self):
         e = 0.8944656812042917
         m = np.array([[4.938412173144684, 1.0], [3.0, 6.0]])

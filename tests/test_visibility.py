@@ -17,12 +17,13 @@ from stormcover.orbits import (
     EARTH,
     ClassicalOrbitalElements,
     GeodeticPoint,
+    OrbitTable,
     TimeGrid,
+    cell_positions,
     eci_positions,
     geodetic_to_eci,
     j2_mean_motion,
     mean_to_true_anomaly,
-    plane_positions,
     propagate,
     secular_angles,
 )
@@ -271,14 +272,23 @@ def loop_oracle(slots, targets, grid, fov):
     return oracles.slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_mask)
 
 
+def plane_positions(plane, times, steps):
+    return oracles.plane_positions(orbits, plane, times, steps)
+
+
 def plane_screen_oracle(slots, targets, grid, fov, positions=plane_positions):
     return oracles.plane_screen_visibility(
         slots, targets, grid, fov, orbits.orbit_planes, secular_angles, positions, visibility_mask
     )
 
 
+def per_plane_oracle(slots, targets, grid, fov):
+    return oracles.per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask)
+
+
 def assert_matches_oracles(slots, targets, grid, fov):
     got = slot_visibility(slots, targets, grid, fov)
+    assert np.array_equal(got, per_plane_oracle(slots, targets, grid, fov))
     assert np.array_equal(got, plane_screen_oracle(slots, targets, grid, fov))
     assert np.array_equal(got, loop_oracle(slots, targets, grid, fov))
     return got
@@ -346,8 +356,26 @@ class TestPlaneScreen:
         assert np.array_equal(got, loop_oracle([[coe]], targets, grid, fov))
 
 
+def table_of(orbit_list):
+    return OrbitTable.of(orbit_list, orbits.orbit_planes(orbit_list))
+
+
+def random_orbit(rng, ecc):
+    return ClassicalOrbitalElements(
+        rng.uniform(R_E + 300.0, R_E + 2000.0) / (1.0 - ecc), ecc, rng.uniform(0.0, math.pi),
+        *rng.uniform(0.0, 2 * math.pi, 3),
+    )
+
+
+def runs(step_lists):
+    """(which, steps) of cell_positions with one run per step list."""
+    which = np.repeat(np.arange(len(step_lists)), [len(s) for s in step_lists])
+    return which, np.concatenate([np.asarray(s, dtype=int) for s in step_lists])
+
+
 class TestPlaneKernel:
-    """plane_positions against each orbit's full eci_positions row, bit for bit."""
+    """The grid kernel, cell_positions, against each orbit's full
+    eci_positions row, bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -357,17 +385,16 @@ class TestPlaneKernel:
     )
     @settings(max_examples=100, deadline=None)
     def test_rows_are_rows_of_the_full_call(self, seed, ecc, n_orbits, share):
+        # orbits on different planes and of different shapes in one call
         rng = np.random.default_rng(seed)
-        coe = ClassicalOrbitalElements(
-            rng.uniform(R_E + 300.0, R_E + 2000.0), ecc, rng.uniform(0.0, math.pi), *rng.uniform(0.0, 2 * math.pi, 3)
-        )
-        plane = [replace(coe, true_anomaly=nu) for nu in rng.uniform(0.0, 2 * math.pi, n_orbits)]
+        plane = [random_orbit(rng, ecc * rng.uniform()) for _ in range(n_orbits)]
         times = np.arange(500) * rng.uniform(10.0, 600.0)
         steps = np.flatnonzero(rng.uniform(size=times.size) < share)
-        got = plane_positions(plane, times, steps)
-        assert got.shape == (n_orbits, steps.size, 3)
+        which, cells = runs([steps] * n_orbits)
+        got = cell_positions(table_of(plane), which, times, cells)
+        assert got.shape == (n_orbits * steps.size, 3)
         for q, orbit in enumerate(plane):
-            assert np.array_equal(got[q], eci_positions(orbit, times)[steps])
+            assert np.array_equal(got[which == q], eci_positions(orbit, times)[steps])
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -378,27 +405,24 @@ class TestPlaneKernel:
     @settings(max_examples=100, deadline=None)
     def test_padded_rows_are_rows_of_the_full_call(self, seed, ecc, n_orbits, share):
         # ragged step lists, each padded to the widest by repeating one of
-        # its own steps, as slot_visibility builds them
+        # its own steps, which leaves a run's stopping step as it was
         rng = np.random.default_rng(seed)
-        coe = ClassicalOrbitalElements(
-            rng.uniform(R_E + 300.0, R_E + 2000.0) / (1.0 - ecc), ecc, rng.uniform(0.0, math.pi),
-            *rng.uniform(0.0, 2 * math.pi, 3),
-        )
+        coe = random_orbit(rng, ecc)
         plane = [replace(coe, true_anomaly=nu) for nu in rng.uniform(0.0, 2 * math.pi, n_orbits)]
         times = np.arange(400) * rng.uniform(10.0, 600.0)
         rows = [np.flatnonzero(rng.uniform(size=times.size) < share) for _ in plane]
         rows = [r if r.size else rng.integers(0, times.size, 1) for r in rows]
         width = max(r.size for r in rows)
         steps = np.stack([np.concatenate([r, np.full(width - r.size, rng.choice(r))]) for r in rows])
-        got = plane_positions(plane, times, steps)
-        assert got.shape == (n_orbits, width, 3)
+        which, cells = runs(steps)
+        got = cell_positions(table_of(plane), which, times, cells).reshape(n_orbits, width, 3)
         for q, orbit in enumerate(plane):
             assert np.array_equal(got[q], eci_positions(orbit, times)[steps[q]])
 
     def test_kept_steps_that_converge_early_fall_back_to_the_full_row(self):
-        # one step at M = 0: the seed is the root, so the block row stops
-        # after 0 Newton steps, short of the certified count, while the
-        # full row needs the certified count
+        # one step at M = 0: the seed is the root, so the row stops after
+        # 0 Newton steps, short of the certified count, while the full row
+        # needs the certified count
         coe = ClassicalOrbitalElements(R_E + 700.0, 0.01, 1.0, 0.5, 0.0, 0.0)
         times = np.arange(200) * 60.0
         steps = np.array([0])
@@ -407,9 +431,21 @@ class TestPlaneKernel:
         assert orbits._solve_kepler_rows(m_full[None, steps], coe.eccentricity)[1][0] == 0 < need
         assert orbits._solve_kepler_rows(m_full[None, :], coe.eccentricity)[1][0] == need
         with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
-            got = plane_positions([coe], times, steps)
+            got = cell_positions(table_of([coe]), np.zeros(1, dtype=int), times, steps)
         assert full_row.call_count == 1
-        assert np.array_equal(got[0], eci_positions(coe, times)[steps])
+        assert np.array_equal(got, eci_positions(coe, times)[steps])
+
+    def test_one_run_falls_back_among_runs_that_pass(self):
+        coe = ClassicalOrbitalElements(R_E + 700.0, 0.01, 1.0, 0.5, 0.0, 0.0)
+        others = [replace(coe, true_anomaly=1.0), replace(coe, raan=2.0, true_anomaly=3.0)]
+        table = table_of([others[0], coe, others[1]])
+        times = np.arange(200) * 60.0
+        which, steps = runs([np.arange(0, 200, 3), [0], np.arange(1, 200, 5)])
+        with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
+            got = cell_positions(table, which, times, steps)
+        assert full_row.call_count == 1
+        for q, orbit in enumerate([others[0], coe, others[1]]):
+            assert np.array_equal(got[which == q], eci_positions(orbit, times)[steps[which == q]])
 
     def test_orbit_without_certificate_solves_every_full_row(self):
         coe = ClassicalOrbitalElements(4.0 * R_E, 0.7, 1.0, 0.5, 0.2, 0.0)
@@ -418,15 +454,16 @@ class TestPlaneKernel:
         times = np.arange(300) * 120.0
         steps = np.arange(0, 300, 7)
         with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
-            got = plane_positions(plane, times, steps)
+            which, cells = runs([steps] * 3)
+            got = cell_positions(table_of(plane), which, times, cells).reshape(3, -1, 3)
         assert full_row.call_count == len(plane)
         for q, orbit in enumerate(plane):
             assert np.array_equal(got[q], eci_positions(orbit, times)[steps])
 
-    def test_orbits_off_the_plane_rejected(self):
-        coe = ClassicalOrbitalElements(R_E + 700.0, 0.0, 1.0, 0.5, 0.0, 0.0)
-        with pytest.raises(ValueError, match="one orbit plane"):
-            plane_positions([coe, replace(coe, raan=0.6)], np.arange(3) * 60.0, np.arange(3))
+    def test_times_before_an_epoch_rejected(self):
+        coe = ClassicalOrbitalElements(R_E + 700.0, 0.0, 1.0, 0.5, 0.0, 0.0, epoch=120.0)
+        with pytest.raises(ValueError, match="precede"):
+            cell_positions(table_of([coe]), np.zeros(1, dtype=int), np.arange(3) * 60.0, np.array([2]))
 
 
 def edge_targets(coe, times, rho, half, along=0):
@@ -458,6 +495,19 @@ def edge_targets(coe, times, rho, half, along=0):
     return points(lo[:, None])[:, 0]
 
 
+def screened_cells(plane, times, unit, rho, half):
+    """The steps one plane's screen across it keeps, and the (slots, kept
+    steps) mask of the cells the screen along it keeps."""
+    table = table_of(plane)
+    kept, reach = visibility._kept_steps(
+        table.take(0), times, unit, lambda apoapsis: visibility._reach(apoapsis, rho, half)
+    )
+    slot, step = visibility._phase_cells(table, [(np.arange(len(plane)), kept, reach)], times, unit)
+    cells = np.zeros((len(plane), times.size), dtype=bool)
+    cells[slot, step] = True
+    return kept, cells[:, kept]
+
+
 class TestPhaseScreen:
     """The screen along the plane against the plane-screen-only path and
     the per-slot loop, bit for bit."""
@@ -481,18 +531,19 @@ class TestPhaseScreen:
         ws = _TrackWorkspace(track, config)
         cells = {"plane": 0, "both": 0}
 
-        def counting(key):
-            def positions(plane, times, steps):
-                cells[key] += len(plane) * np.shape(steps)[-1]
-                return plane_positions(plane, times, steps)
+        def counting_plane(plane, times, steps):
+            cells["plane"] += len(plane) * np.shape(steps)[-1]
+            return plane_positions(plane, times, steps)
 
-            return positions
+        def counting_grid(table, which, times, steps):
+            cells["both"] += np.size(steps)
+            return cell_positions(table, which, times, steps)
 
-        monkeypatch.setattr(visibility, "plane_positions", counting("both"))
+        monkeypatch.setattr(visibility, "cell_positions", counting_grid)
         for grid in ("phasing", "unrestricted"):
             slots = ws.grid_slots(grid)
             got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
-            want = plane_screen_oracle(slots, ws.table, ws.grid_for(1), config.fov, counting("plane"))
+            want = plane_screen_oracle(slots, ws.table, ws.grid_for(1), config.fov, counting_plane)
             assert np.array_equal(got, want)
         assert 0 < cells["both"] < 0.1 * cells["plane"]
 
@@ -572,8 +623,7 @@ class TestPhaseScreen:
         fov = FovSpec(half)
         assert_matches_oracles([plane], targets, grid, fov)
         unit = targets / np.linalg.norm(targets, axis=1, keepdims=True)
-        kept, reach = visibility._kept_steps(coe, times, unit, rho, half)
-        cells = visibility._phase_cells(plane, times, unit, kept, reach)
+        _, cells = screened_cells(plane, times, unit, rho, half)
         if ecc > visibility._PHASE_SCREEN_MAX_ECC:
             assert cells.all()
 
@@ -584,12 +634,11 @@ class TestPhaseScreen:
         pos = eci_positions(coe, times)
         unit = pos / np.linalg.norm(pos, axis=1, keepdims=True)
         rho = np.full(times.size, R_E)
-        kept, reach = visibility._kept_steps(coe, times, unit, rho, 10 * DEG)
+        kept, cells = screened_cells(plane, times, unit, rho, 10 * DEG)
         assert kept.size == times.size
-        cells = visibility._phase_cells(plane, times, unit, kept, reach)
         assert cells[0].all() and not cells.all()
         with mock.patch.object(visibility, "_PHASE_SCREEN_MAX_ECC", 0.49):
-            assert visibility._phase_cells(plane, times, unit, kept, reach).all()
+            assert screened_cells(plane, times, unit, rho, 10 * DEG)[1].all()
 
     def test_cells_near_perigee_fall_back_to_the_full_row(self):
         # eight steps per anomalistic orbit and the slot 3e-3 rad past
@@ -616,3 +665,90 @@ class TestPhaseScreen:
         assert np.array_equal(got, plane_screen_oracle([[coe]], targets, grid, fov))
         assert np.array_equal(got, loop_oracle([[coe]], targets, grid, fov))
         assert np.array_equal(np.flatnonzero(got[0, 0]), np.arange(0, grid.num_steps, 8))
+
+
+class TestGridPass:
+    """The pass over the whole slot grid against the per-plane path it
+    replaced, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sats=st.integers(1, 3),
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        eccs=st.lists(st.sampled_from([0.0, 0.002, 0.3, 0.55, 0.7]), min_size=4, max_size=4),
+        half=st.floats(0.05, 1.2),
+        subsurface=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multi_satellite_grids_match_the_per_plane_oracle(self, seed, n_sats, sizes, eccs, half, subsurface):
+        # every satellite splits the same slot count into planes of
+        # unequal size, with eccentricities either side of the phase
+        # screen's skip and of the Kepler certificate's limit; a plane
+        # whose perigee lies inside the Earth is not screened
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(duration=48 * 600.0, step=600.0, control_step=600.0)
+        times = np.arange(grid.num_steps) * grid.step
+        slots = []
+        for k in range(n_sats):
+            slot_list = []
+            for q, size in enumerate(rng.permutation(sizes + [1] * subsurface)):
+                ecc = eccs[(k + q) % len(eccs)]
+                coe = ClassicalOrbitalElements(
+                    rng.uniform(R_E + 150.0, R_E + 3000.0) / (1.0 - ecc), ecc, rng.uniform(0.0, math.pi),
+                    *rng.uniform(0.0, 2 * math.pi, 3),
+                )
+                slot_list += [replace(coe, true_anomaly=nu) for nu in rng.uniform(0.0, 2 * math.pi, size)]
+            slots.append(slot_list)
+        if subsurface:
+            slots[0][0] = ClassicalOrbitalElements(R_E + 100.0, 0.03, 1.0, *rng.uniform(0.0, 2 * math.pi, 3))
+        # edge targets of a slot above the Earth, the rest near the nadir
+        # point of a random slot
+        k, j = n_sats - 1, len(slots[0]) - 1
+        rho = R_E + rng.choice([0.0, 1.0, 100.0], size=grid.num_steps) * rng.uniform(0.0, 1.0, grid.num_steps)
+        targets = edge_targets(slots[k][j], times, rho, half, along=rng.choice([-1.0, 0.0, 1.0], grid.num_steps))
+        near = rng.uniform(size=grid.num_steps) < 0.6
+        for t in np.flatnonzero(near):
+            kk, jj = rng.integers(n_sats), rng.integers(len(slots[0]))
+            up = eci_positions(slots[kk][jj], times[t : t + 1])[0]
+            up = up / np.linalg.norm(up) + rng.normal(0.0, 0.1, 3)
+            targets[t] = up / np.linalg.norm(up) * rho[t]
+        got = assert_matches_oracles(slots, targets, grid, FovSpec(half))
+        assert got[k, j, ~near].all()
+
+    def test_one_row_falls_back_among_rows_that_pass(self):
+        # each step's target sits at the perigee point of an orbit stepped
+        # eight times per anomalistic period.  Slot 0 passes it 3e-3 rad
+        # after perigee, where Newton stops a step before the certified
+        # count; slot 1 of the second satellite, its perigee 1 rad behind,
+        # passes it 1.04 rad after its own, where Newton takes that count
+        coe = ClassicalOrbitalElements(R_E + 700.0, 0.002, 1.0, 0.5, 0.0, 0.0)
+        step = 2 * math.pi / j2_mean_motion(coe) / 8
+        grid = TimeGrid(duration=64 * step, step=step, control_step=step)
+        times = np.arange(grid.num_steps) * grid.step
+        _, raan, argp = secular_angles(coe, times)
+        ci, si = math.cos(coe.inclination), math.sin(coe.inclination)
+        node = np.stack([np.cos(raan), np.sin(raan), np.zeros_like(raan)], axis=1)
+        ahead = np.stack([-np.sin(raan) * ci, np.cos(raan) * ci, np.full_like(raan, si)], axis=1)
+        targets = (np.cos(argp)[:, None] * node + np.sin(argp)[:, None] * ahead) * R_E
+        early = replace(coe, true_anomaly=mean_to_true_anomaly(3e-3, coe.eccentricity))
+        m_late = orbits.true_to_mean_anomaly(1.04, coe.eccentricity) - math.pi / 2
+        late = replace(coe, arg_periapsis=-1.0, true_anomaly=mean_to_true_anomaly(m_late, coe.eccentricity))
+        away = replace(coe, raan=2.0)
+        slots = [[early, away], [away, late]]
+        fov = FovSpec(0.5)
+        cells = []
+
+        def counting_grid(table, which, times, steps):
+            cells.append(which)
+            return cell_positions(table, which, times, steps)
+
+        with mock.patch.object(visibility, "cell_positions", counting_grid), mock.patch.object(
+            orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array
+        ) as full_row:
+            got = slot_visibility(slots, targets, grid, fov)
+        assert full_row.call_count == 1
+        assert set(cells[0]) >= {0, 3}
+        assert np.array_equal(np.flatnonzero(got[0, 0]), np.arange(0, grid.num_steps, 8))
+        assert np.array_equal(np.flatnonzero(got[1, 1]), np.arange(2, grid.num_steps, 8))
+        assert np.array_equal(got, per_plane_oracle(slots, targets, grid, fov))
+        assert np.array_equal(got, loop_oracle(slots, targets, grid, fov))
