@@ -371,8 +371,14 @@ def parse_config(
         except ValueError as exc:
             raise ValueError(f"config line {values[key][0]}: {exc}") from None
     config = ScenarioConfig(**kwargs)
-    tracks_spec = values.get("tracks")
-    tracks = _load_tracks(tracks_spec[1] if tracks_spec else "synthetic:20", base_dir)
+    if "tracks" in values:
+        lineno, spec = values["tracks"]
+        try:
+            tracks = _load_tracks(spec, base_dir)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: bad tracks: {exc}") from None
+    else:
+        tracks = default_corpus(20)
     for track in tracks:
         try:
             TimeGrid(track.duration_seconds, config.step, config.control_step)
@@ -390,11 +396,11 @@ def _load_tracks(spec: str, base_dir: Optional[str]) -> Tuple[TcTrack, ...]:
         except ValueError:
             raise ValueError(f"bad synthetic track count {arg!r}") from None
         return default_corpus(count)
+    paths = [piece.strip() for piece in spec.split(",")]
+    if not all(paths):
+        raise ValueError("empty track path in list")
     tracks = []
-    for piece in spec.split(","):
-        path = piece.strip()
-        if not path:
-            raise ValueError("empty track path in list")
+    for path in paths:
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         with open(path, "rb") as fh:

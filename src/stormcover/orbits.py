@@ -48,9 +48,6 @@ TWO_PI = 2.0 * math.pi
 # Newton iteration settings for Kepler's equation (residual tolerance in rad).
 KEPLER_TOL = 1e-12
 KEPLER_MAX_ITER = 50
-# Allowance (rad) for floating-point rounding per Newton step, in the step
-# bound of _kepler_certified_steps.
-_KEPLER_ROUNDING = 1e-13
 
 
 @dataclass(frozen=True)
@@ -269,102 +266,55 @@ def solve_kepler(mean_anomaly: float, eccentricity: float) -> float:
 
 
 def _solve_kepler_array(mean_anomaly: np.ndarray, eccentricity: float) -> np.ndarray:
-    """Vectorized Newton solve of Kepler's equation; same seed and tolerance as the scalar path.
+    """Vectorized Newton solve of Kepler's equation, stopped for the whole array at once.
 
-    The whole array is one row of :func:`_solve_kepler_rows`: it iterates
-    until every entry converges, and entries still off after
-    ``KEPLER_MAX_ITER`` steps are solved by bisection instead.
-    """
-    return _solve_kepler_rows(np.asarray(mean_anomaly, dtype=float)[None, :], eccentricity)[0][0]
-
-
-def _solve_kepler_rows(
-    mean_anomaly: np.ndarray, eccentricity: float | np.ndarray, starts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton solve of Kepler's equation on rows, each stopped on its own residual.
-
-    The rows are those of a 2-D ``mean_anomaly`` or, given ``starts``, the
-    runs of a 1-D one that begin at each of those ascending indices (every
-    run non-empty).  ``eccentricity`` is one value or, for runs, one per
-    entry, equal along a run.  A row iterates until its largest residual
-    is below ``KEPLER_TOL``, exactly as :func:`_solve_kepler_array` does
-    for the single row it is given, so a row's bits do not depend on the
-    other rows.  Entries of a row still off after ``KEPLER_MAX_ITER``
-    steps are solved by bisection.
-
-    Returns:
-        (E in [0, 2*pi) shaped like ``mean_anomaly``, the Newton steps each
-        row took before its residual check passed; ``KEPLER_MAX_ITER`` for
-        a row that went on to bisection).
+    Same seed and tolerance as :func:`solve_kepler`, but the array
+    iterates until its largest residual is below ``KEPLER_TOL``, so an
+    entry can take Newton steps past its own convergence and its last bits
+    depend on the other entries.  Entries still off after
+    ``KEPLER_MAX_ITER`` steps are solved by bisection.
+    :func:`eci_positions`, and through it model A, reads these bits, which
+    A's reference digests pin; ROADMAP items 2 and 6 retire this loop for
+    :func:`_solve_kepler_cells` when those digests are re-recorded.
     """
     m = np.mod(mean_anomaly, TWO_PI)
-    if starts is None:
-        rows, width = m.shape
-        if not m.size:
-            return m, np.zeros(rows, dtype=int)
-        big_e, steps = _solve_kepler_rows(m.ravel(), eccentricity, np.arange(0, m.size, width))
-        return big_e.reshape(m.shape), steps
     e = eccentricity
     big_e = np.where(m > math.pi, m + e, m)
-    steps = np.full(starts.size, KEPLER_MAX_ITER)
-    live = slice(None)  # the entries of rows still iterating
-    for n in range(KEPLER_MAX_ITER):
+    for _ in range(KEPLER_MAX_ITER):
         f = big_e - e * np.sin(big_e) - m
-        stop = (np.maximum.reduceat(np.abs(f), starts) < KEPLER_TOL) & (steps == KEPLER_MAX_ITER)
-        if stop.any():
-            steps[stop] = n
-            if not (steps == KEPLER_MAX_ITER).any():
-                return np.mod(big_e, TWO_PI), steps
-            live = np.repeat(steps == KEPLER_MAX_ITER, np.diff(starts, append=m.size))
-        big_e[live] -= (f / (1.0 - e * np.cos(big_e)))[live]
-    # a stopped row's residuals are all below the tolerance, so only the
-    # rows still iterating have entries off
+        if np.all(np.abs(f) < KEPLER_TOL):
+            return np.mod(big_e, TWO_PI)
+        big_e = big_e - f / (1.0 - e * np.cos(big_e))
     off = ~(np.abs(big_e - e * np.sin(big_e) - m) < KEPLER_TOL)
-    big_e[off] = _bisect_kepler(m[off], np.broadcast_to(e, m.shape)[off])
-    return np.mod(big_e, TWO_PI), steps
+    big_e[off] = _bisect_kepler(m[off], e)
+    return np.mod(big_e, TWO_PI)
 
 
-def _kepler_certified_steps(eccentricity: float) -> int | None:
-    """Newton steps after which every row of :func:`_solve_kepler_rows` has stopped.
+def _solve_kepler_cells(mean_anomaly: np.ndarray, eccentricity: float | np.ndarray) -> np.ndarray:
+    """Vectorized Newton solve of Kepler's equation, each entry stopped on its own residual.
 
-    Returns the least n such that, at eccentricity e, the residual check
-    after n steps passes for every mean anomaly, or None when the bound
-    below proves no such n within ``KEPLER_MAX_ITER`` (e above about
-    0.618).  With g(E) = E - e sin E - M, root E* and d_n = |E_n - E*|:
-
-    - the seed error is d_0 <= 2e: E* - M = e sin E*, so the seed M is
-      within e, and the seed M + e (taken when M > pi) within 2e;
-    - Newton gives d_{n+1} <= e / (2 (1 - e)) d_n^2, because
-      |g''| = e |sin E| <= e and g' = 1 - e cos E >= 1 - e everywhere;
-    - the residual is |g(E_n)| <= (1 + e) d_n, since g' <= 1 + e;
-    - floating point adds to each step's iterate, and to the computed
-      residual, a few ulps of numbers below 8 divided by g' >= 0.38
-      (about 2e-14 where a certificate exists); ``_KEPLER_ROUNDING``
-      (1e-13) allows five times that.
-
-    So d_0 <= D_0 = 2e with D_{n+1} = e / (2 (1 - e)) D_n^2 + 1e-13, and
-    the check passes once (1 + e) D_n + 1e-13 < ``KEPLER_TOL``.  A row
-    over a subset of a longer row's entries has the same iterates and so
-    stops no later; if it took exactly the certified count, the longer
-    row stopped at that step too, and the two agree bit for bit.
-
-    The bound is tight up to e of about 0.3 and loose above it: at
-    e = 0.5 and 0.6 it certifies 6 and 9 steps, where the worst of 20,000
-    random mean anomalies stopped after 5.  Every row of such an orbit
-    takes fewer steps than certified, so :func:`cell_positions` solves it
-    a second time on its full row.
+    The stopping rule of :func:`solve_kepler`, entry by entry: an entry
+    stops once its residual is below ``KEPLER_TOL``, so its bits depend on
+    neither the other entries nor their order, and equal those of
+    :func:`_solve_kepler_array` on that entry alone.  ``eccentricity`` is
+    one value or one per entry.  Entries still off after
+    ``KEPLER_MAX_ITER`` steps are solved by bisection.
     """
-    e = eccentricity
-    rate = e / (2.0 * (1.0 - e))
-    bound = 2.0 * e
-    for n in range(KEPLER_MAX_ITER):
-        if (1.0 + e) * bound + _KEPLER_ROUNDING < KEPLER_TOL:
-            return n
-        bound = rate * bound * bound + _KEPLER_ROUNDING
-    return None
+    m = np.mod(mean_anomaly, TWO_PI)
+    e = np.broadcast_to(eccentricity, m.shape)
+    big_e = np.where(m > math.pi, m + e, m)
+    for _ in range(KEPLER_MAX_ITER):
+        f = big_e - e * np.sin(big_e) - m
+        live = ~(np.abs(f) < KEPLER_TOL)
+        if not live.any():
+            return np.mod(big_e, TWO_PI)
+        big_e = np.where(live, big_e - f / (1.0 - e * np.cos(big_e)), big_e)
+    off = ~(np.abs(big_e - e * np.sin(big_e) - m) < KEPLER_TOL)
+    big_e[off] = _bisect_kepler(m[off], e[off])
+    return np.mod(big_e, TWO_PI)
 
 
-def _bisect_kepler(m: np.ndarray, e: float) -> np.ndarray:
+def _bisect_kepler(m: np.ndarray, e: float | np.ndarray) -> np.ndarray:
     """Kepler's equation by bisection on [0, 2*pi), for M in [0, 2*pi).
 
     E - e sin E - M rises monotonically from -M at 0 to 2*pi - M, so the
@@ -528,7 +478,7 @@ def eci_positions(coe: ClassicalOrbitalElements, times: np.ndarray) -> np.ndarra
     Returns:
         Array of shape (N, 3), km.
     """
-    dt = _elapsed(coe, times)
+    dt = _elapsed(coe.epoch, times)
     e = coe.eccentricity
     n_eff, raan, argp = secular_angles(coe, dt)
     m0 = true_to_mean_anomaly(coe.true_anomaly, e)
@@ -564,7 +514,6 @@ class OrbitTable(NamedTuple):
     raan_rate: np.ndarray
     argp: np.ndarray  # at epoch; drifts at argp_rate
     argp_rate: np.ndarray
-    certified: np.ndarray  # _kepler_certified_steps, -1 for none
     mean_anomaly: np.ndarray  # at epoch
 
     @classmethod
@@ -578,11 +527,9 @@ class OrbitTable(NamedTuple):
         for q, group in enumerate(planes):
             plane[group] = q
             c = orbits[group[0]]
-            need = _kepler_certified_steps(c.eccentricity)
             shared.append((
                 c.epoch, c.eccentricity, c.semi_latus_rectum, math.cos(c.inclination), math.sin(c.inclination),
                 j2_mean_motion(c), c.raan, j2_raan_rate(c), c.arg_periapsis, j2_arg_periapsis_rate(c),
-                -1 if need is None else need,
             ))
         mean_anomaly = np.array([true_to_mean_anomaly(c.true_anomaly, c.eccentricity) for c in orbits])
         return cls(*(np.array(column)[plane] for column in zip(*shared)), mean_anomaly)
@@ -595,49 +542,34 @@ class OrbitTable(NamedTuple):
 def cell_positions(orbits: OrbitTable, which: np.ndarray, times: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Inertial positions of many orbits, each at its own selected times.
 
-    Cell i is ``eci_positions(orbit which[i], times)[steps[i]]`` bit for
-    bit, but Kepler's equation runs on the cells alone, as one ragged
-    solve whose rows, the runs of equal ``which``, each stop on their own
-    largest residual (:func:`_solve_kepler_rows`).  An orbit's full row
-    stops no earlier than its subset and, by
-    :func:`_kepler_certified_steps`, no later than the certified step
-    count, so a run that took exactly that count holds the full row's
-    bits.  Any other run, and every run of an orbit too eccentric for a
-    certificate, is solved on its orbit's full row instead.  A run may
-    repeat a step: a duplicate leaves the run's largest residual, and so
-    its stopping step, as it was.  Keeping each orbit's cells in one run
-    keeps the rows, and the full-row solves, to one per orbit.
+    Cell i is ``eci_positions(orbit which[i], times[[steps[i]]])[0]`` bit
+    for bit: Kepler's equation runs on the cells alone, each stopped on
+    its own residual (:func:`_solve_kepler_cells`), so a cell's bits
+    depend on neither the other cells nor their order.  A cell may differ
+    in its last bits from the same time inside a longer
+    :func:`eci_positions` call, whose Newton loop stops for all its times
+    at once.
 
     Args:
         orbits: the orbits' constants (:class:`OrbitTable`).
         which: (N,) index into ``orbits`` of each cell.
-        times: Absolute times, s, shape (T,), none before any epoch.
-        steps: (N,) index into ``times`` of each cell.
+        times: Absolute times, s, shape (T,).
+        steps: (N,) index into ``times`` of each cell, whose time may not
+            precede the epoch of the cell's orbit.
 
     Returns:
         Array of shape (N, 3), km.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and float(times.min() - orbits.epoch.max()) < -1e-9:
-        raise ValueError("times precede the element epoch")
-    if not np.size(which):
-        return np.empty((0, 3))
-    starts = np.flatnonzero(np.diff(which, prepend=-1))
-    ends = np.append(starts[1:], len(which))
     c = orbits.take(which)
-    dt = times[steps] - c.epoch
-    big_e, took = _solve_kepler_rows(c.mean_anomaly + c.n_eff * dt, c.eccentricity, starts)
-    for r in np.flatnonzero(took != c.certified[starts]):
-        q, run = which[starts[r]], slice(starts[r], ends[r])
-        full = orbits.mean_anomaly[q] + orbits.n_eff[q] * (times - orbits.epoch[q])
-        big_e[run] = _solve_kepler_array(full, orbits.eccentricity[q])[steps[run]]
+    dt = _elapsed(c.epoch, np.asarray(times, dtype=float)[steps])
+    big_e = _solve_kepler_cells(c.mean_anomaly + c.n_eff * dt, c.eccentricity)
     raan, argp = c.raan + c.raan_rate * dt, c.argp + c.argp_rate * dt
     return _positions(c.eccentricity, c.semi_latus_rectum, c.cos_i, c.sin_i, big_e, raan, argp)
 
 
-def _elapsed(coe: ClassicalOrbitalElements, times: np.ndarray) -> np.ndarray:
+def _elapsed(epoch: float | np.ndarray, times: np.ndarray) -> np.ndarray:
     """Seconds from the element epoch to each time; none may precede it."""
-    dt = np.asarray(times, dtype=float) - coe.epoch
+    dt = np.asarray(times, dtype=float) - epoch
     if dt.size and float(dt.min()) < -1e-9:
         raise ValueError("times precede the element epoch")
     return dt

@@ -36,13 +36,11 @@ decides points on that boundary from rounded floats.  The J2 constants of
 each plane and the mean anomaly at epoch of each slot are computed once,
 into an :class:`~stormcover.orbits.OrbitTable` that both screens and the
 kernel read.  Every cell of the grid left by both screens is then
-positioned by one :func:`~stormcover.orbits.cell_positions` call, one
-ragged row per slot, and tested by one :func:`visibility_mask` call.
-Kepler's equation runs on those cells only: a Newton loop over fewer
-entries can stop a step earlier and move bits, so the kernel keeps a row
-only when it took the step count after which every entry provably
-converges, and solves the slot's full row otherwise.  The array is
-bit-identical to testing every step.
+positioned by one :func:`~stormcover.orbits.cell_positions` call and
+tested by one :func:`visibility_mask` call.  Kepler's equation runs on
+those cells only, each stopped on its own residual, so every cell holds
+the bits of positioning its slot at that step alone, whichever other
+cells the screens keep.
 """
 
 from __future__ import annotations
@@ -257,8 +255,7 @@ def _phase_cells(
             :func:`_kept_steps` kept, the reach at them).
 
     Returns:
-        (slot, step) index arrays of the cells kept, each slot's cells
-        together and in step order.
+        (slot, step) index arrays of the cells kept.
     """
     size = np.array([kept.size for _, kept, _ in planes])
     n_slots = np.array([len(slots) for slots, _, _ in planes])
@@ -290,11 +287,7 @@ def _phase_cells(
     start = np.where(every, first, start)
     count = np.where(every, n_slots[plane], end - start)
     cell = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
-    slot = ring[cell]
-    # each slot's cells together; a slot lies on one plane, whose pairs
-    # are in step order
-    order = np.argsort(slot, kind="stable")
-    return slot[order], np.repeat(step, count)[order]
+    return ring[cell], np.repeat(step, count)
 
 
 def slot_visibility(
@@ -320,10 +313,10 @@ def slot_visibility(
     falls in one window of the plane's slots sorted by it.
 
     Every cell of the grid that survives both screens is positioned by one
-    :func:`~stormcover.orbits.cell_positions` call, with each slot's cells
-    as one ragged Newton row held to its full row's bits by a certified
-    step count, and tested by one :func:`visibility_mask` call.  The result
-    is bit-identical to testing every step of every slot.
+    :func:`~stormcover.orbits.cell_positions` call, each cell's Newton
+    solve stopped on its own residual, and tested by one
+    :func:`visibility_mask` call.  So the result equals testing every step
+    of every slot, each positioned at that step alone.
 
     Args:
         slots: slots[k] lists the candidate orbits of satellite k; every

@@ -11,6 +11,7 @@ oracle that must share the library's kernels takes them as arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,11 +45,14 @@ def kepler_bisection(mean_anomaly: float, ecc: float, tol: float = 1e-13) -> flo
 
 # The array Newton solve of Kepler's equation as the library ran it on
 # one whole row before it solved blocks of rows, kept verbatim as the
-# reference for _solve_kepler_rows; the library's bisection finish is
+# reference for _solve_kepler_array; the library's bisection finish is
 # passed in.
 
 KEPLER_TOL = 1e-12
 KEPLER_MAX_ITER = 50
+# Allowance (rad) for floating-point rounding per Newton step, in the step
+# bound of kepler_certified_steps.
+KEPLER_ROUNDING = 1e-13
 
 
 def kepler_newton_row(mean_anomaly: np.ndarray, ecc: float, bisect) -> tuple[np.ndarray, int]:
@@ -65,6 +69,119 @@ def kepler_newton_row(mean_anomaly: np.ndarray, ecc: float, bisect) -> tuple[np.
     off = ~(np.abs(big_e - e * np.sin(big_e) - m) < KEPLER_TOL)
     big_e[off] = bisect(m[off], e)
     return np.mod(big_e, TWO_PI), KEPLER_MAX_ITER
+
+
+# The certificate path: how the library's slot-visibility kernel held a
+# subset of each slot's steps to the bits of the slot's whole
+# eci_positions row, before each cell stopped Newton on its own residual.
+# Kept as the reference for that kernel on the corpus.
+
+
+def kepler_newton_rows(
+    mean_anomaly: np.ndarray, eccentricity, bisect, starts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton solve of Kepler's equation on rows, each stopped on its own residual.
+
+    The rows are those of a 2-D ``mean_anomaly`` or, given ``starts``, the
+    runs of a 1-D one that begin at each of those ascending indices (every
+    run non-empty).  ``eccentricity`` is one value or, for runs, one per
+    entry, equal along a run.  A row iterates until its largest residual
+    is below ``KEPLER_TOL``, as :func:`kepler_newton_row` does.  Entries of
+    a row still off after ``KEPLER_MAX_ITER`` steps are bisected.
+
+    Returns:
+        (E in [0, 2*pi) shaped like ``mean_anomaly``, the Newton steps each
+        row took before its residual check passed; ``KEPLER_MAX_ITER`` for
+        a row that went on to bisection).
+    """
+    m = np.mod(mean_anomaly, TWO_PI)
+    if starts is None:
+        rows, width = m.shape
+        if not m.size:
+            return m, np.zeros(rows, dtype=int)
+        big_e, steps = kepler_newton_rows(m.ravel(), eccentricity, bisect, np.arange(0, m.size, width))
+        return big_e.reshape(m.shape), steps
+    e = eccentricity
+    big_e = np.where(m > math.pi, m + e, m)
+    steps = np.full(starts.size, KEPLER_MAX_ITER)
+    live = slice(None)  # the entries of rows still iterating
+    for n in range(KEPLER_MAX_ITER):
+        f = big_e - e * np.sin(big_e) - m
+        stop = (np.maximum.reduceat(np.abs(f), starts) < KEPLER_TOL) & (steps == KEPLER_MAX_ITER)
+        if stop.any():
+            steps[stop] = n
+            if not (steps == KEPLER_MAX_ITER).any():
+                return np.mod(big_e, TWO_PI), steps
+            live = np.repeat(steps == KEPLER_MAX_ITER, np.diff(starts, append=m.size))
+        big_e[live] -= (f / (1.0 - e * np.cos(big_e)))[live]
+    off = ~(np.abs(big_e - e * np.sin(big_e) - m) < KEPLER_TOL)
+    big_e[off] = bisect(m[off], np.broadcast_to(e, m.shape)[off])
+    return np.mod(big_e, TWO_PI), steps
+
+
+def kepler_certified_steps(eccentricity: float) -> int | None:
+    """Newton steps after which every row of :func:`kepler_newton_rows` has stopped.
+
+    Returns the least n such that, at eccentricity e, the residual check
+    after n steps passes for every mean anomaly, or None when the bound
+    below proves no such n within ``KEPLER_MAX_ITER`` (e above about
+    0.618).  With g(E) = E - e sin E - M, root E* and d_n = |E_n - E*|:
+
+    - the seed error is d_0 <= 2e: E* - M = e sin E*, so the seed M is
+      within e, and the seed M + e (taken when M > pi) within 2e;
+    - Newton gives d_{n+1} <= e / (2 (1 - e)) d_n^2, because
+      |g''| = e |sin E| <= e and g' = 1 - e cos E >= 1 - e everywhere;
+    - the residual is |g(E_n)| <= (1 + e) d_n, since g' <= 1 + e;
+    - floating point adds to each step's iterate, and to the computed
+      residual, a few ulps of numbers below 8 divided by g' >= 0.38
+      (about 2e-14 where a certificate exists); ``KEPLER_ROUNDING``
+      (1e-13) allows five times that.
+
+    So d_0 <= D_0 = 2e with D_{n+1} = e / (2 (1 - e)) D_n^2 + 1e-13, and
+    the check passes once (1 + e) D_n + 1e-13 < ``KEPLER_TOL``.  A row
+    over a subset of a longer row's entries has the same iterates and so
+    stops no later; if it took exactly the certified count, the longer
+    row stopped at that step too, and the two agree bit for bit.
+    """
+    e = eccentricity
+    rate = e / (2.0 * (1.0 - e))
+    bound = 2.0 * e
+    for n in range(KEPLER_MAX_ITER):
+        if (1.0 + e) * bound + KEPLER_ROUNDING < KEPLER_TOL:
+            return n
+        bound = rate * bound * bound + KEPLER_ROUNDING
+    return None
+
+
+def certified_cell_positions(orbits, table, which, times, steps) -> np.ndarray:
+    """The library's ``cell_positions`` as it ran under the certificate:
+    cell i is ``eci_positions(orbit which[i], times)[steps[i]]`` bit for
+    bit.  The cells are grouped into one run per orbit, each solved as one
+    Newton row (:func:`kepler_newton_rows`); a run that took other than
+    the certified step count, and every run of an orbit with no
+    certificate, is solved again on its orbit's full row through
+    ``orbits._solve_kepler_array``.  ``table`` is the library's
+    ``OrbitTable`` and its ``orbits`` module is passed in for its kernels."""
+    order = np.argsort(which, kind="stable")
+    which, steps = np.asarray(which)[order], np.asarray(steps)[order]
+    times = np.asarray(times, dtype=float)
+    big_e = np.empty(which.size)
+    c = table.take(which)
+    dt = orbits._elapsed(c.epoch, times[steps])
+    if which.size:
+        starts = np.flatnonzero(np.diff(which, prepend=-1))
+        ends = np.append(starts[1:], which.size)
+        m = c.mean_anomaly + c.n_eff * dt
+        big_e, took = kepler_newton_rows(m, c.eccentricity, orbits._bisect_kepler, starts)
+        for r, (q, run) in enumerate(zip(which[starts], map(slice, starts, ends))):
+            if took[r] != kepler_certified_steps(float(table.eccentricity[q])):
+                full = table.mean_anomaly[q] + table.n_eff[q] * (times - table.epoch[q])
+                big_e[run] = orbits._solve_kepler_array(full, table.eccentricity[q])[steps[run]]
+    raan, argp = c.raan + c.raan_rate * dt, c.argp + c.argp_rate * dt
+    pos = orbits._positions(c.eccentricity, c.semi_latus_rectum, c.cos_i, c.sin_i, big_e, raan, argp)
+    out = np.empty_like(pos)
+    out[order] = pos
+    return out
 
 
 # Element-to-state conversion, the reference ``eci_positions`` is tested
@@ -685,17 +802,17 @@ def plane_positions(orbits, plane, times, steps) -> np.ndarray:
         raise ValueError("orbits do not share one orbit plane")
     coe = plane[0]
     e = coe.eccentricity
-    dt = orbits._elapsed(coe, times)
+    dt = orbits._elapsed(coe.epoch, times)
     steps = np.broadcast_to(steps, (len(plane), np.shape(steps)[-1]))
     n_eff, raan, argp = orbits.secular_angles(coe, dt[steps])
     drift = n_eff * dt
     m0 = np.array([orbits.true_to_mean_anomaly(c.true_anomaly, e) for c in plane])
-    need = orbits._kepler_certified_steps(e)
+    need = kepler_certified_steps(e)
     if need is None:
         big_e = np.empty(steps.shape)
         redo = range(len(plane))
     else:
-        big_e, took = orbits._solve_kepler_rows(m0[:, None] + drift[steps], e)
+        big_e, took = kepler_newton_rows(m0[:, None] + drift[steps], e, orbits._bisect_kepler)
         redo = np.flatnonzero(took != need)
     for q in redo:
         big_e[q] = orbits._solve_kepler_array(m0[q] + drift, e)[steps[q]]
@@ -703,7 +820,7 @@ def plane_positions(orbits, plane, times, steps) -> np.ndarray:
     return orbits._positions(e, coe.semi_latus_rectum, math.cos(i), math.sin(i), big_e, raan, argp)
 
 
-def per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask) -> np.ndarray:
+def per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask, positions=None) -> np.ndarray:
     """The library's slot visibility as it ran one orbit plane at a time,
     kept as the reference for the pass over the whole grid.  Each plane is
     screened across the plane, then each of its slots along it (from the
@@ -711,7 +828,11 @@ def per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask) -> 
     e = 0.5), and the surviving cells are positioned by
     :func:`plane_positions`, one row per slot padded to the widest by
     repeating the row's first step, and tested.  The library's ``orbits``
-    module and ``visibility_mask`` are passed in."""
+    module and ``visibility_mask`` are passed in, and ``positions``, a
+    function of (plane, times, steps) like :func:`plane_positions`, may
+    replace that kernel."""
+    if positions is None:
+        positions = functools.partial(plane_positions, orbits)
     targets = np.asarray(targets, dtype=float)
     times = np.arange(grid.num_steps, dtype=float) * grid.step
     rho = np.linalg.norm(targets, axis=1)
@@ -747,7 +868,7 @@ def per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask) -> 
             cols = np.argsort(~cells, axis=1, kind="stable")[:, : count.max()]
             cols = np.where(np.arange(cols.shape[1]) < count[:, None], cols, cols[:, :1])
             steps = kept[cols]
-            pos = plane_positions(orbits, [group[r] for r in rows], times, steps)
+            pos = positions([group[r] for r in rows], times, steps)
             seen = visibility_mask(pos.reshape(-1, 3), targets[steps.reshape(-1), None], fov.half_angle)
             visible[k, np.array(plane)[rows, None], steps] = seen.reshape(steps.shape)
     return visible

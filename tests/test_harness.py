@@ -322,6 +322,20 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="bad synthetic track count"):
             parse_config("tracks = synthetic:many\n")
 
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("synthetic:0", "at least one track"),
+            ("synthetic:-3", "at least one track"),
+            ("synthetic:x", "bad synthetic track count"),
+            (",a.csv", "empty track path"),
+            ("a.csv,", "empty track path"),
+        ],
+    )
+    def test_bad_tracks_cite_line(self, value, reason):
+        with pytest.raises(ValueError, match=f"^config line 2: bad tracks: .*{reason}"):
+            parse_config(f"step_s = 600\ntracks = {value}\n", base_dir=".")
+
     def test_track_files_resolved_against_base_dir(self, tmp_path):
         (tmp_path / "a.csv").write_bytes(short_track("ALPHA"))
         (tmp_path / "b.csv").write_bytes(short_track("BRAVO", samples=5))
@@ -329,7 +343,7 @@ class TestParseConfig:
         assert [t.name for t in tracks] == ["ALPHA", "BRAVO"]
 
     def test_empty_track_path_rejected(self):
-        # paths load in order, so the empty piece must come first to be seen
+        # every piece is checked before any file is read
         with pytest.raises(ValueError, match="empty track path"):
             parse_config("tracks = ,a.csv\n", base_dir=".")
 

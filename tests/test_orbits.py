@@ -14,11 +14,11 @@ from stormcover.orbits import (
     ClassicalOrbitalElements,
     GeodeticPoint,
     KEPLER_MAX_ITER,
+    KEPLER_TOL,
     TimeGrid,
     _bisect_kepler,
-    _kepler_certified_steps,
     _solve_kepler_array,
-    _solve_kepler_rows,
+    _solve_kepler_cells,
     eci_positions,
     geodetic_to_eci,
     j2_raan_rate,
@@ -89,14 +89,11 @@ class TestKepler:
     @settings(max_examples=200, deadline=None)
     def test_rows_match_whole_row_newton_oracle(self, seed, e, rows, cols):
         m = np.random.default_rng(seed).uniform(-20.0, 20.0, (rows, cols))
-        big_e, steps = _solve_kepler_rows(m, e)
         for q in range(rows):
+            got = _solve_kepler_array(m[q], e)
+            assert got.shape == (cols,)
             if cols:
-                want, took = oracles.kepler_newton_row(m[q], e, _bisect_kepler)
-                assert np.array_equal(big_e[q], want) and steps[q] == took
-                assert np.array_equal(_solve_kepler_array(m[q], e), want)
-            else:
-                assert steps[q] == 0
+                assert np.array_equal(got, oracles.kepler_newton_row(m[q], e, _bisect_kepler)[0])
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -104,28 +101,34 @@ class TestKepler:
     )
     @settings(max_examples=200, deadline=None)
     def test_ragged_rows_match_whole_row_newton_oracle(self, seed, eccs):
-        # runs of unequal length, each with its own eccentricity
+        # the certificate path's ragged rows (tests/_oracles.py), of unequal
+        # length, each with its own eccentricity
         rng = np.random.default_rng(seed)
         rows = [rng.uniform(-20.0, 20.0, rng.integers(1, 30)) for _ in eccs]
         starts = np.cumsum([0] + [r.size for r in rows[:-1]])
         e = np.repeat(eccs, [r.size for r in rows])
-        big_e, steps = _solve_kepler_rows(np.concatenate(rows), e, starts)
+        big_e, steps = oracles.kepler_newton_rows(np.concatenate(rows), e, _bisect_kepler, starts)
         for q, (m, ecc) in enumerate(zip(rows, eccs)):
             want, took = oracles.kepler_newton_row(m, ecc, _bisect_kepler)
             assert np.array_equal(big_e[starts[q] : starts[q] + m.size], want) and steps[q] == took
 
     def test_rows_finish_diverging_entries_like_the_oracle(self):
+        # each entry stops on its own: the diverging one is bisected, the
+        # others keep the Newton steps they took alone
         e = 0.8944656812042917
-        m = np.array([[4.938412173144684, 1.0], [3.0, 6.0]])
-        big_e, steps = _solve_kepler_rows(m, e)
-        for q in range(2):
-            want, took = oracles.kepler_newton_row(m[q], e, _bisect_kepler)
-            assert np.array_equal(big_e[q], want) and steps[q] == took
-        assert steps[0] == KEPLER_MAX_ITER > steps[1]
+        m = np.array([4.938412173144684, 1.0, 3.0, 6.0])
+        big_e = _solve_kepler_cells(m, e)
+        took = []
+        for mi, ei in zip(m, big_e):
+            want, n = oracles.kepler_newton_row(np.array([mi]), e, _bisect_kepler)
+            assert ei == want[0]
+            took.append(n)
+        assert took[0] == KEPLER_MAX_ITER > max(took[1:])
 
     @pytest.mark.parametrize("e, need", [(0.0, 0), (1e-4, 2), (4.9e-3, 2), (0.03125, 3), (0.5, 6), (0.62, None)])
     def test_certified_steps(self, e, need):
-        assert _kepler_certified_steps(e) == need
+        # the certificate path's step bound (tests/_oracles.py)
+        assert oracles.kepler_certified_steps(e) == need
 
     @given(seed=st.integers(0, 2**32 - 1), e=st.floats(0.0, 0.61))
     @settings(max_examples=150, deadline=None)
@@ -133,8 +136,46 @@ class TestKepler:
         m = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 4000)
         m[:4] = [0.0, math.pi, math.nextafter(math.pi, 4.0), 1.5 * math.pi]
         # one entry per row: every mean anomaly's own step count
-        _, steps = _solve_kepler_rows(m[:, None], e)
-        assert steps.max() <= _kepler_certified_steps(e)
+        _, steps = oracles.kepler_newton_rows(m[:, None], e, _bisect_kepler)
+        assert steps.max() <= oracles.kepler_certified_steps(e)
+
+
+class TestKeplerCells:
+    """The per-entry Newton stop of the slot-visibility kernel."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 60),
+        e_max=st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 0.95)),
+    )
+    @example(seed=0, size=1, e_max=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_every_entry_converged_or_bisected(self, seed, size, e_max):
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(-20.0, 20.0, size)
+        e = rng.uniform(0.0, e_max, size)
+        # Newton from M + e diverges here
+        m[: size // 4], e[: size // 4] = 4.938412173144684, 0.8944656812042917
+        big_e = _solve_kepler_cells(m, e)
+        m = np.mod(m, 2.0 * math.pi)
+        residual = np.mod(big_e - e * np.sin(big_e) - m + math.pi, 2.0 * math.pi) - math.pi
+        assert np.all((np.abs(residual) < KEPLER_TOL) | (big_e == _bisect_kepler(m, e)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 60),
+        e_max=st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 0.95)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_entries_equal_their_own_solve_in_any_subset_and_order(self, seed, size, e_max):
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(-20.0, 20.0, size)
+        e = rng.uniform(0.0, e_max, size)
+        big_e = _solve_kepler_cells(m, e)
+        for mi, ei, got in zip(m, e, big_e):
+            assert got == _solve_kepler_array(np.array([mi]), ei)[0]
+        pick = rng.permutation(size)[: rng.integers(1, size + 1)]
+        assert np.array_equal(_solve_kepler_cells(m[pick], e[pick]), big_e[pick])
 
 
 class TestPropagate:

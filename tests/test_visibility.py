@@ -1,5 +1,6 @@
 """Visibility cone, occlusion, and slot-visibility tests."""
 
+import functools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -272,8 +273,23 @@ def loop_oracle(slots, targets, grid, fov):
     return oracles.slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_mask)
 
 
+def one_time_positions(coe, times):
+    """eci_positions of one orbit with each time asked for alone, as
+    cell_positions positions each cell."""
+    return np.array([eci_positions(coe, times[t : t + 1])[0] for t in range(len(times))]).reshape(-1, 3)
+
+
+def cell_loop_oracle(slots, targets, grid, fov):
+    """The per-slot loop with every step positioned alone."""
+    return oracles.slot_visibility_loop(slots, targets, grid, fov, one_time_positions, visibility_mask)
+
+
 def plane_positions(plane, times, steps):
     return oracles.plane_positions(orbits, plane, times, steps)
+
+
+def certified_cell_positions(table, which, times, steps):
+    return oracles.certified_cell_positions(orbits, table, which, times, steps)
 
 
 def plane_screen_oracle(slots, targets, grid, fov, positions=plane_positions):
@@ -282,20 +298,32 @@ def plane_screen_oracle(slots, targets, grid, fov, positions=plane_positions):
     )
 
 
-def per_plane_oracle(slots, targets, grid, fov):
-    return oracles.per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask)
+def per_plane_oracle(slots, targets, grid, fov, positions=None):
+    return oracles.per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask, positions)
 
 
 def assert_matches_oracles(slots, targets, grid, fov):
+    """slot_visibility against the per-plane path, the plane-screen-only
+    path and the per-slot loop, each with every cell positioned alone."""
+    row = functools.cache(lambda coe: one_time_positions(coe, np.arange(grid.num_steps) * grid.step))
+
+    def positions(plane, times, steps):
+        steps = np.broadcast_to(steps, (len(plane), np.shape(steps)[-1]))
+        return np.stack([row(coe)[s] for coe, s in zip(plane, steps)])
+
     got = slot_visibility(slots, targets, grid, fov)
-    assert np.array_equal(got, per_plane_oracle(slots, targets, grid, fov))
-    assert np.array_equal(got, plane_screen_oracle(slots, targets, grid, fov))
-    assert np.array_equal(got, loop_oracle(slots, targets, grid, fov))
+    assert np.array_equal(got, per_plane_oracle(slots, targets, grid, fov, positions))
+    assert np.array_equal(got, plane_screen_oracle(slots, targets, grid, fov, positions))
+    assert np.array_equal(
+        got, oracles.slot_visibility_loop(slots, targets, grid, fov, lambda coe, _: row(coe), visibility_mask)
+    )
     return got
 
 
 class TestPlaneScreen:
-    """The screened slot_visibility against the per-slot loop, bit for bit."""
+    """The screened slot_visibility against the per-slot loop, bit for bit:
+    on the corpus the loop positions each slot's whole row at once, and
+    at edge targets it positions every cell alone, as the kernel does."""
 
     @pytest.mark.parametrize("fov_deg", [30.0, 45.0])
     @pytest.mark.parametrize("index", [0, 1, 2])
@@ -339,7 +367,7 @@ class TestPlaneScreen:
         slots = [plane, [replace(plane[0], raan=raan + 0.5, true_anomaly=nu + q) for q in range(3)]]
         fov = FovSpec(half)
         got = slot_visibility(slots, targets, grid, fov)
-        assert np.array_equal(got, loop_oracle(slots, targets, grid, fov))
+        assert np.array_equal(got, cell_loop_oracle(slots, targets, grid, fov))
         # the edge targets are seen by the slot they were built for
         edge = np.ones(grid.num_steps, bool)
         edge[::3] = False
@@ -374,8 +402,48 @@ def runs(step_lists):
 
 
 class TestPlaneKernel:
-    """The grid kernel, cell_positions, against each orbit's full
-    eci_positions row, bit for bit."""
+    """The grid kernel, cell_positions, against eci_positions asked for
+    each cell's time alone, and the certificate path it replaced
+    (tests/_oracles.py) against each orbit's full eci_positions row, bit
+    for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ecc=st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 0.95)),
+        n_orbits=st.integers(1, 6),
+        n_cells=st.integers(0, 80),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cells_are_one_time_calls(self, seed, ecc, n_orbits, n_cells):
+        # orbits on different planes and of different shapes, a random
+        # subset of cells in random order, repeats allowed
+        rng = np.random.default_rng(seed)
+        table_orbits = [random_orbit(rng, ecc * rng.uniform()) for _ in range(n_orbits)]
+        times = np.arange(500) * rng.uniform(10.0, 600.0)
+        which = rng.integers(0, n_orbits, n_cells)
+        steps = rng.integers(0, times.size, n_cells)
+        got = cell_positions(table_of(table_orbits), which, times, steps)
+        assert got.shape == (n_cells, 3)
+        for q, s, pos in zip(which, steps, got):
+            assert np.array_equal(pos, eci_positions(table_orbits[q], times[[s]])[0])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ecc=st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 0.95)),
+        n_cells=st.integers(1, 200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_permuted_cells_permute_the_output(self, seed, ecc, n_cells):
+        rng = np.random.default_rng(seed)
+        coe = random_orbit(rng, ecc)
+        table_orbits = [replace(coe, true_anomaly=nu) for nu in rng.uniform(0.0, 2 * math.pi, 3)]
+        table_orbits.append(random_orbit(rng, ecc * rng.uniform()))
+        table = table_of(table_orbits)
+        times = np.arange(300) * rng.uniform(10.0, 600.0)
+        which, steps = rng.integers(0, len(table_orbits), n_cells), rng.integers(0, times.size, n_cells)
+        order = rng.permutation(n_cells)
+        got = cell_positions(table, which, times, steps)
+        assert np.array_equal(cell_positions(table, which[order], times, steps[order]), got[order])
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -391,7 +459,7 @@ class TestPlaneKernel:
         times = np.arange(500) * rng.uniform(10.0, 600.0)
         steps = np.flatnonzero(rng.uniform(size=times.size) < share)
         which, cells = runs([steps] * n_orbits)
-        got = cell_positions(table_of(plane), which, times, cells)
+        got = certified_cell_positions(table_of(plane), which, times, cells)
         assert got.shape == (n_orbits * steps.size, 3)
         for q, orbit in enumerate(plane):
             assert np.array_equal(got[which == q], eci_positions(orbit, times)[steps])
@@ -415,25 +483,27 @@ class TestPlaneKernel:
         width = max(r.size for r in rows)
         steps = np.stack([np.concatenate([r, np.full(width - r.size, rng.choice(r))]) for r in rows])
         which, cells = runs(steps)
-        got = cell_positions(table_of(plane), which, times, cells).reshape(n_orbits, width, 3)
+        got = certified_cell_positions(table_of(plane), which, times, cells).reshape(n_orbits, width, 3)
         for q, orbit in enumerate(plane):
             assert np.array_equal(got[q], eci_positions(orbit, times)[steps[q]])
 
     def test_kept_steps_that_converge_early_fall_back_to_the_full_row(self):
-        # one step at M = 0: the seed is the root, so the row stops after
-        # 0 Newton steps, short of the certified count, while the full row
-        # needs the certified count
+        # one step at M = 0: the seed is the root, so the certificate
+        # path's row stops after 0 Newton steps, short of the certified
+        # count, while the full row needs the certified count
         coe = ClassicalOrbitalElements(R_E + 700.0, 0.01, 1.0, 0.5, 0.0, 0.0)
         times = np.arange(200) * 60.0
         steps = np.array([0])
-        need = orbits._kepler_certified_steps(coe.eccentricity)
+        need = oracles.kepler_certified_steps(coe.eccentricity)
         m_full = j2_mean_motion(coe) * times
-        assert orbits._solve_kepler_rows(m_full[None, steps], coe.eccentricity)[1][0] == 0 < need
-        assert orbits._solve_kepler_rows(m_full[None, :], coe.eccentricity)[1][0] == need
+        assert oracles.kepler_newton_rows(m_full[None, steps], coe.eccentricity, orbits._bisect_kepler)[1][0] == 0 < need
+        assert oracles.kepler_newton_rows(m_full[None, :], coe.eccentricity, orbits._bisect_kepler)[1][0] == need
         with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
-            got = cell_positions(table_of([coe]), np.zeros(1, dtype=int), times, steps)
+            got = certified_cell_positions(table_of([coe]), np.zeros(1, dtype=int), times, steps)
         assert full_row.call_count == 1
         assert np.array_equal(got, eci_positions(coe, times)[steps])
+        got = cell_positions(table_of([coe]), np.zeros(1, dtype=int), times, steps)
+        assert np.array_equal(got, eci_positions(coe, times[steps]))
 
     def test_one_run_falls_back_among_runs_that_pass(self):
         coe = ClassicalOrbitalElements(R_E + 700.0, 0.01, 1.0, 0.5, 0.0, 0.0)
@@ -442,28 +512,42 @@ class TestPlaneKernel:
         times = np.arange(200) * 60.0
         which, steps = runs([np.arange(0, 200, 3), [0], np.arange(1, 200, 5)])
         with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
-            got = cell_positions(table, which, times, steps)
+            got = certified_cell_positions(table, which, times, steps)
         assert full_row.call_count == 1
         for q, orbit in enumerate([others[0], coe, others[1]]):
             assert np.array_equal(got[which == q], eci_positions(orbit, times)[steps[which == q]])
 
     def test_orbit_without_certificate_solves_every_full_row(self):
         coe = ClassicalOrbitalElements(4.0 * R_E, 0.7, 1.0, 0.5, 0.2, 0.0)
-        assert orbits._kepler_certified_steps(coe.eccentricity) is None
+        assert oracles.kepler_certified_steps(coe.eccentricity) is None
         plane = [replace(coe, true_anomaly=nu) for nu in (0.0, 2.0, 4.0)]
         times = np.arange(300) * 120.0
         steps = np.arange(0, 300, 7)
         with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
             which, cells = runs([steps] * 3)
-            got = cell_positions(table_of(plane), which, times, cells).reshape(3, -1, 3)
+            got = certified_cell_positions(table_of(plane), which, times, cells).reshape(3, -1, 3)
         assert full_row.call_count == len(plane)
         for q, orbit in enumerate(plane):
             assert np.array_equal(got[q], eci_positions(orbit, times)[steps])
 
     def test_times_before_an_epoch_rejected(self):
         coe = ClassicalOrbitalElements(R_E + 700.0, 0.0, 1.0, 0.5, 0.0, 0.0, epoch=120.0)
+        # the cell at 60 s precedes the epoch; one at 120 s would not
         with pytest.raises(ValueError, match="precede"):
-            cell_positions(table_of([coe]), np.zeros(1, dtype=int), np.arange(3) * 60.0, np.array([2]))
+            cell_positions(table_of([coe]), np.zeros(2, dtype=int), np.arange(3) * 60.0, np.array([2, 1]))
+
+    def test_each_cell_checked_against_its_own_orbit_epoch(self):
+        # epochs 0 and 1000 s and cells only at 1200 and 1500 s: no time a
+        # cell reads precedes its orbit's epoch, as eci_positions agrees
+        early = ClassicalOrbitalElements(R_E + 700.0, 0.001, 1.0, 0.5, 0.0, 0.0)
+        late = replace(early, raan=2.0, epoch=1000.0)
+        times = np.arange(6) * 300.0
+        which, steps = np.array([0, 1, 1]), np.array([4, 4, 5])
+        got = cell_positions(table_of([early, late]), which, times, steps)
+        for q, s, pos in zip(which, steps, got):
+            assert np.array_equal(pos, eci_positions([early, late][q], times[[s]])[0])
+        with pytest.raises(ValueError, match="precede"):
+            cell_positions(table_of([early, late]), np.array([0, 1]), times, np.array([4, 3]))
 
 
 def edge_targets(coe, times, rho, half, along=0):
@@ -472,8 +556,9 @@ def edge_targets(coe, times, rho, half, along=0):
     per step where ``along`` is an array) from the
     satellite's nadir point, at the widest angle visibility_mask still
     calls visible there: a scan finds the last visible angle and bisection
-    narrows it to the float where the mask flips."""
-    pos = eci_positions(coe, times)
+    narrows it to the float where the mask flips.  The satellite is
+    positioned at each step alone, as slot_visibility positions it."""
+    pos = one_time_positions(coe, times)
     up = pos / np.linalg.norm(pos, axis=1, keepdims=True)
     _, raan, _ = secular_angles(coe, times)
     si, ci = math.sin(coe.inclination), math.cos(coe.inclination)
@@ -644,7 +729,8 @@ class TestPhaseScreen:
         # eight steps per anomalistic orbit and the slot 3e-3 rad past
         # perigee at step 0, with each step's target at the perigee point:
         # only every eighth step survives, each within 5e-3 rad of the
-        # apsis, where Newton converges a step before the certified count
+        # apsis, where Newton converges a step before the certified count,
+        # so the certificate path solves the full row
         coe = ClassicalOrbitalElements(R_E + 700.0, 0.002, 1.0, 0.5, 0.0, mean_to_true_anomaly(3e-3, 0.002))
         step = 2 * math.pi / j2_mean_motion(coe) / 8
         grid = TimeGrid(duration=64 * step, step=step, control_step=step)
@@ -655,21 +741,26 @@ class TestPhaseScreen:
         ahead = np.stack([-np.sin(raan) * ci, np.cos(raan) * ci, np.full_like(raan, si)], axis=1)
         targets = (np.cos(argp)[:, None] * node + np.sin(argp)[:, None] * ahead) * R_E
         fov = FovSpec(0.1)
-        need = orbits._kepler_certified_steps(coe.eccentricity)
+        need = oracles.kepler_certified_steps(coe.eccentricity)
         mean = orbits.true_to_mean_anomaly(coe.true_anomaly, coe.eccentricity) + j2_mean_motion(coe) * times
-        assert orbits._solve_kepler_rows(mean[None, ::8], coe.eccentricity)[1][0] < need
-        assert orbits._solve_kepler_rows(mean[None, :], coe.eccentricity)[1][0] == need
-        with mock.patch.object(orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array) as full_row:
-            got = slot_visibility([[coe]], targets, grid, fov)
+        assert oracles.kepler_newton_rows(mean[None, ::8], coe.eccentricity, orbits._bisect_kepler)[1][0] < need
+        assert oracles.kepler_newton_rows(mean[None, :], coe.eccentricity, orbits._bisect_kepler)[1][0] == need
+        with mock.patch.object(visibility, "cell_positions", certified_cell_positions), mock.patch.object(
+            orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array
+        ) as full_row:
+            want = slot_visibility([[coe]], targets, grid, fov)
         assert full_row.call_count == 1
-        assert np.array_equal(got, plane_screen_oracle([[coe]], targets, grid, fov))
-        assert np.array_equal(got, loop_oracle([[coe]], targets, grid, fov))
-        assert np.array_equal(np.flatnonzero(got[0, 0]), np.arange(0, grid.num_steps, 8))
+        assert np.array_equal(want, plane_screen_oracle([[coe]], targets, grid, fov))
+        assert np.array_equal(want, loop_oracle([[coe]], targets, grid, fov))
+        got = slot_visibility([[coe]], targets, grid, fov)
+        assert np.array_equal(got, cell_loop_oracle([[coe]], targets, grid, fov))
+        for seen in (got, want):
+            assert np.array_equal(np.flatnonzero(seen[0, 0]), np.arange(0, grid.num_steps, 8))
 
 
 class TestGridPass:
     """The pass over the whole slot grid against the per-plane path it
-    replaced, bit for bit."""
+    replaced and the certificate path, bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -720,7 +811,8 @@ class TestGridPass:
         # eight times per anomalistic period.  Slot 0 passes it 3e-3 rad
         # after perigee, where Newton stops a step before the certified
         # count; slot 1 of the second satellite, its perigee 1 rad behind,
-        # passes it 1.04 rad after its own, where Newton takes that count
+        # passes it 1.04 rad after its own, where Newton takes that count.
+        # So the certificate path solves one full row
         coe = ClassicalOrbitalElements(R_E + 700.0, 0.002, 1.0, 0.5, 0.0, 0.0)
         step = 2 * math.pi / j2_mean_motion(coe) / 8
         grid = TimeGrid(duration=64 * step, step=step, control_step=step)
@@ -740,15 +832,35 @@ class TestGridPass:
 
         def counting_grid(table, which, times, steps):
             cells.append(which)
-            return cell_positions(table, which, times, steps)
+            return certified_cell_positions(table, which, times, steps)
 
         with mock.patch.object(visibility, "cell_positions", counting_grid), mock.patch.object(
             orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array
         ) as full_row:
-            got = slot_visibility(slots, targets, grid, fov)
+            want = slot_visibility(slots, targets, grid, fov)
         assert full_row.call_count == 1
         assert set(cells[0]) >= {0, 3}
-        assert np.array_equal(np.flatnonzero(got[0, 0]), np.arange(0, grid.num_steps, 8))
-        assert np.array_equal(np.flatnonzero(got[1, 1]), np.arange(2, grid.num_steps, 8))
-        assert np.array_equal(got, per_plane_oracle(slots, targets, grid, fov))
-        assert np.array_equal(got, loop_oracle(slots, targets, grid, fov))
+        assert np.array_equal(want, per_plane_oracle(slots, targets, grid, fov))
+        assert np.array_equal(want, loop_oracle(slots, targets, grid, fov))
+        got = assert_matches_oracles(slots, targets, grid, fov)
+        for seen in (got, want):
+            assert np.array_equal(np.flatnonzero(seen[0, 0]), np.arange(0, grid.num_steps, 8))
+            assert np.array_equal(np.flatnonzero(seen[1, 1]), np.arange(2, grid.num_steps, 8))
+
+    @pytest.mark.parametrize(
+        "fov_deg, index",
+        # the tracks of the benchmark's reconfig30 and agile45 workloads
+        [(30.0, 0), (30.0, 5), (30.0, 10), (45.0, 0), (45.0, 6), (45.0, 12)],
+    )
+    def test_benchmark_tracks_match_the_certificate_path(self, fov_deg, index):
+        # the kernel that held each slot's cells to its full row's bits
+        track = default_corpus(20)[index]
+        config = ScenarioConfig(fov_half_angle=fov_deg * DEG)
+        ws = _TrackWorkspace(track, config)
+        for grid in ("phasing", "unrestricted"):
+            slots = ws.grid_slots(grid)
+            got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
+            with mock.patch.object(visibility, "cell_positions", certified_cell_positions):
+                want = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
+            assert np.array_equal(got, want), grid
+            assert want.any()
