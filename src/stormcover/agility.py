@@ -1,11 +1,18 @@
 """Slew scheduling and degraded-reward scoring for agile satellites.
 
-Each satellite has a sequence of control opportunities with three
-body-frame slew angles per opportunity.  The planner picks angles that
-point the boresight as close as possible to the active target while
-respecting the slew-angle box and the per-opportunity rate budget; the
-scorer then converts the resulting pointing history into observation
-rewards that shrink as the total slew magnitude grows.
+Each satellite has a sequence of control opportunities with three slew
+angles per opportunity.  The angles rotate the satellite's nadir vector
+about the inertial (ECI) x, y and z axes, not about body axes, so a
+boresight can sit further off nadir than the per-axis box.  The planner
+picks angles that point the boresight as close as possible to the active
+target while respecting the slew-angle box and the per-opportunity rate
+budget; the scorer then converts the resulting pointing history into
+observation rewards that shrink as the total slew magnitude grows.
+
+The planner solves only the (satellite, opportunity) rows with the
+target in :func:`line_of_sight` at some step; any other row is unseen
+under any slew, so, like a row without targets, it holds nadir or relaxes
+toward it.  The scorer tests the cone only at the steps in line of sight.
 
 The plan is greedy in time: each opportunity takes the best angles in the
 rate box around the previous opportunity's angles, by a multistart over a
@@ -63,6 +70,7 @@ __all__ = [
     "optimize_slew_schedule",
     "optimize_slew_schedules",
     "score_agility",
+    "line_of_sight",
     "slewed_step_visibility",
 ]
 
@@ -311,14 +319,15 @@ def _descend(
     return np.where(polished[:, None], x, best), np.where(polished, fx, best_val)
 
 
-def _kept_directions(positions: np.ndarray, targets: Sequence[np.ndarray]) -> tuple:
+def _kept_directions(positions: np.ndarray, targets: Sequence[np.ndarray], rows: np.ndarray) -> tuple:
     """Unit target directions of every (satellite, opportunity) row.
 
-    positions: (K, n, 3) satellite positions at the opportunities.  A
-    zero-length direction (a target at the satellite itself) is dropped;
-    the kept directions come first and in order, so a row solved with its
-    first ``count`` directions has the shapes of its one-satellite run and
-    rounds the same.
+    positions: (K, n, 3) satellite positions at the opportunities;
+    rows: boolean (K, n), the rows to build.  Other rows keep no
+    direction.  A zero-length direction (a target at the satellite
+    itself) is dropped; the kept directions come first and in order, so a
+    row solved with its first ``count`` directions has the shapes of its
+    one-satellite run and rounds the same.
 
     Returns (K * n, m, 3) directions, zero-padded to the largest target
     count m, and the (K * n,) kept counts; row k * n + i is satellite k at
@@ -326,16 +335,19 @@ def _kept_directions(positions: np.ndarray, targets: Sequence[np.ndarray]) -> tu
     """
     n_sats, n_opps = positions.shape[:2]
     tgts = [np.asarray(t, dtype=float).reshape(-1, 3) for t in targets]
-    dirs = np.zeros((n_sats, n_opps, max(map(len, tgts), default=0), 3))
-    counts = np.zeros((n_sats, n_opps), dtype=np.intp)
+    lengths = np.array([len(t) for t in tgts], dtype=np.intp)
+    padded = np.zeros((n_opps, max(lengths, default=0), 3))
     for i, tgt in enumerate(tgts):
-        d = tgt[None, :, :] - positions[:, i, None, :]
-        norms = np.linalg.norm(d, axis=-1)
-        valid = norms > 0.0
-        order = np.argsort(~valid, axis=1, kind="stable")
-        d = np.take_along_axis(d / np.where(valid, norms, 1.0)[..., None], order[..., None], axis=1)
-        dirs[:, i, : len(tgt)] = d
-        counts[:, i] = valid.sum(axis=1)
+        padded[i, : len(tgt)] = tgt
+    sats, opps = np.nonzero(rows)
+    d = padded[opps] - positions[sats, opps, None, :]
+    norms = np.linalg.norm(d, axis=-1)
+    valid = (norms > 0.0) & (np.arange(padded.shape[1]) < lengths[opps, None])
+    order = np.argsort(~valid, axis=1, kind="stable")
+    dirs = np.zeros((n_sats, n_opps) + padded.shape[1:])
+    dirs[sats, opps] = np.take_along_axis(d / np.where(valid, norms, 1.0)[..., None], order[..., None], axis=1)
+    counts = np.zeros((n_sats, n_opps), dtype=np.intp)
+    counts[sats, opps] = valid.sum(axis=1)
     return dirs.reshape(n_sats * n_opps, -1, 3), counts.reshape(-1)
 
 
@@ -368,6 +380,7 @@ def optimize_slew_schedules(
     targets: Sequence[np.ndarray],
     config: AgilityConfig,
     grid: TimeGrid,
+    in_sight: Optional[np.ndarray] = None,
 ) -> List[SlewSchedule]:
     """Plan slew angles over all control opportunities for each satellite.
 
@@ -388,15 +401,19 @@ def optimize_slew_schedules(
             satellite.
         config: slew limits; its control_step must match the grid.
         grid: scenario time discretisation.
+        in_sight: boolean (len(orbits), num_steps), each satellite's
+            :func:`line_of_sight`; an opportunity with none of its steps in
+            sight has nothing to chase.  None puts every step in sight.
 
     Returns:
         One feasible schedule per orbit, in order.  Its summed pointing
-        objective never exceeds the objective of the all-zeros (nadir)
-        schedule; when the greedy pass loses to nadir, nadir itself is
-        returned for that satellite.
+        objective, over the rows in sight, never exceeds the objective of
+        the all-zeros (nadir) schedule; when the greedy pass loses to
+        nadir, nadir itself is returned for that satellite.
 
     Raises:
-        ValueError: on rate/step mismatches or wrong target counts.
+        ValueError: on rate/step mismatches, wrong target counts or an
+            in_sight mask of the wrong shape or dtype.
     """
     if config.control_step != grid.control_step:
         raise ValueError(
@@ -405,6 +422,12 @@ def optimize_slew_schedules(
     n_opps = grid.num_opportunities
     if len(targets) != n_opps:
         raise ValueError(f"expected targets for {n_opps} opportunities, got {len(targets)}")
+    n_sats = len(orbits)
+    in_sight = np.ones((n_sats, grid.num_steps), dtype=bool) if in_sight is None else np.asarray(in_sight)
+    if in_sight.shape != (n_sats, grid.num_steps) or in_sight.dtype != bool:
+        raise ValueError(
+            f"in_sight must be a bool ({n_sats}, {grid.num_steps}) array, got {in_sight.dtype} {in_sight.shape}"
+        )
     if not orbits:
         return []
 
@@ -416,8 +439,8 @@ def optimize_slew_schedules(
 
     # One row per (satellite, opportunity), row k * n_opps + i, solved in
     # groups of equal direction count.
-    n_sats = len(orbits)
-    dirs, counts = _kept_directions(positions, targets)
+    opp_starts = np.arange(0, grid.num_steps, grid.steps_per_opportunity)
+    dirs, counts = _kept_directions(positions, targets, np.logical_or.reduceat(in_sight, opp_starts, axis=1))
 
     def box(prev):
         return np.maximum(-bound, prev - budget), np.minimum(bound, prev + budget)
@@ -573,40 +596,51 @@ def score_agility(
     )
 
 
+def line_of_sight(orbit: ClassicalOrbitalElements, step_targets: np.ndarray, grid: TimeGrid) -> tuple:
+    """One satellite's ECI positions at the step times, (num_steps, 3), and
+    its boolean (num_steps,) line of sight to each step's target.
+
+    The test is ``visibility_mask``'s at a cone of pi, which admits every
+    direction, so only the Earth (or a missing target) hides a step; a
+    step out of sight is unseen under any slew.
+    """
+    positions = eci_positions(orbit, np.arange(grid.num_steps, dtype=float) * grid.step)
+    return positions, visibility_mask(positions, step_targets[:, None, :], math.pi)[:, 0]
+
+
 def slewed_step_visibility(
-    orbit: ClassicalOrbitalElements,
+    positions: np.ndarray,
     schedule: SlewSchedule,
     step_targets: np.ndarray,
     half_angle: float,
     grid: TimeGrid,
+    in_sight: np.ndarray,
 ) -> np.ndarray:
     """Per-step visibility of the active target through the slewed cone.
 
     The slew angles of an opportunity stay fixed across its steps, while
     the nadir axis they rotate is recomputed at every step; the boresight
     therefore keeps tracking the local vertical between control points.
+    The cone is tested only at the steps in line of sight: the Earth hides
+    the target at every other step, whatever the slew.
 
     Args:
-        step_targets: (num_steps, 3) active-target ECI position per step;
-            rows of NaN mean no active target (never visible).
+        positions: (num_steps, 3) satellite ECI positions at the step
+            times, from :func:`line_of_sight`.
+        step_targets: (num_steps, 3) active-target ECI position per step.
+        in_sight: boolean (num_steps,) line of sight from the satellite to
+            the step's target, from :func:`line_of_sight`.
 
     Returns:
         Boolean (num_steps,) array.
     """
-    step_targets = np.asarray(step_targets, dtype=float)
-    if step_targets.shape != (grid.num_steps, 3):
-        raise ValueError(f"step_targets must be ({grid.num_steps}, 3), got {step_targets.shape}")
-    times = np.arange(grid.num_steps, dtype=float) * grid.step
-    positions = eci_positions(orbit, times)
-    nadirs = -positions / np.linalg.norm(positions, axis=1, keepdims=True)
-    opp_of_step = np.arange(grid.num_steps) // grid.steps_per_opportunity
-    mats = np.stack([rotation_matrix(*row) for row in schedule.angles])
-    axes = np.einsum("tij,tj->ti", mats[opp_of_step], nadirs)
-    active = ~np.isnan(step_targets).any(axis=1)
+    steps = np.flatnonzero(in_sight)
     out = np.zeros(grid.num_steps, dtype=bool)
-    if np.any(active):
-        mask = visibility_mask(
-            positions[active], step_targets[active][:, None, :], half_angle, cone_axes=axes[active]
-        )
-        out[active] = mask[:, 0]
+    if steps.size:
+        pos = positions[steps]
+        nadirs = -pos / np.linalg.norm(pos, axis=1, keepdims=True)
+        opps, opp_of_step = np.unique(steps // grid.steps_per_opportunity, return_inverse=True)
+        mats = np.stack([rotation_matrix(*schedule.angles[i]) for i in opps])
+        axes = np.einsum("tij,tj->ti", mats[opp_of_step], nadirs)
+        out[steps] = visibility_mask(pos, step_targets[steps, None, :], half_angle, cone_axes=axes)[:, 0]
     return out

@@ -58,6 +58,7 @@ import numpy as np
 from .agility import (
     AgilityConfig,
     SlewSchedule,
+    line_of_sight,
     optimize_slew_schedules,
     score_agility,
     slewed_step_visibility,
@@ -550,10 +551,11 @@ def _run_agile(ws: _TrackWorkspace) -> ModelResult:
 
     acfg = config.agility
     orbits = [sc.elements for sc in config.satellites]
-    schedules = tuple(optimize_slew_schedules(orbits, opp_targets, acfg, grid))
+    positions, sight = zip(*(line_of_sight(orbit, ws.table, grid) for orbit in orbits))
+    schedules = tuple(optimize_slew_schedules(orbits, opp_targets, acfg, grid, np.array(sight)))
     total = 0.0
-    for orbit, schedule in zip(orbits, schedules):
-        visible = slewed_step_visibility(orbit, schedule, ws.table, config.fov_half_angle, grid)
+    for pos, seen, schedule in zip(positions, sight, schedules):
+        visible = slewed_step_visibility(pos, schedule, ws.table, config.fov_half_angle, grid, seen)
         total += score_agility(schedule, visible, acfg, grid).total_reward
     return ModelResult("A", total, True, time.perf_counter() - t0, schedules=schedules)
 

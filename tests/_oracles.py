@@ -722,6 +722,40 @@ def is_visible(sat_state, target_eci, fov, cone_axis=None) -> bool:
     return not _segment_blocked(pos, tgt)
 
 
+def line_of_sight(positions, step_targets) -> np.ndarray:
+    """Per step: does the satellite at ``positions[t]`` see the target
+    ``step_targets[t]`` past the Earth, whatever its pointing?  A missing
+    (NaN) or coincident target is out of sight."""
+    return np.array([
+        bool(np.all(np.isfinite(tgt)) and np.any(tgt != pos)) and not _segment_blocked(pos, tgt)
+        for pos, tgt in zip(np.asarray(positions, dtype=float), np.asarray(step_targets, dtype=float))
+    ], dtype=bool)
+
+
+def slewed_step_visibility(
+    orbit, angles, step_targets, half_angle, grid, eci_positions, visibility_mask, rotation_matrix
+) -> np.ndarray:
+    """Model A's per-step visibility as the library scored it before its
+    line-of-sight screen: the orbit propagated over every step, and the
+    slewed cone tested at every step with an active target.  The library's
+    kernels are passed in, so a comparison isolates the screen, bit for
+    bit.  Rows of NaN in ``step_targets`` mean no active target."""
+    times = np.arange(grid.num_steps, dtype=float) * grid.step
+    positions = eci_positions(orbit, times)
+    nadirs = -positions / np.linalg.norm(positions, axis=1, keepdims=True)
+    opp_of_step = np.arange(grid.num_steps) // grid.steps_per_opportunity
+    mats = np.stack([rotation_matrix(*row) for row in angles])
+    axes = np.einsum("tij,tj->ti", mats[opp_of_step], nadirs)
+    active = ~np.isnan(step_targets).any(axis=1)
+    out = np.zeros(grid.num_steps, dtype=bool)
+    if np.any(active):
+        mask = visibility_mask(
+            positions[active], step_targets[active][:, None, :], half_angle, cone_axes=axes[active]
+        )
+        out[active] = mask[:, 0]
+    return out
+
+
 def slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_mask) -> np.ndarray:
     """The per-slot loop the library ran before its plane screen: every
     slot propagated and tested at every step.  The library's own

@@ -1,6 +1,7 @@
 """Slew planner, rotation convention, and degraded-reward tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from stormcover.orbits import (
     geodetic_to_eci,
     propagate,
 )
-from stormcover.visibility import FovSpec
+from stormcover.visibility import FovSpec, visibility_mask
 
 DEG = math.pi / 180.0
 ZETA = 35.0 * DEG
@@ -243,6 +244,29 @@ def oracle_schedules(orbits, targets, config, grid):
     ]
 
 
+def step_sight(orbit, step_targets, grid):
+    """Positions at the step times and the oracle's line of sight."""
+    positions = eci_positions(orbit, np.arange(grid.num_steps, dtype=float) * grid.step)
+    return positions, oracles.line_of_sight(positions, step_targets)
+
+
+def hidden_opportunities(sight, grid):
+    """Per opportunity: is the target out of sight at every one of its steps?"""
+    spo = grid.steps_per_opportunity
+    return ~np.array([sight[i * spo : (i + 1) * spo].any() for i in range(grid.num_opportunities)])
+
+
+def screened_oracle_schedules(orbits, targets, step_targets, config, grid):
+    """oracle_schedules with each opportunity that a satellite sees at none
+    of its steps stripped of its targets, for that satellite alone."""
+    out = []
+    for orbit in orbits:
+        hidden = hidden_opportunities(step_sight(orbit, step_targets, grid)[1], grid)
+        own = [np.zeros((0, 3)) if hidden[i] else t for i, t in enumerate(targets)]
+        out += oracle_schedules([orbit], own, config, grid)
+    return out
+
+
 def assert_schedules_match(schedules, expected):
     assert len(schedules) == len(expected)
     for sched, (angles, objective) in zip(schedules, expected):
@@ -309,12 +333,14 @@ class TestBatchedOptimizer:
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_corpus_schedules_match_per_satellite_oracle(self, index):
+        # the harness plans only the opportunities in line of sight
         track = default_corpus(20)[index]
         config = ScenarioConfig()
         grid, targets = corpus_opportunity_targets(track, config)
         orbits = [sc.elements for sc in config.satellites]
         schedules = evaluate_track(track, config, models=("A",))["A"].schedules
-        assert_schedules_match(schedules, oracle_schedules(orbits, targets, config.agility, grid))
+        expected = screened_oracle_schedules(orbits, targets, _TrackWorkspace(track, config).table, config.agility, grid)
+        assert_schedules_match(schedules, expected)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -523,7 +549,7 @@ class TestCheckPass:
         targets = [first[None], (pos[1] + 1000.0 * target)[None]]
 
         lower, upper = full_box_rows(1)
-        dirs = agility._kept_directions(pos[None], targets)[0][1:]
+        dirs = agility._kept_directions(pos[None], targets, np.ones((1, 2), dtype=bool))[0][1:]
         shared = agility._candidates(np.zeros((1, 3)), lower, upper)
         won, _, won_val = agility._multistart(shared, nadir[1:], dirs)
         alone = agility._batched_objective(x0[None, None], nadir[1:], dirs)[0, 0]
@@ -627,6 +653,12 @@ class TestScore:
             score_agility(SlewSchedule(np.zeros((1, 3))), np.ones(7, bool), default_config(1000.0), grid)
 
 
+def full_step_visibility(orbit, schedule, step_targets, half_angle, grid):
+    return oracles.slewed_step_visibility(
+        orbit, schedule.angles, step_targets, half_angle, grid, eci_positions, visibility_mask, rotation_matrix
+    )
+
+
 class TestSlewedVisibility:
     def test_slew_reveals_off_cone_target(self):
         grid = one_opportunity_grid()
@@ -638,7 +670,8 @@ class TestSlewedVisibility:
         sched = optimize_slew_schedule(orbit, [target[None, :]], default_config(), grid)
         step_targets = np.full((grid.num_steps, 3), np.nan)
         step_targets[0] = target
-        vis = slewed_step_visibility(orbit, sched, step_targets, half, grid)
+        positions, sight = step_sight(orbit, step_targets, grid)
+        vis = slewed_step_visibility(positions, sched, step_targets, half, grid, sight)
         assert vis[0]
         assert not vis[1:].any()
 
@@ -649,7 +682,132 @@ class TestSlewedVisibility:
         step_targets = rng.normal(size=(grid.num_steps, 3))
         step_targets = step_targets / np.linalg.norm(step_targets, axis=1, keepdims=True) * R_E
         sched = SlewSchedule(np.zeros((grid.num_opportunities, 3)))
-        vis = slewed_step_visibility(orbit, sched, step_targets, 45 * DEG, grid)
+        positions, sight = step_sight(orbit, step_targets, grid)
+        vis = slewed_step_visibility(positions, sched, step_targets, 45 * DEG, grid, sight)
         for t in range(grid.num_steps):
             state = coe_to_state(propagate(orbit, t * grid.step))
             assert vis[t] == oracles.is_visible(state, step_targets[t], FovSpec(45 * DEG))
+
+    @given(seed=st.integers(0, 2**32 - 1), half_deg=st.sampled_from([30.0, 45.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_screened_steps_match_full_step_oracle(self, seed, half_deg):
+        # targets in and out of sight and in and out of the cone, some missing
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(duration=6 * 1800.0, step=300.0, control_step=1800.0)
+        orbit = random_orbit(rng)
+        positions = eci_positions(orbit, np.arange(grid.num_steps, dtype=float) * grid.step)
+        step_targets = np.array([
+            surface_point_off_nadir(pos, rng.uniform(0, 55) * DEG, rng.uniform(0, 2 * math.pi))
+            if rng.random() < 0.7 else rng.normal(size=3) / 1e-3
+            for pos in positions
+        ])
+        step_targets[rng.random(grid.num_steps) < 0.1] = np.nan
+        sched = SlewSchedule(rng.uniform(-ZETA, ZETA, (grid.num_opportunities, 3)))
+        screened, sight = agility.line_of_sight(orbit, step_targets, grid)
+        assert np.array_equal(screened, positions)
+        assert np.array_equal(sight, oracles.line_of_sight(positions, step_targets))
+        assert sight.any() and not sight.all()
+        got = slewed_step_visibility(positions, sched, step_targets, half_deg * DEG, grid, sight)
+        assert np.array_equal(got, full_step_visibility(orbit, sched, step_targets, half_deg * DEG, grid))
+
+
+class TestLineOfSightScreen:
+    """Model A planned and scored only where the target is in line of
+    sight, against the unscreened planner and the full-step scoring."""
+
+    def assert_screen_keeps_rewards(self, orbits, targets, step_targets, config, grid, half_angle):
+        """Plan with and without each satellite's line of sight, check every
+        row and the reward; returns the oracle's (K, num_steps) sight."""
+        sights = [step_sight(orbit, step_targets, grid) for orbit in orbits]
+        sight = np.array([s for _, s in sights])
+        screened = optimize_slew_schedules(orbits, targets, config, grid, sight)
+        unscreened = optimize_slew_schedules(orbits, targets, config, grid)
+        for orbit, (positions, seen), new, old in zip(orbits, sights, screened, unscreened):
+            hidden = hidden_opportunities(seen, grid)
+            assert np.array_equal(new.angles[~hidden], old.angles[~hidden])
+            assert np.all(new.angles[hidden] == 0.0)
+            visible = slewed_step_visibility(positions, new, step_targets, half_angle, grid, seen)
+            full = full_step_visibility(orbit, old, step_targets, half_angle, grid)
+            assert np.array_equal(visible, full)
+            assert score_agility(new, visible, config, grid).total_reward == score_agility(old, full, config, grid).total_reward
+        return sight, screened, unscreened
+
+    def test_one_satellite_sees_and_the_other_does_not(self):
+        # Satellite 1 trails satellite 0 by half an orbit, so the Earth
+        # hides from it the points just off satellite 0's nadir.
+        grid = TimeGrid(duration=3600.0, step=300.0, control_step=1800.0)
+        orbits = [
+            ClassicalOrbitalElements(7000.0, 0.0, 40 * DEG, 10 * DEG, 0.0, 0.0),
+            ClassicalOrbitalElements(7000.0, 0.0, 40 * DEG, 10 * DEG, 0.0, 180 * DEG),
+        ]
+        epochs = np.array([grid.opportunity_time(i) for i in range(grid.num_opportunities)])
+        lead = eci_positions(orbits[0], epochs)
+        targets = [surface_point_off_nadir(pos, 30 * DEG, 1.0)[None, :] for pos in lead]
+        step_targets = np.repeat(np.concatenate(targets), grid.steps_per_opportunity, axis=0)
+        sight, screened, unscreened = self.assert_screen_keeps_rewards(
+            orbits, targets, step_targets, default_config(), grid, 45 * DEG
+        )
+        assert sight[0].any() and not sight[1].any()
+        assert np.all(screened[0].angles != 0.0)
+        assert np.all(screened[1].angles == 0.0) and np.all(unscreened[1].angles != 0.0)
+
+    def test_one_step_in_sight_still_plans_the_opportunity(self):
+        # The target of opportunity 0 is in sight at its fourth step only;
+        # at every other step the active target lies across the Earth.
+        grid = TimeGrid(duration=3600.0, step=300.0, control_step=1800.0)
+        orbit = ClassicalOrbitalElements(7000.0, 0.0, 40 * DEG, 10 * DEG, 0.0, 0.0)
+        positions = eci_positions(orbit, np.arange(grid.num_steps, dtype=float) * grid.step)
+        step_targets = np.array([-surface_point_off_nadir(pos, 30 * DEG, 1.0) for pos in positions])
+        step_targets[3] *= -1.0
+        targets = [step_targets[3:4], step_targets[6:7]]
+        sight, screened, unscreened = self.assert_screen_keeps_rewards(
+            [orbit], targets, step_targets, default_config(), grid, 45 * DEG
+        )
+        assert sight[0].tolist() == [False] * 3 + [True] + [False] * 8
+        assert np.all(screened[0].angles[0] != 0.0) and np.all(screened[0].angles[1] == 0.0)
+        assert np.any(unscreened[0].angles[1] != 0.0)
+
+    @pytest.mark.parametrize("index", [0, 6, 12])
+    def test_corpus_rewards_match_the_unscreened_path(self, index):
+        track, config = default_corpus(20)[index], ScenarioConfig()
+        grid, targets = corpus_opportunity_targets(track, config)
+        step_targets = _TrackWorkspace(track, config).table
+        orbits = [sc.elements for sc in config.satellites]
+        unscreened = optimize_slew_schedules(orbits, targets, config.agility, grid)
+        hidden = [hidden_opportunities(step_sight(orbit, step_targets, grid)[1], grid) for orbit in orbits]
+        assert 0 < sum(map(np.sum, hidden)) < len(orbits) * grid.num_opportunities
+        for half_deg in (45.0, 30.0):
+            result = evaluate_track(track, ScenarioConfig(fov_half_angle=half_deg * DEG), models=("A",))["A"]
+            reward = 0.0
+            for orbit, new, old, out in zip(orbits, result.schedules, unscreened, hidden):
+                assert np.array_equal(new.angles[~out], old.angles[~out])
+                assert np.all(new.angles[out] == 0.0)
+                visible = full_step_visibility(orbit, old, step_targets, half_deg * DEG, grid)
+                reward += score_agility(old, visible, config.agility, grid).total_reward
+            assert result.reward == reward
+
+    def test_one_propagation_per_satellite_over_the_steps(self, monkeypatch):
+        track = default_corpus(20)[0]
+        config = ScenarioConfig()
+        grid = _TrackWorkspace(track, config).grid_for(1)
+        lengths = []
+
+        def counting(orbit, times):
+            lengths.append(len(times))
+            return eci_positions(orbit, times)
+
+        monkeypatch.setattr(agility, "eci_positions", counting)
+        evaluate_track(track, config, models=("A",))
+        n_sats = len(config.satellites)
+        assert lengths.count(grid.num_steps) == n_sats
+        assert sorted(lengths) == sorted([grid.num_steps] * n_sats + [grid.num_opportunities] * n_sats)
+
+    @pytest.mark.parametrize("shape,dtype", [((2, 11), bool), ((1, 12), bool), ((2, 12), np.int8)])
+    def test_bad_mask_rejected_before_propagation(self, monkeypatch, shape, dtype):
+        grid = TimeGrid(duration=3600.0, step=300.0, control_step=1800.0)
+        orbits = [ClassicalOrbitalElements(7000.0, 0.0, 40 * DEG, 10 * DEG, 0.0, 0.0)] * 2
+        propagated = []
+        monkeypatch.setattr(agility, "eci_positions", lambda *args: propagated.append(args))
+        with pytest.raises(ValueError, match=r"\(2, 12\).*" + re.escape(str(shape))):
+            optimize_slew_schedules(orbits, [np.zeros((0, 3))] * 2, default_config(), grid, np.ones(shape, dtype))
+        assert propagated == []
