@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from stormcover.harness import DEFAULT_SATELLITES
+from stormcover.maneuvers import SlotGrid
 from stormcover.mcrp import ReconfigPlan, build_reward_matrix, score_plan
 from stormcover.orbits import TimeGrid
 from stormcover.tracks import synthesize_track, target_eci_table, track_to_targets
@@ -31,9 +32,10 @@ targets = track_to_targets(track, grid)
 table = target_eci_table(targets, grid)  # (T, 3): the active cell of each step
 print(f"grid: {grid.num_steps} steps, {targets.num_points} target cells")
 
-# Visibility for the stay-only constellation: one slot per satellite,
-# 45 degree nadir cone, against the active cell of each step.
-slots = [[sc.elements] for sc in DEFAULT_SATELLITES]
+# Visibility for the stay-only constellation: one slot per satellite (on
+# plane 0, phase 0), 45 degree nadir cone, against the active cell of
+# each step.
+slots = SlotGrid([[sc.elements] for sc in DEFAULT_SATELLITES], plane=[0], phase=[0])
 fov = FovSpec(math.radians(45.0))
 visible = slot_visibility(slots, table, grid, fov)  # (K, J, T) booleans
 

@@ -34,12 +34,14 @@ from .harness import (
 from .maneuvers import (
     CostMatrix,
     GridMode,
+    SlotGrid,
     SlotGridSpec,
     TransferCost,
     TransferStrategy,
     build_cost_matrix,
     calibrate_plane_spans,
     generate_slot_grid,
+    grid_layout,
     transfer_cost,
 )
 from .mcrp import (
@@ -70,6 +72,7 @@ __all__ = [
     "RewardMatrix",
     "ScenarioConfig",
     "SlewSchedule",
+    "SlotGrid",
     "SlotGridSpec",
     "Spacecraft",
     "TcTrack",
@@ -83,6 +86,7 @@ __all__ = [
     "emit_report",
     "evaluate_track",
     "generate_slot_grid",
+    "grid_layout",
     "load_config",
     "optimize_slew_schedule",
     "optimize_slew_schedules",

@@ -354,7 +354,7 @@ def _kept_directions(positions: np.ndarray, targets: Sequence[np.ndarray], rows:
 def _blocks(counts: np.ndarray, size: int):
     """Indices of the rows with each kept-direction count, in blocks of at
     most ``size``."""
-    for count in np.unique(counts):
+    for count in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == count)
         for start in range(0, rows.size, size):
             yield int(count), rows[start : start + size]
@@ -508,7 +508,7 @@ def optimize_slew_schedules(
             break
         rows_now = moving * n_opps + at[moving]
         prev_now = np.where((at[moving] > 0)[:, None], angles[rows_now - 1], 0.0)
-        for count in np.unique(counts[rows_now]):
+        for count in np.flatnonzero(np.bincount(counts[rows_now])):
             pick = counts[rows_now] == count
             rows, prev = rows_now[pick], prev_now[pick]
             lower, upper = box(prev)
@@ -639,8 +639,9 @@ def slewed_step_visibility(
     if steps.size:
         pos = positions[steps]
         nadirs = -pos / np.linalg.norm(pos, axis=1, keepdims=True)
-        opps, opp_of_step = np.unique(steps // grid.steps_per_opportunity, return_inverse=True)
-        mats = np.stack([rotation_matrix(*schedule.angles[i]) for i in opps])
-        axes = np.einsum("tij,tj->ti", mats[opp_of_step], nadirs)
+        opp = steps // grid.steps_per_opportunity  # ascending: one run per opportunity
+        starts = np.concatenate([[True], opp[1:] != opp[:-1]])
+        mats = np.stack([rotation_matrix(*schedule.angles[i]) for i in opp[starts]])
+        axes = np.einsum("tij,tj->ti", mats[np.cumsum(starts) - 1], nadirs)
         out[steps] = visibility_mask(pos, step_targets[steps, None, :], half_angle, cone_axes=axes)[:, 0]
     return out

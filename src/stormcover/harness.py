@@ -31,7 +31,9 @@ visibility of a slot grid is one (satellite, slot, step) array over the
 whole horizon, built against the (step, 3) active-target table.  Each
 concept's tensor is a reshape of its slots of that array, and its stage
 costs a slice of the grid's, so B is slot 0 of the phasing grid and P1
-reads P2's even phases, bit for bit.
+reads P2's even phases, bit for bit.  The slot grids themselves, with
+their layout, constants and stage-0 costs, do not depend on the track:
+each is built once per config, at the first track that reads it.
 
 Later concepts are warm-started from earlier winners mapped onto their
 slots.  A source's slots are the target's own or every other one of
@@ -66,9 +68,12 @@ from .agility import (
 from .maneuvers import (
     CostMatrix,
     GridMode,
+    SlotGrid,
     SlotGridSpec,
     build_cost_matrix,
+    calibrate_plane_spans,
     generate_slot_grid,
+    grid_layout,
 )
 from .mcrp import (
     DEFAULT_NODE_LIMIT,
@@ -237,6 +242,7 @@ class ScenarioConfig:
     node_limit: int = DEFAULT_NODE_LIMIT
     fov: FovSpec = field(init=False, repr=False, compare=False)
     agility: AgilityConfig = field(init=False, repr=False, compare=False)
+    _slot_grids: Dict[str, SlotGrid] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.satellites:
@@ -278,8 +284,27 @@ class ScenarioConfig:
                 f"max_slew_deg {math.degrees(self.max_slew):g}, "
                 f"control_step_s {self.control_step:g}: {exc}"
             ) from None
+        # the budget sizes the unrestricted grid's planes: fail here, not at the first U1 or U2
+        if any(_SLOT_GRIDS[MODEL_MATRIX[name].grid][0] is GridMode.UNRESTRICTED for name in self.models):
+            for sc in self.satellites:
+                try:
+                    calibrate_plane_spans(sc.elements, self.budget_km_s)
+                except ValueError as exc:
+                    raise ValueError(f"budget_km_s {self.budget_km_s:g}, satellite {sc.name!r}: {exc}") from None
         object.__setattr__(self, "fov", fov)
         object.__setattr__(self, "agility", agility)
+
+    def slot_grid(self, name: str) -> SlotGrid:
+        """Every satellite's slots on the named slot grid, laid out by
+        construction, built at the first use and kept for the whole run."""
+        if name not in self._slot_grids:
+            mode, spec = _SLOT_GRIDS[name]
+            initials = [sc.elements for sc in self.satellites]
+            slots = [generate_slot_grid(orbit, spec, self.budget_km_s, mode) for orbit in initials]
+            self._slot_grids[name] = SlotGrid(
+                slots, *grid_layout(spec, mode), initials, self.max_revs, self.budget_km_s
+            )
+        return self._slot_grids[name]
 
 
 def default_corpus(count: int = 20) -> Tuple[TcTrack, ...]:
@@ -319,8 +344,9 @@ _CONFIG_FIELDS: Dict[str, Tuple[str, Callable[[str], object]]] = {
 
 _CONFIG_KEYS = frozenset(_CONFIG_FIELDS) | {"tracks"}
 
-# ScenarioConfig fields checked as a pair: the control step is a multiple of the step
+# ScenarioConfig fields checked together: the step pair, and the budget (it sizes U1 and U2's grid) with the models
 _STEP_FIELDS = ("step", "control_step")
+_CHECKED_WITH = {"step": _STEP_FIELDS, "control_step": _STEP_FIELDS, "budget_km_s": ("budget_km_s", "models")}
 
 
 def parse_config(
@@ -363,10 +389,10 @@ def parse_config(
     for key, (name, _) in _CONFIG_FIELDS.items():
         if key not in values:
             continue
-        # the config's own rules on this value alone (the step and the
-        # control step as a pair), whose messages name the key, so a bad
-        # value is reported against its line
-        together = _STEP_FIELDS if name in _STEP_FIELDS else (name,)
+        # the config's own rules on this value alone (or with the field its
+        # rules read), whose messages name the key, so a bad value is
+        # reported against its line
+        together = _CHECKED_WITH.get(name, (name,))
         try:
             ScenarioConfig(**{n: kwargs[n] for n in together if n in kwargs})
         except ValueError as exc:
@@ -443,16 +469,14 @@ class ModelResult:
 
 
 class _TrackWorkspace:
-    """Shared per-track caches: time grids, rewards, and per slot grid the
-    slots, visibility and priced stage costs."""
+    """Per-track caches: time grids, rewards, and per slot grid its visibility and stage costs."""
 
     def __init__(self, track: TcTrack, config: ScenarioConfig):
         self.track = track
         self.config = config
         self._grids: Dict[int, TimeGrid] = {}
         self._rewards: Dict[int, RewardMatrix] = {}
-        # slot grid name -> slots, visibility, stage epoch -> delta_v array
-        self._slots: Dict[str, List[List[ClassicalOrbitalElements]]] = {}
+        # slot grid name -> visibility, stage epoch -> delta_v array
         self._visible: Dict[str, np.ndarray] = {}
         self._costs: Dict[str, Dict[float, np.ndarray]] = {}
         base = self.grid_for(1)
@@ -466,22 +490,12 @@ class _TrackWorkspace:
             )
         return self._grids[stages]
 
-    def grid_slots(self, grid: str) -> List[List[ClassicalOrbitalElements]]:
-        """Every satellite's slots on the named slot grid."""
-        if grid not in self._slots:
-            mode, gspec = _SLOT_GRIDS[grid]
-            self._slots[grid] = [
-                generate_slot_grid(sc.elements, gspec, self.config.budget_km_s, mode)
-                for sc in self.config.satellites
-            ]
-        return self._slots[grid]
-
     def tensor_for(self, spec: ModelSpec) -> np.ndarray:
         """The concept's slots of its grid's (K, J, T) visibility, viewed
         as (S, K, J, T_s, 1)."""
         if spec.grid not in self._visible:
             self._visible[spec.grid] = slot_visibility(
-                self.grid_slots(spec.grid), self.table, self.grid_for(1), self.config.fov
+                self.config.slot_grid(spec.grid), self.table, self.grid_for(1), self.config.fov
             )
         visible = self._visible[spec.grid][:, spec.slots]
         n_sats, n_slots, _ = visible.shape
@@ -497,14 +511,8 @@ class _TrackWorkspace:
         """The concept's cost matrix, sliced from its grid's stage arrays:
         each stage epoch is priced once per grid, and the 2- and 4-stage
         concepts share the epochs 0 and T/2."""
-        full = build_cost_matrix(
-            self.grid_slots(spec.grid),
-            self.grid_for(spec.num_stages),
-            max_revs=self.config.max_revs,
-            budget=self.config.budget_km_s,
-            initial_orbits=[sc.elements for sc in self.config.satellites],
-            priced=self._costs.setdefault(spec.grid, {}),
-        )
+        priced = self._costs.setdefault(spec.grid, {})
+        full = build_cost_matrix(self.config.slot_grid(spec.grid), self.grid_for(spec.num_stages), priced)
         sl = spec.slots
         stages = tuple(c[:, :, sl] if s == 0 else c[:, sl, sl] for s, c in enumerate(full.stages))
         return CostMatrix(stages=stages, budget=full.budget)
@@ -588,7 +596,7 @@ def _run_reconfig(ws: _TrackWorkspace, spec: ModelSpec, results: Dict[str, Model
     tensor = ws.tensor_for(spec)
     rewards = ws.rewards_for(spec.num_stages)
     costs = ws.costs_for(spec)
-    warm = _warm_candidates(spec, results, len(ws.grid_slots(spec.grid)[0]))
+    warm = _warm_candidates(spec, results, len(ws.config.slot_grid(spec.grid).slots[0]))
     plan = solve_mcrp(
         tensor, rewards, costs, node_limit=ws.config.node_limit, warm_starts=warm
     )
@@ -630,9 +638,16 @@ def evaluate_track(
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_job(job: Tuple[TcTrack, ScenarioConfig]) -> Dict[str, ModelResult]:
-    track, config = job
-    return evaluate_track(track, config)
+_worker_config: Optional[ScenarioConfig] = None
+
+
+def _start_worker(config: ScenarioConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _evaluate_in_worker(track: TcTrack) -> Dict[str, ModelResult]:
+    return evaluate_track(track, _worker_config)
 
 
 def run_corpus(
@@ -641,7 +656,8 @@ def run_corpus(
     """Evaluate every track and assemble the comparison report.
 
     threads > 1 fans tracks out to worker processes (the solves are CPU
-    bound); results are gathered in track order either way, so the report
+    bound), each handed the config once, so it builds each slot grid once;
+    results are gathered in track order either way, so the report
     does not depend on scheduling.  Every (track, model) time grid is
     built first, so a grid that does not fit fails before any compute,
     naming the track and the model.
@@ -655,13 +671,13 @@ def run_corpus(
                 TimeGrid(track.duration_seconds, config.step, config.control_step, stages)
             except ValueError as exc:
                 raise ValueError(f"track {track.name!r}, model {name}: {exc}") from None
-    jobs = [(track, config) for track in tracks]
-    if threads == 1 or len(jobs) <= 1:
-        all_results = [_evaluate_job(job) for job in jobs]
+    if threads == 1 or len(tracks) <= 1:
+        all_results = [evaluate_track(track, config) for track in tracks]
     else:
         # fork starts every worker at the first submit: none beyond the tracks
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            all_results = list(pool.map(_evaluate_job, jobs))
+        workers = min(threads, len(tracks))
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(config,)) as pool:
+            all_results = list(pool.map(_evaluate_in_worker, tracks))
     report = build_report(tracks, config.models, all_results)
     return report, all_results
 

@@ -10,7 +10,9 @@ per pair of orbit planes and once per pair of distinct phases.
 Slot grids put candidate orbits on equally spaced phase offsets and, in the
 unrestricted mode, on inclination and RAAN offsets calibrated so that the
 most distant plane costs exactly the per-satellite fuel budget to reach in
-one maneuver.
+one maneuver.  A :class:`SlotGrid` carries every satellite's slots with
+their layout (:func:`grid_layout`), J2 constants and mean anomalies at
+epoch, so it is built once per run and prices every track's stages.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,14 +29,11 @@ import numpy as np
 from .orbits import (
     EARTH,
     ClassicalOrbitalElements,
+    OrbitTable,
     TimeGrid,
     _norm_angle,
-    j2_arg_periapsis_rate,
-    j2_mean_motion,
-    j2_raan_rate,
     mean_motion,
     mean_to_true_anomaly,
-    true_to_mean_anomaly,
 )
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
     "transfer_cost",
     "calibrate_plane_spans",
     "generate_slot_grid",
+    "grid_layout",
+    "SlotGrid",
     "build_cost_matrix",
 ]
 
@@ -424,6 +426,17 @@ def generate_slot_grid(
     return slots
 
 
+def grid_layout(spec: SlotGridSpec, mode: GridMode) -> Tuple[np.ndarray, np.ndarray]:
+    """Orbit plane and phase index of each slot :func:`generate_slot_grid`
+    lays out: slot j lies on plane j // num_phases; the center and
+    inclination-offset planes carry phases of their own, in slot order,
+    and the RAAN-offset planes the center plane's (same i and nu)."""
+    n = spec.num_phases
+    axis = spec.num_plane_axis if mode is GridMode.UNRESTRICTED else 1
+    plane = np.repeat(np.arange(2 * axis - 1), n)
+    return plane, np.concatenate([np.arange(axis * n), np.tile(np.arange(n), axis - 1)])
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Per-stage transfer costs c[s][k][i][j] with the per-satellite budget.
@@ -451,108 +464,121 @@ class CostMatrix:
         return self.stages[0].shape[0]
 
 
-class _StageAngles(NamedTuple):
-    """Slot angles at one epoch, stored once per distinct value.
+class _SlotLayout(NamedTuple):
+    """Every satellite's slots at one epoch, one row per satellite: slot j
+    of satellite k lies on plane ``plane[k, j]`` and phase ``phase[k, j]``.
+    Per plane: semi-major axis, inclination, RAAN and its J2 rate.  Per
+    phase: argument of latitude, mean anomaly at epoch, eccentricity, and
+    the J2 mean motion and periapsis drift of its first slot's plane.  A
+    satellite with fewer planes or phases repeats its last entry."""
 
-    Slot j lies on plane ``plane[j]``, with inclination ``incl`` and RAAN
-    ``raan`` at that index and semi-major axis ``sma``, and has argument
-    of latitude ``u[phase[j]]``.
-    """
-
+    plane: np.ndarray
+    phase: np.ndarray
     sma: np.ndarray
     incl: np.ndarray
     raan: np.ndarray
+    raan_rate: np.ndarray
     u: np.ndarray
-    plane: np.ndarray
-    phase: np.ndarray
+    mean_anomaly: np.ndarray
+    ecc: np.ndarray
+    n_eff: np.ndarray
+    argp: np.ndarray
+    argp_rate: np.ndarray
 
 
-class _SlotGroups(NamedTuple):
-    """A slot list grouped by orbit plane (a, e, i, RAAN, omega) and by
-    phase (a, e, i, omega, nu), each group stood for by its first slot.
-
-    Slot j is on plane ``plane[j]`` and phase ``phase[j]``; the first slot
-    of phase q is on plane ``phase_plane[q]``.
-    """
-
-    planes: Tuple[ClassicalOrbitalElements, ...]
-    phases: Tuple[ClassicalOrbitalElements, ...]
-    phase_plane: Tuple[int, ...]
-    plane: np.ndarray
-    phase: np.ndarray
+def _first_of(labels: np.ndarray) -> np.ndarray:
+    """Index of the first entry holding each of the labels 0, 1, ..."""
+    order = np.argsort(labels, kind="stable")
+    return order[np.searchsorted(labels[order], np.arange(labels.max() + 1))]
 
 
-def _group_slots(slots: Sequence[ClassicalOrbitalElements]) -> _SlotGroups:
-    """Plane and phase groups of a slot list, in first-occurrence order."""
-    planes: Dict[tuple, int] = {}
-    phases: Dict[tuple, int] = {}
-    plane_slots: List[ClassicalOrbitalElements] = []
-    phase_slots: List[ClassicalOrbitalElements] = []
-    phase_plane: List[int] = []
-    plane_of = np.empty(len(slots), dtype=np.intp)
-    phase_of = np.empty(len(slots), dtype=np.intp)
-    for j, slot in enumerate(slots):
-        a, e, i, argp = slot.semi_major_axis, slot.eccentricity, slot.inclination, slot.arg_periapsis
-        p = planes.setdefault((a, e, i, slot.raan, argp), len(plane_slots))
-        if p == len(plane_slots):
-            plane_slots.append(slot)
-        q = phases.setdefault((a, e, i, argp, slot.true_anomaly), len(phase_slots))
-        if q == len(phase_slots):
-            phase_slots.append(slot)
-            phase_plane.append(p)
-        plane_of[j] = p
-        phase_of[j] = q
-    return _SlotGroups(
-        tuple(plane_slots), tuple(phase_slots), tuple(phase_plane), plane_of, phase_of
-    )
+def _layout(slots: Sequence[ClassicalOrbitalElements], plane, phase) -> Tuple[_SlotLayout, OrbitTable]:
+    """One satellite's row of a :class:`_SlotLayout` at epoch 0 and the table of its slots."""
+    plane_at, phase_at = _first_of(plane), _first_of(phase)
+    planes, phases = [slots[j] for j in plane_at], [slots[j] for j in phase_at]
+    table = OrbitTable.of(planes, phases, plane, phase)
+    p, q = table.take(plane_at), table.take(phase_at)
+    sma, incl = np.array([(c.semi_major_axis, c.inclination) for c in planes]).T
+    u = _wrap(q.argp + [c.true_anomaly for c in phases])
+    per_phase = (q.mean_anomaly, q.eccentricity, q.n_eff, q.argp, q.argp_rate)
+    return _SlotLayout(plane, phase, sma, incl, p.raan, p.raan_rate, u, *per_phase), table
 
 
-def _stage_angles(slots, dt: float) -> _StageAngles:
-    """Each slot's inclination, RAAN and argument of latitude ``dt`` s on.
+def _layouts(slots, plane, phase) -> Tuple[_SlotLayout, OrbitTable]:
+    """Every satellite's :class:`_SlotLayout` row, and the table of all slots."""
 
-    ``slots`` is a slot list or its :func:`_group_slots` groups, which do
-    not depend on ``dt`` and so can be formed once for every epoch.
+    def stack(column):  # one row per satellite, each padded with its last entry
+        width = max(len(x) for x in column)
+        return np.stack([np.append(x, np.repeat(x[-1:], width - len(x))) for x in column])
+
+    rows, tables = zip(*map(_layout, slots, plane, phase))
+    return _SlotLayout(*map(stack, zip(*rows))), OrbitTable(*map(np.concatenate, zip(*tables)))
+
+
+def _wrap(angle: np.ndarray) -> np.ndarray:
+    """:func:`~stormcover.orbits._norm_angle` elementwise, in the same arithmetic."""
+    y = np.fmod(angle, TWO_PI)
+    return np.where(y < 0.0, y + TWO_PI, y)
+
+
+def _stage_angles(layout: _SlotLayout, dt: float) -> _SlotLayout:
+    """The layout ``dt`` s after epoch 0, its RAAN and argument of latitude drifted.
+
     The values are those of ``propagate(slot, dt)`` and its
-    ``argument_of_latitude``, bit for bit: the same scalar operations in
-    the same order, with the double wrap the propagated elements' own
-    normalization adds.  The J2 rates and the RAAN and periapsis drift are
-    computed once per orbit plane, and Kepler's equation is solved once
-    per phase, which the RAAN-offset planes of an unrestricted grid share
-    with the center plane.
+    ``argument_of_latitude``, bit for bit: the same operations in the
+    same order, with the double wrap the propagated elements' own
+    normalization adds.  The drift is computed once per orbit plane and
+    phase, and Kepler's equation solved once per phase, which the
+    RAAN-offset planes of an unrestricted grid share with the center plane.
     """
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    groups = slots if isinstance(slots, _SlotGroups) else _group_slots(slots)
-    raan: List[float] = []
-    drift: List[Tuple[float, float]] = []  # per plane: (J2 mean motion, omega)
-    for slot in groups.planes:
-        if dt == 0.0:
-            raan.append(slot.raan)
-            drift.append((0.0, slot.arg_periapsis))
-        else:
-            raan.append(_norm_angle(_norm_angle(slot.raan + j2_raan_rate(slot) * dt)))
-            argp_dt = slot.arg_periapsis + j2_arg_periapsis_rate(slot) * dt
-            drift.append((j2_mean_motion(slot), _norm_angle(_norm_angle(argp_dt))))
-    u: List[float] = []
-    for slot, p in zip(groups.phases, groups.phase_plane):
-        n_eff, argp_at = drift[p]
-        nu = slot.true_anomaly
-        if dt != 0.0:
-            m0 = true_to_mean_anomaly(nu, slot.eccentricity)
-            nu = _norm_angle(mean_to_true_anomaly(m0 + n_eff * dt, slot.eccentricity))
-        u.append(_norm_angle(argp_at + nu))
-    return _StageAngles(
-        np.array([slot.semi_major_axis for slot in groups.planes]),
-        np.array([slot.inclination for slot in groups.planes]),
-        np.array(raan),
-        np.array(u),
-        groups.plane,
-        groups.phase,
-    )
+    if dt == 0.0:
+        return layout
+    argp = _wrap(_wrap(layout.argp + layout.argp_rate * dt))
+    mean = (layout.mean_anomaly + layout.n_eff * dt).ravel().tolist()
+    nu = [_norm_angle(mean_to_true_anomaly(m, e)) for m, e in zip(mean, layout.ecc.ravel().tolist())]
+    raan = _wrap(_wrap(layout.raan + layout.raan_rate * dt))
+    return layout._replace(raan=raan, u=_wrap(argp + np.reshape(nu, argp.shape)))
 
 
-def _pairwise_costs(from_angles: _StageAngles, to_angles: _StageAngles, max_revs: int) -> np.ndarray:
-    """Vectorised all-pairs transfer pricing for one satellite and stage.
+class SlotGrid:
+    """Every satellite's slots on one slot grid, with their layout and constants.
+
+    ``slots[k][j]`` lies on orbit plane ``plane[k, j]`` and phase
+    ``phase[k, j]``, each numbered 0, 1, ... in slot order: a plane's slots
+    share every element but the true anomaly, a phase's share a, e, i,
+    omega and nu.  ``plane`` and ``phase`` may be one (J,) layout for every
+    satellite, as :func:`grid_layout` gives it.  The per-plane J2 constants
+    and per-phase mean anomalies are computed once, into ``layout`` for
+    pricing and ``orbits`` (every slot, satellite-major) for visibility;
+    stage 0 from ``initials`` (default: each slot 0) is priced at first use.
+    """
+
+    def __init__(self, slots, plane, phase, initials=None, max_revs: int = 4, budget: float = 2.0):
+        counts = {len(slot_list) for slot_list in slots}
+        if len(counts) != 1:
+            raise ValueError(f"satellites list unequal slot counts {sorted(counts)}")
+        self.slots = tuple(tuple(slot_list) for slot_list in slots)
+        shape = (len(self.slots), counts.pop())
+        self.plane, self.phase = np.broadcast_to(plane, shape), np.broadcast_to(phase, shape)
+        self.initials = tuple(slot_list[0] for slot_list in self.slots) if initials is None else tuple(initials)
+        self.max_revs, self.budget = max_revs, float(budget)
+        self.layout, self.orbits = _layouts(self.slots, self.plane, self.phase)
+
+    @cached_property
+    def departures(self) -> np.ndarray:
+        """(K, 1, J) delta_v from each satellite's initial orbit to its
+        slots at epoch 0, read-only: stage 0 of every cost matrix."""
+        one = np.zeros((len(self.initials), 1), dtype=np.intp)
+        starts, _ = _layouts([[orbit] for orbit in self.initials], one, one)
+        costs = _pairwise_costs(starts, self.layout, self.max_revs)
+        costs.flags.writeable = False
+        return costs
+
+
+def _pairwise_costs(from_angles: _SlotLayout, to_angles: _SlotLayout, max_revs: int) -> np.ndarray:
+    """Vectorised all-pairs transfer pricing for every satellite at one stage.
 
     The cheapest strategy of transfer_cost, as plane leg + phase leg:
     rounding is monotone, so adding one phase leg to each plane candidate
@@ -560,39 +586,43 @@ def _pairwise_costs(from_angles: _StageAngles, to_angles: _StageAngles, max_revs
     the phase leg on the distinct arguments of latitude, then both are
     gathered to slot pairs; each entry is the same elementwise arithmetic
     on the same values as a slot-by-slot evaluation.  Pinned by tests.
-    Returns delta_v shaped (len(from slots), len(to slots)).
+    Returns delta_v shaped (K, len(from slots), len(to slots)).
     """
     rev_pairs = _phase_rev_pairs(max_revs)
-    a = float(from_angles.sma[0])
-    if np.any(np.abs(np.concatenate([from_angles.sma, to_angles.sma]) - a) > _SMA_TOL_KM):
+    sma = from_angles.sma[:, :1]
+    if np.any(np.abs(np.concatenate([from_angles.sma, to_angles.sma], axis=1) - sma) > _SMA_TOL_KM):
         raise ValueError("slot grids must share one altitude")
     mu = EARTH.mu_km3_s2
-    v = math.sqrt(mu / a)
-    n = mean_motion(a)
+    a = sma[:, :, None]
+    v = np.sqrt(mu / a)
+    n = np.array([mean_motion(x) for x in sma[:, 0].tolist()])[:, None, None]
     floor_radius = EARTH.radius_km + _MIN_PERIAPSIS_CLEARANCE_KM
 
     # Phase leg on (from, to) arguments of latitude: minimum over the rev
     # pairs with the clearance guard.  The guard region covers every
     # negative vis-viva argument, so the NaNs produced under errstate are
-    # always replaced.
-    dphi = np.mod(from_angles.u[:, None] - to_angles.u[None, :], TWO_PI)
-    has_p = (dphi > _ANGLE_TOL) & (dphi < TWO_PI - _ANGLE_TOL)
-    phase_dv = np.full(dphi.shape, np.inf)
+    # always replaced.  Both arguments of latitude lie in [0, 2 pi), so
+    # their difference lies in (-2 pi, 2 pi) and one added turn wraps it
+    # as np.mod would.
+    dphi = from_angles.u[:, :, None] - to_angles.u[:, None, :]
+    dphi = np.where(dphi < 0.0, dphi + TWO_PI, dphi)
+    phase_leg = None
     for k_tgt, k_tfr in rev_pairs:
         t_phase = (TWO_PI * k_tgt + dphi) / n
         a_phase = mu ** (1.0 / 3.0) * (t_phase / (TWO_PI * k_tfr)) ** (2.0 / 3.0)
         bad = (a_phase < a) & (2.0 * a_phase - a < floor_radius)
         with np.errstate(invalid="ignore"):
             dv = 2.0 * np.abs(np.sqrt(mu * (2.0 / a - 1.0 / a_phase)) - v)
-        phase_dv = np.minimum(phase_dv, np.where(bad, np.inf, dv))
-    phase_leg = np.where(has_p, phase_dv, 0.0)
+        dv[bad] = np.inf
+        phase_leg = dv if phase_leg is None else np.minimum(phase_leg, dv, out=phase_leg)
+    phase_leg[(dphi <= _ANGLE_TOL) | (dphi >= TWO_PI - _ANGLE_TOL)] = 0.0
 
     # Plane leg on (from, to) planes, through the same half-angle
     # identities as the scalar ops; a single-axis offset may also fly the
     # combined rotation.
-    fi = from_angles.incl[:, None]
-    di = to_angles.incl[None, :] - fi
-    draan = np.mod(to_angles.raan[None, :] - from_angles.raan[:, None], TWO_PI)
+    fi = from_angles.incl[:, :, None]
+    di = to_angles.incl[:, None, :] - fi
+    draan = np.mod(to_angles.raan[:, None, :] - from_angles.raan[:, :, None], TWO_PI)
     draan = np.where(draan > math.pi, draan - TWO_PI, draan)
     has_i = np.abs(di) > _ANGLE_TOL
     has_o = np.abs(draan) > _ANGLE_TOL
@@ -605,60 +635,45 @@ def _pairwise_costs(from_angles: _StageAngles, to_angles: _StageAngles, max_revs
         [plane_dv, np.minimum(incl_dv, plane_dv), np.minimum(raan_dv, plane_dv)],
         0.0,
     )
-    plane_leg = plane_leg[from_angles.plane][:, to_angles.plane]
-    phase_leg = phase_leg[from_angles.phase][:, to_angles.phase]
-    # Both legs are >= +0.0 (or inf), so adding a zero leg is exact.
-    return plane_leg + phase_leg
+    # Gathered per satellite, rows then columns; both legs are >= +0.0 (or inf), so adding a zero leg is exact.
+    costs = np.empty(from_angles.plane.shape + to_angles.plane.shape[1:])
+    rows = zip(costs, plane_leg, phase_leg, from_angles.plane, to_angles.plane, from_angles.phase, to_angles.phase)
+    for out, plane, phase, from_plane, to_plane, from_phase, to_phase in rows:
+        np.add(plane[from_plane][:, to_plane], phase[from_phase][:, to_phase], out=out)
+    return costs
 
 
 def build_cost_matrix(
-    slots: Sequence[Sequence[ClassicalOrbitalElements]],
+    grid: SlotGrid,
     time_grid: TimeGrid,
-    max_revs: int = 4,
-    budget: float = 2.0,
-    initial_orbits: Optional[Sequence[ClassicalOrbitalElements]] = None,
     priced: Optional[Dict[float, np.ndarray]] = None,
 ) -> CostMatrix:
     """Assemble c[s][k][i][j] for every stage boundary.
 
-    slots[k] lists satellite k's slots, the same for every stage (the grid
-    does not move, the orbits in it drift).  Each slot's angles are
-    propagated once to each stage-boundary epoch, so later stages see the
-    accumulated nodal drift; from stage 1 on, the from- and to-slots are
-    that one propagated list.  Each list is grouped into orbit planes and
-    phases once per call (:func:`_group_slots`); at each epoch the J2
-    drift is computed once per plane and Kepler's equation solved once
-    per phase (:func:`_stage_angles`); the plane leg is priced once per
-    pair of planes and the phase leg once per pair of distinct arguments
-    of latitude, then both are gathered to the (from, to) slot pairs.
+    Every stage reads the grid's slots (the grid does not move, the orbits
+    in it drift).  Stage 0, from each satellite's initial orbit at epoch
+    0, is the grid's :attr:`SlotGrid.departures`.  From stage 1 on, the
+    from- and to-slots are the grid's slots at the stage-boundary epoch:
+    the drift is computed once per orbit plane and Kepler's equation
+    solved once per phase (:func:`_stage_angles`), the plane leg is priced
+    once per pair of planes and the phase leg once per pair of distinct
+    arguments of latitude, then both are gathered to the slot pairs.
 
     Args:
-        initial_orbits: where each satellite actually starts; defaults to
-            slot 0 of its list.
-        priced: delta_v stage arrays already priced for these same
-            slots, initial orbits and revs, keyed by stage epoch.  A stage
-            whose epoch is there is referenced, not priced again, and each
-            newly priced stage is added, so stage counts whose boundaries
-            coincide share their arrays.
+        priced: delta_v stage arrays already priced on this grid, keyed by
+            stage epoch.  A stage whose epoch is there is referenced, not
+            priced again, and each newly priced stage is added, so stage
+            counts whose boundaries coincide share their arrays.
     """
-    n_sats = len(slots)
-    if initial_orbits is None:
-        initial_orbits = [slot_list[0] for slot_list in slots]
     if priced is None:
         priced = {}
-    groups = [_group_slots(slot_list) for slot_list in slots]
-    starts = [_group_slots([orbit]) for orbit in initial_orbits]
-    for s in range(time_grid.num_stages):
+    priced.setdefault(0.0, grid.departures)
+    for s in range(1, time_grid.num_stages):
         epoch = time_grid.stage_start_time(s)
-        if epoch in priced:
-            continue
-        per_sat_cost = []
-        for k in range(n_sats):
-            to_angles = _stage_angles(groups[k], epoch)
-            from_angles = _stage_angles(starts[k], epoch) if s == 0 else to_angles
-            per_sat_cost.append(_pairwise_costs(from_angles, to_angles, max_revs))
-        priced[epoch] = np.stack(per_sat_cost)
+        if epoch not in priced:
+            angles = _stage_angles(grid.layout, epoch)
+            priced[epoch] = _pairwise_costs(angles, angles, grid.max_revs)
     return CostMatrix(
         stages=tuple(priced[time_grid.stage_start_time(s)] for s in range(time_grid.num_stages)),
-        budget=np.full(n_sats, float(budget)),
+        budget=np.full(len(grid.slots), grid.budget),
     )

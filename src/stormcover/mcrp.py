@@ -142,9 +142,9 @@ def build_reward_matrix(track_length_steps: int, num_points: int, num_stages: in
         )
     t_stage = t_total // num_stages
     pi = np.zeros((num_stages, t_stage, num_points))
+    by_step = pi.reshape(t_total, num_points)  # step t is (t // t_stage, t % t_stage)
     for p, (lo, hi) in enumerate(active_windows(t_total, num_points)):
-        for t in range(lo, hi):
-            pi[t // t_stage, t % t_stage, p] = 1.0
+        by_step[lo:hi, p] = 1.0
     return RewardMatrix(pi=pi, coverage_req=np.ones_like(pi, dtype=np.int64))
 
 

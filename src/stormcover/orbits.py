@@ -38,7 +38,6 @@ __all__ = [
     "geodetic_to_eci",
     "secular_angles",
     "eci_positions",
-    "orbit_planes",
     "OrbitTable",
     "cell_positions",
 ]
@@ -487,16 +486,6 @@ def eci_positions(coe: ClassicalOrbitalElements, times: np.ndarray) -> np.ndarra
     return _positions(e, coe.semi_latus_rectum, math.cos(i), math.sin(i), big_e, raan, argp)
 
 
-def orbit_planes(orbits: Sequence[ClassicalOrbitalElements]) -> list[list[int]]:
-    """Indices of ``orbits`` grouped by orbit plane: every element but the
-    true anomaly equal, so the group shares its secular angles."""
-    groups: dict[tuple[float, ...], list[int]] = {}
-    for j, c in enumerate(orbits):
-        key = (c.semi_major_axis, c.eccentricity, c.inclination, c.raan, c.arg_periapsis, c.epoch)
-        groups.setdefault(key, []).append(j)
-    return list(groups.values())
-
-
 class OrbitTable(NamedTuple):
     """What :func:`eci_positions` derives from each of R orbits before it
     reads a time, one (R,) array per field, in the same arithmetic, so
@@ -517,22 +506,18 @@ class OrbitTable(NamedTuple):
     mean_anomaly: np.ndarray  # at epoch
 
     @classmethod
-    def of(cls, orbits: Sequence[ClassicalOrbitalElements], planes: Sequence[Sequence[int]]) -> "OrbitTable":
-        """The table of ``orbits``, a non-empty sequence.  Everything but
-        the mean anomaly is computed once per orbit plane, for the groups
-        of indices into ``orbits`` in ``planes`` (as :func:`orbit_planes`
-        groups them)."""
-        plane = np.empty(len(orbits), dtype=int)
-        shared = []
-        for q, group in enumerate(planes):
-            plane[group] = q
-            c = orbits[group[0]]
-            shared.append((
-                c.epoch, c.eccentricity, c.semi_latus_rectum, math.cos(c.inclination), math.sin(c.inclination),
-                j2_mean_motion(c), c.raan, j2_raan_rate(c), c.arg_periapsis, j2_arg_periapsis_rate(c),
-            ))
-        mean_anomaly = np.array([true_to_mean_anomaly(c.true_anomaly, c.eccentricity) for c in orbits])
-        return cls(*(np.array(column)[plane] for column in zip(*shared)), mean_anomaly)
+    def of(cls, planes: Sequence[ClassicalOrbitalElements], phases, plane, phase) -> "OrbitTable":
+        """The table of the orbits whose i-th lies on orbit plane
+        ``planes[plane[i]]`` with the eccentricity and true anomaly of
+        ``phases[phase[i]]``.  Everything but the mean anomaly is computed
+        once per plane, the mean anomaly once per phase."""
+        shared = [
+            (c.epoch, c.eccentricity, c.semi_latus_rectum, math.cos(c.inclination), math.sin(c.inclination),
+             j2_mean_motion(c), c.raan, j2_raan_rate(c), c.arg_periapsis, j2_arg_periapsis_rate(c))
+            for c in planes
+        ]
+        mean_anomaly = np.array([true_to_mean_anomaly(c.true_anomaly, c.eccentricity) for c in phases])
+        return cls(*(np.array(column)[plane] for column in zip(*shared)), mean_anomaly[phase])
 
     def take(self, index) -> "OrbitTable":
         """The orbits at ``index``: an index array, or one integer for scalars."""

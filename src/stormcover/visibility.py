@@ -33,11 +33,13 @@ so it is computed once per distinct apoapsis.
 
 A 1e-6 rad margin is added to the reach because :func:`visibility_mask`
 decides points on that boundary from rounded floats.  The J2 constants of
-each plane and the mean anomaly at epoch of each slot are computed once,
-into an :class:`~stormcover.orbits.OrbitTable` that both screens and the
-kernel read.  Every cell of the grid left by both screens is then
-positioned by one :func:`~stormcover.orbits.cell_positions` call and
-tested by one :func:`visibility_mask` call.  Kepler's equation runs on
+each plane and the mean anomaly at epoch of each phase are computed once
+per run, into the :class:`~stormcover.orbits.OrbitTable` of the
+:class:`~stormcover.maneuvers.SlotGrid`, which both screens and the kernel
+read; the grid's layout names each satellite's orbit planes.  Every cell
+of the grid left by both screens is then positioned by one
+:func:`~stormcover.orbits.cell_positions` call and tested by one
+:func:`visibility_mask` call.  Kepler's equation runs on
 those cells only, each stopped on its own residual, so every cell holds
 the bits of positioning its slot at that step alone, whichever other
 cells the screens keep.
@@ -52,14 +54,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .orbits import (
-    EARTH,
-    ClassicalOrbitalElements,
-    OrbitTable,
-    TimeGrid,
-    cell_positions,
-    orbit_planes,
-)
+from .maneuvers import SlotGrid
+from .orbits import EARTH, OrbitTable, TimeGrid, cell_positions
 
 __all__ = [
     "FovSpec",
@@ -291,75 +287,58 @@ def _phase_cells(
 
 
 def slot_visibility(
-    slots: Sequence[Sequence[ClassicalOrbitalElements]],
+    grid: SlotGrid,
     targets: np.ndarray,
-    grid: TimeGrid,
+    time_grid: TimeGrid,
     fov: FovSpec,
 ) -> np.ndarray:
     """Nadir-cone visibility of each step's active target from every slot.
 
-    One pass over the whole slot grid.  The J2 constants of each
-    satellite's orbit planes and every slot's mean anomaly at epoch are
-    computed once (:class:`~stormcover.orbits.OrbitTable`), and the cone's
-    reach (:func:`_reach`) once per distinct apoapsis radius.  Each plane
-    is then screened across the plane (:func:`_kept_steps`): a step is
-    dropped for every slot on the plane when the target's angle from the
-    plane's great circle exceeds the reach, plus a 1e-6 rad margin for the
-    rounding of :func:`visibility_mask`.  Each satellite's slots are then
-    screened along their planes at the steps left (:func:`_phase_cells`):
-    a cell is dropped when its in-plane angle from the target, bounded
-    from the mean anomaly and the largest equation of centre, exceeds the
-    same reach, so each step keeps the slots whose mean anomaly at epoch
-    falls in one window of the plane's slots sorted by it.
-
-    Every cell of the grid that survives both screens is positioned by one
-    :func:`~stormcover.orbits.cell_positions` call, each cell's Newton
-    solve stopped on its own residual, and tested by one
+    One pass over the whole slot grid, read from the grid's
+    :class:`~stormcover.orbits.OrbitTable`, with the cone's reach
+    (:func:`_reach`) once per distinct apoapsis radius.  Each orbit plane
+    is screened across the plane (:func:`_kept_steps`), then each
+    satellite's slots along their planes at the steps left
+    (:func:`_phase_cells`), each screen with a 1e-6 rad margin for the
+    rounding of :func:`visibility_mask`.  Every cell that survives both is
+    positioned by one :func:`~stormcover.orbits.cell_positions` call, each
+    cell's Newton solve stopped on its own residual, and tested by one
     :func:`visibility_mask` call.  So the result equals testing every step
     of every slot, each positioned at that step alone.
 
     Args:
-        slots: slots[k] lists the candidate orbits of satellite k; every
-            satellite lists the same number of slots.
+        grid: every satellite's candidate orbits (:class:`SlotGrid`).
         targets: (num_steps, 3) ECI position of each step's active target.
-        grid: scenario time discretisation; only its steps are used, so
-            every stage count reads the same array.
+        time_grid: scenario time discretisation; only its steps are used,
+            so every stage count reads the same array.
         fov: cone description.
 
     Returns:
         Boolean array of shape (K, J, num_steps).
     """
     targets = np.asarray(targets, dtype=float)
-    if targets.shape != (grid.num_steps, 3):
-        raise ValueError(f"targets shaped {targets.shape}, grid needs ({grid.num_steps}, 3)")
-    n_slots = {len(slot_list) for slot_list in slots}
-    if len(n_slots) > 1:
-        raise ValueError(f"satellites list unequal slot counts {sorted(n_slots)}")
-    n_slot = n_slots.pop() if n_slots else 0
-    visible = np.zeros((len(slots), n_slot, grid.num_steps), dtype=bool)
-    if not visible.size:
-        return visible
-    times = np.arange(grid.num_steps, dtype=float) * grid.step
+    n_steps = time_grid.num_steps
+    if targets.shape != (n_steps, 3):
+        raise ValueError(f"targets shaped {targets.shape}, grid needs ({n_steps}, 3)")
+    n_sats, n_slot = grid.plane.shape
+    visible = np.zeros((n_sats, n_slot, n_steps), dtype=bool)
+    times = np.arange(n_steps, dtype=float) * time_grid.step
     rho = np.linalg.norm(targets, axis=1)
     unit = targets / rho[:, None]
     reach_at = functools.cache(lambda apoapsis: _reach(apoapsis, rho, fov.half_angle))
-    # each satellite's orbit planes, as indices into the flattened grid
-    by_sat = [
-        [[k * n_slot + j for j in plane] for plane in orbit_planes(slot_list)]
-        for k, slot_list in enumerate(slots)
-    ]
-    orbits = OrbitTable.of([c for slot_list in slots for c in slot_list], [g for sat in by_sat for g in sat])
     which, steps = [], []
-    for planes in by_sat:
-        screened = [(group, *_kept_steps(orbits.take(group[0]), times, unit, reach_at)) for group in planes]
+    for k, plane_of in enumerate(grid.plane):
+        # the satellite's orbit planes, as indices into the flattened grid
+        planes = [k * n_slot + np.flatnonzero(plane_of == p) for p in range(plane_of.max() + 1)]
+        screened = [(group, *_kept_steps(grid.orbits.take(group[0]), times, unit, reach_at)) for group in planes]
         screened = [plane for plane in screened if plane[1].size]
         if screened:
-            slot, step = _phase_cells(orbits, screened, times, unit)
+            slot, step = _phase_cells(grid.orbits, screened, times, unit)
             which.append(slot)
             steps.append(step)
     if which:
         which, steps = np.concatenate(which), np.concatenate(steps)
-        pos = cell_positions(orbits, which, times, steps)
+        pos = cell_positions(grid.orbits, which, times, steps)
         seen = visibility_mask(pos, targets[steps, None], fov.half_angle)
-        visible.reshape(-1, grid.num_steps)[which, steps] = seen[:, 0]
+        visible.reshape(-1, n_steps)[which, steps] = seen[:, 0]
     return visible

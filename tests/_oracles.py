@@ -756,6 +756,101 @@ def slewed_step_visibility(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Slot layout by hashing
+# ---------------------------------------------------------------------------
+
+
+def orbit_planes(orbits) -> list[list[int]]:
+    """Indices of ``orbits`` grouped by orbit plane: every element but the
+    true anomaly equal, so the group shares its secular angles.  The
+    library found its slots' planes this way before its slot grids carried
+    their layout."""
+    groups: dict[tuple, list[int]] = {}
+    for j, c in enumerate(orbits):
+        key = (c.semi_major_axis, c.eccentricity, c.inclination, c.raan, c.arg_periapsis, c.epoch)
+        groups.setdefault(key, []).append(j)
+    return list(groups.values())
+
+
+def slot_layout(slots) -> tuple[np.ndarray, np.ndarray]:
+    """(plane, phase) index of each slot of one satellite's list, found by
+    hashing element tuples, each numbered in order of first slot: planes
+    as :func:`orbit_planes` groups them, phases by (a, e, i, omega, nu),
+    as the library's cost pricing grouped them."""
+    plane = np.empty(len(slots), dtype=np.intp)
+    for p, group in enumerate(orbit_planes(slots)):
+        plane[group] = p
+    phases: dict[tuple, int] = {}
+    phase = np.array(
+        [
+            phases.setdefault(
+                (c.semi_major_axis, c.eccentricity, c.inclination, c.arg_periapsis, c.true_anomaly), len(phases)
+            )
+            for c in slots
+        ],
+        dtype=np.intp,
+    )
+    return plane, phase
+
+
+def hashed_grid(slot_grid_cls, slots, **kwargs):
+    """The library's ``SlotGrid`` (passed in) of hand-built slot lists,
+    each satellite's layout found by :func:`slot_layout`."""
+    layouts = [slot_layout(slot_list) for slot_list in slots]
+    return slot_grid_cls(slots, [p for p, _ in layouts], [q for _, q in layouts], **kwargs)
+
+
+def orbit_table_columns(orbits, slots) -> tuple:
+    """The columns of the library's ``OrbitTable`` of a slot list, as it
+    built them from :func:`orbit_planes`: the J2 constants once per plane,
+    at its first slot, and the mean anomaly once per slot.  The library's
+    ``orbits`` module is passed in for its element functions."""
+    plane = np.empty(len(slots), dtype=np.intp)
+    shared = []
+    for q, group in enumerate(orbit_planes(slots)):
+        plane[group] = q
+        c = slots[group[0]]
+        shared.append((
+            c.epoch, c.eccentricity, c.semi_latus_rectum, math.cos(c.inclination), math.sin(c.inclination),
+            orbits.j2_mean_motion(c), c.raan, orbits.j2_raan_rate(c), c.arg_periapsis, orbits.j2_arg_periapsis_rate(c),
+        ))
+    mean_anomaly = np.array([orbits.true_to_mean_anomaly(c.true_anomaly, c.eccentricity) for c in slots])
+    return tuple(np.array(column)[plane] for column in zip(*shared)) + (mean_anomaly,)
+
+
+@dataclass(frozen=True)
+class StageAngles:
+    """Slot angles at one epoch in the shape the library's
+    ``_pairwise_costs`` reads, for one satellite: (1, n) arrays of sma,
+    incl and raan per plane, u per phase, and plane and phase per slot."""
+
+    sma: np.ndarray
+    incl: np.ndarray
+    raan: np.ndarray
+    u: np.ndarray
+    plane: np.ndarray
+    phase: np.ndarray
+
+
+def hashed_stage_angles(slots, dt: float, propagate) -> StageAngles:
+    """One satellite's slot angles ``dt`` s on, from the slots grouped by
+    :func:`slot_layout`: the first slot of each plane and each phase
+    propagated by the library's ``propagate`` (passed in), as the library
+    priced stages before its slot grids carried their layout."""
+    plane, phase = slot_layout(slots)
+    planes = [propagate(slots[int(np.flatnonzero(plane == p)[0])], dt) for p in range(plane.max() + 1)]
+    phases = [propagate(slots[int(np.flatnonzero(phase == q)[0])], dt) for q in range(phase.max() + 1)]
+    return StageAngles(
+        np.array([[c.semi_major_axis for c in planes]]),
+        np.array([[c.inclination for c in planes]]),
+        np.array([[c.raan for c in planes]]),
+        np.array([[c.argument_of_latitude for c in phases]]),
+        plane[None],
+        phase[None],
+    )
+
+
 def slot_visibility_loop(slots, targets, grid, fov, eci_positions, visibility_mask) -> np.ndarray:
     """The per-slot loop the library ran before its plane screen: every
     slot propagated and tested at every step.  The library's own
@@ -793,7 +888,7 @@ def _plane_kept_steps(coe, times, unit, rho, half, secular_angles):
 
 
 def plane_screen_visibility(
-    slots, targets, grid, fov, orbit_planes, secular_angles, plane_positions, visibility_mask
+    slots, targets, grid, fov, secular_angles, plane_positions, visibility_mask
 ) -> np.ndarray:
     """The library's slot visibility with its screen across the orbit plane
     only: a step is dropped for every slot of a plane when the target's
@@ -832,7 +927,7 @@ def plane_positions(orbits, plane, times, steps) -> np.ndarray:
     count, or any row of an orbit with no certificate, is solved again on
     its full row.  ``steps`` is (len(plane), L), or (L,) for every orbit.
     The library's ``orbits`` module is passed in for its kernels."""
-    if len(orbits.orbit_planes(plane)) != 1:
+    if len(orbit_planes(plane)) != 1:
         raise ValueError("orbits do not share one orbit plane")
     coe = plane[0]
     e = coe.eccentricity
@@ -874,7 +969,7 @@ def per_plane_visibility(slots, targets, grid, fov, orbits, visibility_mask, pos
     n_slots = len(slots[0]) if len(slots) else 0
     visible = np.zeros((len(slots), n_slots, grid.num_steps), dtype=bool)
     for k, slot_list in enumerate(slots):
-        for plane in orbits.orbit_planes(slot_list):
+        for plane in orbit_planes(slot_list):
             group = [slot_list[j] for j in plane]
             coe = group[0]
             e = coe.eccentricity

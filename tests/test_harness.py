@@ -2,8 +2,12 @@
 
 import csv
 import io
+import json
 import math
 import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -35,12 +39,21 @@ from stormcover.harness import (
     run_corpus,
     write_outputs,
 )
-from stormcover.maneuvers import GridMode, SlotGridSpec, build_cost_matrix, generate_slot_grid
+from stormcover.maneuvers import (
+    GridMode,
+    SlotGrid,
+    SlotGridSpec,
+    _pairwise_costs,
+    build_cost_matrix,
+    generate_slot_grid,
+)
 from stormcover.mcrp import ReconfigPlan, active_point_of_step, build_reward_matrix, score_plan, solve_mcrp
-from stormcover.orbits import TimeGrid, eci_positions, geodetic_to_eci
+from stormcover.orbits import TimeGrid, eci_positions, geodetic_to_eci, propagate
 from stormcover.tracks import parse_track_csv, serialize_track, synthesize_track, track_to_targets
 from stormcover.visibility import slot_visibility, visibility_mask
 
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # slots per satellite on each slot grid: 20 phases, and 9 planes x 15 phases
 GRID_SIZES = {"phasing": 20, "unrestricted": 135}
@@ -318,6 +331,21 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="config line 1: budget_km_s must be non-negative"):
             parse_config(f"budget_km_s = {value}\n")
 
+    def test_budget_beyond_a_plane_reversal_cites_line_and_satellite(self):
+        # the unrestricted grid cannot be sized, so U1 fails before any compute
+        with pytest.raises(
+            ValueError,
+            match="config line 2: budget_km_s 20, satellite 'DMC3-FM3': budget 20.0 km/s exceeds a plane reversal",
+        ):
+            parse_config("models = B,U1\nbudget_km_s = 20\n")
+        with pytest.raises(ValueError, match="config line 1: budget_km_s 20, satellite 'DMC3-FM3'"):
+            parse_config("budget_km_s = 20\n")
+
+    def test_budget_beyond_a_plane_reversal_without_u1_or_u2(self):
+        config, _ = parse_config("budget_km_s = 20\nmodels = B,P1..P4\ntracks = synthetic:1\n")
+        assert config.budget_km_s == 20.0
+        assert config.models == ("B", "P1", "P2", "P3", "P4")
+
     def test_bad_synthetic_count(self):
         with pytest.raises(ValueError, match="bad synthetic track count"):
             parse_config("tracks = synthetic:many\n")
@@ -446,7 +474,7 @@ class TestActiveTargetTensor:
             spec = MODEL_MATRIX[name]
             key = (spec.grid, repr(spec.slots))
             if key not in fine:
-                slots = [slot_list[spec.slots] for slot_list in ws.grid_slots(spec.grid)]
+                slots = [slot_list[spec.slots] for slot_list in config.slot_grid(spec.grid).slots]
                 fine[key] = dense_fine_tensor(track, config, slots)
             full = oracles.merge_stages(fine[key], 4 // spec.num_stages)
             n_stages, _, _, t_stage, n_points = full.shape
@@ -466,7 +494,7 @@ class TestActiveTargetTensor:
                 assert score_plan(got, full, rewards) == got.objective
                 continue
             costs = ws.costs_for(spec)
-            warm = _warm_candidates(spec, results, len(ws.grid_slots(spec.grid)[0]))
+            warm = _warm_candidates(spec, results, len(config.slot_grid(spec.grid).slots[0]))
             ref = solve_mcrp(full, rewards, costs, node_limit=config.node_limit, warm_starts=warm)
             assert ref.paths == got.paths, name
             assert ref.objective == got.objective, name
@@ -506,8 +534,14 @@ class TestTwoSlotGrids:
             spec = MODEL_MATRIX[name]
             family = oracles.FAMILY_SHAPES[name][1:]
             if family not in slots:
-                slots[family] = oracles.family_slots(
-                    initials, config.budget_km_s, family, generate_slot_grid, SlotGridSpec, GridMode
+                slots[family] = oracles.hashed_grid(
+                    SlotGrid,
+                    oracles.family_slots(
+                        initials, config.budget_km_s, family, generate_slot_grid, SlotGridSpec, GridMode
+                    ),
+                    initials=initials,
+                    max_revs=config.max_revs,
+                    budget=config.budget_km_s,
                 )
                 visible[family] = slot_visibility(slots[family], ws.table, ws.grid_for(1), config.fov)
             n_sats, n_slots, _ = visible[family].shape
@@ -517,12 +551,7 @@ class TestTwoSlotGrids:
             if spec.kind == "baseline":
                 continue
             want_costs = build_cost_matrix(
-                slots[family],
-                ws.grid_for(spec.num_stages),
-                max_revs=config.max_revs,
-                budget=config.budget_km_s,
-                initial_orbits=initials,
-                priced=priced.setdefault(family, {}),
+                slots[family], ws.grid_for(spec.num_stages), priced=priced.setdefault(family, {})
             )
             got_costs = ws.costs_for(spec)
             assert got_costs.num_stages == want_costs.num_stages == spec.num_stages
@@ -530,7 +559,7 @@ class TestTwoSlotGrids:
                 assert _bits(got) == _bits(want), (name, s)
             assert np.array_equal(got_costs.budget, want_costs.budget)
 
-            grid_size = len(ws.grid_slots(spec.grid)[0])
+            grid_size = len(config.slot_grid(spec.grid).slots[0])
             paths = {source: results[source].plan.paths for source in _WARM_SOURCES.get(name, ())}
             want_seeds = oracles.family_warm_seeds(name, paths, n_sats)
             assert _warm_candidates(spec, results, grid_size) == want_seeds, name
@@ -554,7 +583,8 @@ class TestTwoSlotGrids:
 
 
 class TestSlotGridCalls:
-    """Each track builds each slot grid's slots and visibility once."""
+    """A run builds each slot grid's slots once, and each track its
+    visibility once per grid."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -573,9 +603,93 @@ class TestSlotGridCalls:
         visibility = self._count(monkeypatch, "slot_visibility")
         slot_grids = self._count(monkeypatch, "generate_slot_grid")
         config = ScenarioConfig(satellites=DEFAULT_SATELLITES[:2], models=models)
-        evaluate_track(default_corpus(20)[0], config)
-        assert len(visibility) == grids
+        for track in default_corpus(20)[:2]:
+            evaluate_track(track, config)
+        assert len(visibility) == grids * 2
         assert len(slot_grids) == grids * 2
+
+    def test_one_build_per_grid_per_worker(self, monkeypatch):
+        class PicklingPool:
+            """One worker that, like a process pool, gets pickled copies
+            of its start arguments and of each task."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(pickle.loads(pickle.dumps(job))) for job in jobs]
+
+        slot_grids = self._count(monkeypatch, "generate_slot_grid")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(harness, "_worker_config", None)
+        config = ScenarioConfig(satellites=DEFAULT_SATELLITES[:2], models=("B", "P1"))
+        run_corpus(default_corpus(20)[:3], config, threads=2)
+        assert len(slot_grids) == 2
+
+
+class TestSlotGridsOnCorpus:
+    """Each slot grid, laid out by construction and built once per config,
+    against the hashing path it replaced (tests/_oracles.py), bit for bit:
+    every stage cost array and every slot_visibility array of the corpus,
+    on both grids."""
+
+    @pytest.mark.parametrize("fov_deg", [30.0, 45.0])
+    def test_corpus_matches_hashing_path(self, fov_deg):
+        config = ScenarioConfig(fov_half_angle=math.radians(fov_deg))
+        initials = [sc.elements for sc in config.satellites]
+        hashed = {
+            name: oracles.hashed_grid(
+                SlotGrid,
+                config.slot_grid(name).slots,
+                initials=initials,
+                max_revs=config.max_revs,
+                budget=config.budget_km_s,
+            )
+            for name in _SLOT_GRIDS
+        }
+        full = [spec for spec in MODEL_MATRIX.values() if spec.kind == "reconfig" and spec.slots == slice(None)]
+        assert {spec.grid for spec in full} == set(_SLOT_GRIDS)
+        for track in default_corpus(20):
+            ws = _TrackWorkspace(track, config)
+            for name, want in hashed.items():
+                got = slot_visibility(config.slot_grid(name), ws.table, ws.grid_for(1), config.fov)
+                assert _bits(got) == _bits(slot_visibility(want, ws.table, ws.grid_for(1), config.fov))
+            for spec in full:
+                grid = ws.grid_for(spec.num_stages)
+                for s, stage in enumerate(ws.costs_for(spec).stages):
+                    epoch = grid.stage_start_time(s)
+                    for k, slot_list in enumerate(hashed[spec.grid].slots):
+                        tos = oracles.hashed_stage_angles(slot_list, epoch, propagate)
+                        froms = oracles.hashed_stage_angles([initials[k]], 0.0, propagate) if s == 0 else tos
+                        want = _pairwise_costs(froms, tos, config.max_revs)[0]
+                        assert _bits(stage[k]) == _bits(want), (track.name, spec.name, s, k)
+
+
+class TestAgilePathImports:
+    def test_scoring_b_and_a_imports_no_module(self):
+        # numpy.ma, which np.unique imports at its first call, cost every
+        # fresh process that ran model A about 10 ms
+        script = (
+            "import json, sys\n"
+            "from stormcover.harness import ScenarioConfig, default_corpus, evaluate_track\n"
+            "track, config = default_corpus(20)[0], ScenarioConfig(models=('B', 'A'))\n"
+            "before = set(sys.modules)\n"
+            "evaluate_track(track, config)\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+            "print(json.dumps(['numpy.ma' in before, 'numpy.ma' in sys.modules]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        imported, (ma_before, ma_after) = map(json.loads, out.stdout.splitlines())
+        assert imported == []
+        # numpy releases that load numpy.ma at import time leave nothing to check
+        assert ma_after == ma_before
 
 
 class TestSolverMetamorphic:
@@ -733,8 +847,9 @@ class TestRunCorpus:
         asked = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 asked.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -746,6 +861,7 @@ class TestRunCorpus:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_worker_config", None)
         pooled, _ = run_corpus(tracks, config, threads=64)
         assert asked == [len(tracks)]
         assert np.array_equal(pooled.rewards, report.rewards)

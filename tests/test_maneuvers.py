@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from stormcover import orbits as orbits_module
 from stormcover.harness import MODEL_MATRIX, ScenarioConfig, _TrackWorkspace, default_corpus
 from stormcover.maneuvers import (
     CostMatrix,
     GridMode,
+    SlotGrid,
     SlotGridSpec,
     TransferCost,
     TransferStrategy,
@@ -24,6 +26,7 @@ from stormcover.maneuvers import (
     calibrate_plane_spans,
     combined_plane_cost,
     generate_slot_grid,
+    grid_layout,
     inclination_change_cost,
     phasing_cost,
     raan_change_cost,
@@ -37,6 +40,21 @@ TWO_PI = 2.0 * math.pi
 
 def circular(a=7000.0, i_deg=97.72, raan_deg=40.0, u_deg=0.0, e=0.0):
     return ClassicalOrbitalElements(a, e, i_deg * DEG, raan_deg * DEG, 0.0, u_deg * DEG)
+
+
+def hashed(slots, **kwargs):
+    """A SlotGrid of hand-built slot lists, laid out by the hashing oracle."""
+    return oracles.hashed_grid(SlotGrid, slots, **kwargs)
+
+
+def layout(slot_list):
+    """One hand-built slot list's layout, as _stage_angles reads it."""
+    return hashed([slot_list]).layout
+
+
+def per_slot(values, index):
+    """Per-plane or per-phase (K, n) values gathered to each slot."""
+    return np.take_along_axis(values, index, axis=1)
 
 
 class TestPhasing:
@@ -316,7 +334,7 @@ class TestPairwiseCosts:
             ]
 
         froms, tos = slots(from_offsets), slots(to_offsets)
-        got = _pairwise_costs(_stage_angles(froms, 0.0), _stage_angles(tos, 0.0), max_revs)
+        got = _pairwise_costs(_stage_angles(layout(froms), 0.0), _stage_angles(layout(tos), 0.0), max_revs)
         assert _bits(got) == _bits(oracles.pairwise_costs_loop(froms, tos, max_revs))
 
     @given(
@@ -359,29 +377,29 @@ class TestPairwiseCosts:
         slots = [x for init in initials for x in generate_slot_grid(init, spec, 2.0, mode)]
         slots = [slots[j] for j in data.draw(st.permutations(range(len(slots))))]
 
-        angles = _stage_angles(slots, dt)
+        angles = _stage_angles(layout(slots), dt)
         moved = [propagate(x, dt) for x in slots]
-        assert _bits(angles.incl[angles.plane]) == _bits([x.inclination for x in moved])
-        assert _bits(angles.raan[angles.plane]) == _bits([x.raan for x in moved])
-        assert _bits(angles.u[angles.phase]) == _bits([x.argument_of_latitude for x in moved])
-        assert _bits(angles.sma[angles.plane]) == _bits([a] * len(slots))
+        assert _bits(per_slot(angles.incl, angles.plane)) == _bits([x.inclination for x in moved])
+        assert _bits(per_slot(angles.raan, angles.plane)) == _bits([x.raan for x in moved])
+        assert _bits(per_slot(angles.u, angles.phase)) == _bits([x.argument_of_latitude for x in moved])
+        assert _bits(per_slot(angles.sma, angles.plane)) == _bits([a] * len(slots))
         if mode is GridMode.UNRESTRICTED and len(initials) == 1:
-            assert len(angles.incl) == 2 * num_plane_axis - 1
-            assert len(angles.u) == num_plane_axis * num_phases
+            assert angles.incl.shape == (1, 2 * num_plane_axis - 1)
+            assert angles.u.shape == (1, num_plane_axis * num_phases)
 
         got = _pairwise_costs(angles, angles, max_revs)
         assert _bits(got) == _bits(oracles.pairwise_costs_loop(moved, moved, max_revs))
-        start = _stage_angles(initials[:1], dt)
+        start = _stage_angles(layout(initials[:1]), dt)
         got = _pairwise_costs(start, angles, max_revs)
         want = oracles.pairwise_costs_loop([propagate(initials[0], dt)], moved, max_revs)
         assert _bits(got) == _bits(want)
 
     def test_stage_angles_reject_negative_dt(self):
         with pytest.raises(ValueError, match="dt must be >= 0"):
-            _stage_angles([circular()], -1.0)
+            _stage_angles(layout([circular()]), -1.0)
 
     def test_mixed_altitudes_rejected(self):
-        angles = _stage_angles([circular(), circular(a=7001.0)], 0.0)
+        angles = _stage_angles(layout([circular(), circular(a=7001.0)]), 0.0)
         with pytest.raises(ValueError, match="share one altitude"):
             _pairwise_costs(angles, angles, 4)
 
@@ -396,7 +414,7 @@ class TestPairwiseCosts:
             for spec in MODEL_MATRIX.values():
                 if spec.kind != "reconfig":
                     continue
-                slots = [slot_list[spec.slots] for slot_list in ws.grid_slots(spec.grid)]
+                slots = [slot_list[spec.slots] for slot_list in config.slot_grid(spec.grid).slots]
                 grid = ws.grid_for(spec.num_stages)
                 for s, stage in enumerate(ws.costs_for(spec).stages):
                     epoch = grid.stage_start_time(s)
@@ -465,6 +483,69 @@ class TestSlotGrid:
             calibrate_plane_spans(circular(), 20.0)
 
 
+def first_slots(slots, labels):
+    """The first slot holding each of the labels 0, 1, ..."""
+    return [slots[int(np.flatnonzero(labels == q)[0])] for q in range(labels.max() + 1)]
+
+
+def assert_layout_matches_hashing(initials, spec, mode):
+    """A SlotGrid laid out by grid_layout against the hashing oracle: the
+    plane and phase indices, each plane's and each phase's first slot,
+    the J2 constants, the mean anomalies and the OrbitTable, bit for bit."""
+    slots = [generate_slot_grid(orbit, spec, 2.0, mode) for orbit in initials]
+    grid = SlotGrid(slots, *grid_layout(spec, mode), initials)
+    for k, slot_list in enumerate(slots):
+        plane, phase = oracles.slot_layout(slot_list)
+        assert np.array_equal(grid.plane[k], plane) and np.array_equal(grid.phase[k], phase)
+        got = type(grid.layout)(*(field[k] for field in grid.layout))
+        planes, phases = first_slots(slot_list, plane), first_slots(slot_list, phase)
+        assert _bits(got.sma) == _bits([c.semi_major_axis for c in planes])
+        assert _bits(got.incl) == _bits([c.inclination for c in planes])
+        assert _bits(got.raan) == _bits([c.raan for c in planes])
+        assert _bits(got.raan_rate) == _bits([orbits_module.j2_raan_rate(c) for c in planes])
+        assert _bits(got.u) == _bits([c.argument_of_latitude for c in phases])
+        assert _bits(got.ecc) == _bits([c.eccentricity for c in phases])
+        m0 = [orbits_module.true_to_mean_anomaly(c.true_anomaly, c.eccentricity) for c in phases]
+        assert _bits(got.mean_anomaly) == _bits(m0)
+        # a phase drifts with the plane of its first slot
+        assert _bits(got.argp) == _bits([c.arg_periapsis for c in phases])
+        assert _bits(got.n_eff) == _bits([orbits_module.j2_mean_motion(c) for c in phases])
+        assert _bits(got.argp_rate) == _bits([orbits_module.j2_arg_periapsis_rate(c) for c in phases])
+    flat = [c for slot_list in slots for c in slot_list]
+    for field, want in zip(grid.orbits, oracles.orbit_table_columns(orbits_module, flat)):
+        assert _bits(field) == _bits(want)
+
+
+class TestSlotGridLayout:
+    """Each slot grid carries its layout by construction (grid_layout);
+    the hashing path it replaced is the oracle."""
+
+    @pytest.mark.parametrize("num_plane_axis", [1, 3, 5])
+    @pytest.mark.parametrize("mode", list(GridMode))
+    def test_corpus_satellites_match_hashing(self, mode, num_plane_axis):
+        initials = [sc.elements for sc in ScenarioConfig().satellites]
+        for num_phases in (15, 20):
+            assert_layout_matches_hashing(initials, SlotGridSpec(num_phases, num_plane_axis), mode)
+
+    @given(
+        a=st.floats(6800.0, 7500.0),
+        e=st.floats(0.0, _MAX_ECC, exclude_max=True),
+        i_deg=st.floats(30.0, 150.0),
+        angles=st.tuples(*[st.floats(0.0, TWO_PI, exclude_max=True)] * 3),
+        num_phases=st.integers(1, 16),
+        num_plane_axis=st.sampled_from([1, 3, 5]),
+        mode=st.sampled_from(list(GridMode)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_initial_elements_match_hashing(self, a, e, i_deg, angles, num_phases, num_plane_axis, mode):
+        initial = ClassicalOrbitalElements(a, e, i_deg * DEG, *angles)
+        assert_layout_matches_hashing([initial], SlotGridSpec(num_phases, num_plane_axis), mode)
+
+    def test_unequal_slot_lists_rejected(self):
+        with pytest.raises(ValueError, match="unequal slot counts"):
+            SlotGrid([[circular()], [circular(), circular(u_deg=90.0)]], [0], [0])
+
+
 def two_stage_setup():
     grid = TimeGrid(duration=86400.0, step=300.0, control_step=1800.0, num_stages=2)
     initials = [circular(u_deg=10.0), circular(a=7006.0, i_deg=97.8, raan_deg=90.0)]
@@ -479,7 +560,7 @@ class TestCostMatrix:
     def test_single_slot_is_all_zero(self):
         grid = TimeGrid(duration=7200.0, step=300.0, control_step=1800.0, num_stages=2)
         orbit = circular()
-        matrix = build_cost_matrix([[orbit]], grid, budget=2.0)
+        matrix = build_cost_matrix(hashed([[orbit]], budget=2.0), grid)
         assert matrix.num_stages == 2
         for s in range(2):
             assert matrix.stages[s].shape == (1, 1, 1)
@@ -487,7 +568,7 @@ class TestCostMatrix:
 
     def test_diagonals_zero_and_entries_match_scalar(self):
         grid, initials, slot_grids = two_stage_setup()
-        matrix = build_cost_matrix(slot_grids, grid, max_revs=4, budget=2.0, initial_orbits=initials)
+        matrix = build_cost_matrix(hashed(slot_grids, max_revs=4, budget=2.0, initials=initials), grid)
         assert matrix.stages[0].shape == (2, 1, 20)
         assert matrix.stages[1].shape == (2, 20, 20)
         assert np.all(np.diagonal(matrix.stages[1], axis1=1, axis2=2) == 0.0)
@@ -503,13 +584,12 @@ class TestCostMatrix:
 
     def test_later_stage_differs_through_drift(self):
         grid, initials, slot_grids = two_stage_setup()
-        matrix = build_cost_matrix(slot_grids, grid, initial_orbits=initials)
+        matrix = build_cost_matrix(hashed(slot_grids, initials=initials), grid)
         square0 = np.zeros_like(matrix.stages[1][:, :, :])
         # Rebuild stage-1-shaped costs at epoch zero for comparison.
         epoch0 = build_cost_matrix(
-            slot_grids,
+            hashed(slot_grids, initials=initials),
             TimeGrid(duration=600.0, step=300.0, control_step=300.0, num_stages=2),
-            initial_orbits=initials,
         ).stages[1]
         assert epoch0.shape == matrix.stages[1].shape
         assert not np.allclose(epoch0, matrix.stages[1], atol=1e-9)
@@ -525,22 +605,36 @@ class TestCostMatrix:
         grid = TimeGrid(duration=7200.0, step=300.0, control_step=1800.0, num_stages=1)
         slots = generate_slot_grid(circular(), SlotGridSpec(4), 2.0, GridMode.PHASING_ONLY)
         with pytest.raises(ValueError, match="max_revs must be at least 1"):
-            build_cost_matrix([slots], grid, max_revs=0)
+            build_cost_matrix(hashed([slots], max_revs=0), grid)
 
     def test_budget_vector(self):
         grid, initials, slot_grids = two_stage_setup()
-        matrix = build_cost_matrix(slot_grids, grid, budget=2.0)
+        matrix = build_cost_matrix(hashed(slot_grids, budget=2.0), grid)
         assert matrix.budget.shape == (2,)
         assert np.all(matrix.budget == 2.0)
+
+    def test_satellites_with_unequal_plane_counts_price_as_alone(self):
+        # 20 slots each: 5 planes of 4 phases (12 distinct), or 1 plane of 20
+        grid = TimeGrid(duration=86400.0, step=300.0, control_step=1800.0, num_stages=2)
+        slot_grids = [
+            generate_slot_grid(circular(), SlotGridSpec(4, 3), 2.0, GridMode.UNRESTRICTED),
+            generate_slot_grid(circular(raan_deg=90.0), SlotGridSpec(20), 2.0, GridMode.PHASING_ONLY),
+        ]
+        both = build_cost_matrix(hashed(slot_grids), grid)
+        for k, slot_list in enumerate(slot_grids):
+            alone = build_cost_matrix(hashed([slot_list]), grid)
+            for got, want in zip(both.stages, alone.stages):
+                assert _bits(got[k]) == _bits(want[0])
 
     def test_stage_epochs_priced_once_and_shared(self):
         _, initials, slot_grids = two_stage_setup()
         grids = [TimeGrid(duration=86400.0, step=300.0, control_step=1800.0, num_stages=n) for n in (2, 4)]
         priced = {}
-        two, four = (build_cost_matrix(slot_grids, g, initial_orbits=initials, priced=priced) for g in grids)
+        slot_grid = hashed(slot_grids, initials=initials)
+        two, four = (build_cost_matrix(slot_grid, g, priced=priced) for g in grids)
         # the 2- and 4-stage boundaries at 0 and T/2 are the same floats
         assert sorted(priced) == [0.0, 21600.0, 43200.0, 64800.0]
         assert two.stages[0] is four.stages[0] and two.stages[1] is four.stages[2]
-        fresh = build_cost_matrix(slot_grids, grids[1], initial_orbits=initials)
+        fresh = build_cost_matrix(hashed(slot_grids, initials=initials), grids[1])
         for got, want in zip(four.stages, fresh.stages):
             assert np.array_equal(got, want)

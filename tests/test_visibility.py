@@ -14,11 +14,11 @@ import _oracles as oracles
 from _oracles import StateVector, coe_to_state, is_visible, target_pointing
 from stormcover import orbits, visibility
 from stormcover.harness import ScenarioConfig, _TrackWorkspace, default_corpus
+from stormcover.maneuvers import SlotGrid
 from stormcover.orbits import (
     EARTH,
     ClassicalOrbitalElements,
     GeodeticPoint,
-    OrbitTable,
     TimeGrid,
     cell_positions,
     eci_positions,
@@ -32,6 +32,11 @@ from stormcover.visibility import FovSpec, slot_visibility, visibility_mask
 
 DEG = math.pi / 180.0
 R_E = EARTH.radius_km
+
+
+def hashed(slots):
+    """A SlotGrid of hand-built slot lists, laid out by the hashing oracle."""
+    return oracles.hashed_grid(SlotGrid, slots)
 
 
 def state_at(pos):
@@ -223,7 +228,7 @@ class TestTensor:
     def test_matches_entrywise_scalar_recomputation(self):
         grid, slots, targets = small_scenario()
         fov = FovSpec(80 * DEG)
-        visible = slot_visibility(slots, targets, grid, fov)
+        visible = slot_visibility(hashed(slots), targets, grid, fov)
         assert visible.shape == (2, 2, grid.num_steps) and visible.dtype == bool
         for k in range(2):
             for j in range(2):
@@ -240,26 +245,26 @@ class TestTensor:
         coe = ClassicalOrbitalElements(7000.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         target = geodetic_to_eci(GeodeticPoint(0.0, 0.0, 0.0), 0.0)
         targets = np.broadcast_to(target, (grid.num_steps, 3)).copy()
-        visible = slot_visibility([[coe]], targets, grid, FovSpec(45 * DEG))
+        visible = slot_visibility(hashed([[coe]]), targets, grid, FovSpec(45 * DEG))
         assert visible[0, 0, 0]
 
     def test_fov_monotone_pointwise(self):
         grid, slots, targets = small_scenario()
-        narrow = slot_visibility(slots, targets, grid, FovSpec(30 * DEG))
-        wide = slot_visibility(slots, targets, grid, FovSpec(45 * DEG))
+        narrow = slot_visibility(hashed(slots), targets, grid, FovSpec(30 * DEG))
+        wide = slot_visibility(hashed(slots), targets, grid, FovSpec(45 * DEG))
         assert np.all(narrow <= wide)
 
     def test_dimension_mismatch_rejected(self):
         grid, slots, targets = small_scenario()
         with pytest.raises(ValueError, match="targets shaped"):
-            slot_visibility(slots, targets[:-1], grid, FovSpec(0.5))
+            slot_visibility(hashed(slots), targets[:-1], grid, FovSpec(0.5))
         with pytest.raises(ValueError, match="targets shaped"):
-            slot_visibility(slots, targets[:, None, :], grid, FovSpec(0.5))
+            slot_visibility(hashed(slots), targets[:, None, :], grid, FovSpec(0.5))
 
     def test_unequal_slot_lists_rejected(self):
         grid, slots, targets = small_scenario()
         with pytest.raises(ValueError, match="unequal slot counts"):
-            slot_visibility([slots[0], slots[1][:1]], targets, grid, FovSpec(0.5))
+            slot_visibility(hashed([slots[0], slots[1][:1]]), targets, grid, FovSpec(0.5))
 
 
 class TestFovSpecValidation:
@@ -294,7 +299,7 @@ def certified_cell_positions(table, which, times, steps):
 
 def plane_screen_oracle(slots, targets, grid, fov, positions=plane_positions):
     return oracles.plane_screen_visibility(
-        slots, targets, grid, fov, orbits.orbit_planes, secular_angles, positions, visibility_mask
+        slots, targets, grid, fov, secular_angles, positions, visibility_mask
     )
 
 
@@ -311,7 +316,7 @@ def assert_matches_oracles(slots, targets, grid, fov):
         steps = np.broadcast_to(steps, (len(plane), np.shape(steps)[-1]))
         return np.stack([row(coe)[s] for coe, s in zip(plane, steps)])
 
-    got = slot_visibility(slots, targets, grid, fov)
+    got = slot_visibility(hashed(slots), targets, grid, fov)
     assert np.array_equal(got, per_plane_oracle(slots, targets, grid, fov, positions))
     assert np.array_equal(got, plane_screen_oracle(slots, targets, grid, fov, positions))
     assert np.array_equal(
@@ -332,9 +337,9 @@ class TestPlaneScreen:
         config = ScenarioConfig(fov_half_angle=fov_deg * DEG)
         ws = _TrackWorkspace(track, config)
         for grid in ("phasing", "unrestricted"):
-            slots = ws.grid_slots(grid)
-            got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
-            want = loop_oracle(slots, ws.table, ws.grid_for(1), config.fov)
+            slot_grid = config.slot_grid(grid)
+            got = slot_visibility(slot_grid, ws.table, ws.grid_for(1), config.fov)
+            want = loop_oracle(slot_grid.slots, ws.table, ws.grid_for(1), config.fov)
             assert np.array_equal(got, want), grid
         assert want.any()
 
@@ -366,7 +371,7 @@ class TestPlaneScreen:
         targets[::3] = scatter / np.linalg.norm(scatter, axis=1, keepdims=True) * rho[::3, None]
         slots = [plane, [replace(plane[0], raan=raan + 0.5, true_anomaly=nu + q) for q in range(3)]]
         fov = FovSpec(half)
-        got = slot_visibility(slots, targets, grid, fov)
+        got = slot_visibility(hashed(slots), targets, grid, fov)
         assert np.array_equal(got, cell_loop_oracle(slots, targets, grid, fov))
         # the edge targets are seen by the slot they were built for
         edge = np.ones(grid.num_steps, bool)
@@ -380,12 +385,12 @@ class TestPlaneScreen:
         pos = eci_positions(coe, np.arange(grid.num_steps) * grid.step)
         targets = pos / np.linalg.norm(pos, axis=1, keepdims=True) * R_E
         fov = FovSpec(40 * DEG)
-        got = slot_visibility([[coe]], targets, grid, fov)
+        got = slot_visibility(hashed([[coe]]), targets, grid, fov)
         assert np.array_equal(got, loop_oracle([[coe]], targets, grid, fov))
 
 
 def table_of(orbit_list):
-    return OrbitTable.of(orbit_list, orbits.orbit_planes(orbit_list))
+    return hashed([orbit_list]).orbits
 
 
 def random_orbit(rng, ecc):
@@ -603,9 +608,9 @@ class TestPhaseScreen:
         for track in default_corpus(20):
             ws = _TrackWorkspace(track, config)
             for grid in ("phasing", "unrestricted"):
-                slots = ws.grid_slots(grid)
-                got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
-                want = plane_screen_oracle(slots, ws.table, ws.grid_for(1), config.fov)
+                slot_grid = config.slot_grid(grid)
+                got = slot_visibility(slot_grid, ws.table, ws.grid_for(1), config.fov)
+                want = plane_screen_oracle(slot_grid.slots, ws.table, ws.grid_for(1), config.fov)
                 assert np.array_equal(got, want), (track.name, grid)
 
     def test_positions_few_of_the_plane_kept_cells(self, monkeypatch):
@@ -626,9 +631,9 @@ class TestPhaseScreen:
 
         monkeypatch.setattr(visibility, "cell_positions", counting_grid)
         for grid in ("phasing", "unrestricted"):
-            slots = ws.grid_slots(grid)
-            got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
-            want = plane_screen_oracle(slots, ws.table, ws.grid_for(1), config.fov, counting_plane)
+            slot_grid = config.slot_grid(grid)
+            got = slot_visibility(slot_grid, ws.table, ws.grid_for(1), config.fov)
+            want = plane_screen_oracle(slot_grid.slots, ws.table, ws.grid_for(1), config.fov, counting_plane)
             assert np.array_equal(got, want)
         assert 0 < cells["both"] < 0.1 * cells["plane"]
 
@@ -748,11 +753,11 @@ class TestPhaseScreen:
         with mock.patch.object(visibility, "cell_positions", certified_cell_positions), mock.patch.object(
             orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array
         ) as full_row:
-            want = slot_visibility([[coe]], targets, grid, fov)
+            want = slot_visibility(hashed([[coe]]), targets, grid, fov)
         assert full_row.call_count == 1
         assert np.array_equal(want, plane_screen_oracle([[coe]], targets, grid, fov))
         assert np.array_equal(want, loop_oracle([[coe]], targets, grid, fov))
-        got = slot_visibility([[coe]], targets, grid, fov)
+        got = slot_visibility(hashed([[coe]]), targets, grid, fov)
         assert np.array_equal(got, cell_loop_oracle([[coe]], targets, grid, fov))
         for seen in (got, want):
             assert np.array_equal(np.flatnonzero(seen[0, 0]), np.arange(0, grid.num_steps, 8))
@@ -837,7 +842,7 @@ class TestGridPass:
         with mock.patch.object(visibility, "cell_positions", counting_grid), mock.patch.object(
             orbits, "_solve_kepler_array", wraps=orbits._solve_kepler_array
         ) as full_row:
-            want = slot_visibility(slots, targets, grid, fov)
+            want = slot_visibility(hashed(slots), targets, grid, fov)
         assert full_row.call_count == 1
         assert set(cells[0]) >= {0, 3}
         assert np.array_equal(want, per_plane_oracle(slots, targets, grid, fov))
@@ -858,9 +863,9 @@ class TestGridPass:
         config = ScenarioConfig(fov_half_angle=fov_deg * DEG)
         ws = _TrackWorkspace(track, config)
         for grid in ("phasing", "unrestricted"):
-            slots = ws.grid_slots(grid)
-            got = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
+            slot_grid = config.slot_grid(grid)
+            got = slot_visibility(slot_grid, ws.table, ws.grid_for(1), config.fov)
             with mock.patch.object(visibility, "cell_positions", certified_cell_positions):
-                want = slot_visibility(slots, ws.table, ws.grid_for(1), config.fov)
+                want = slot_visibility(slot_grid, ws.table, ws.grid_for(1), config.fov)
             assert np.array_equal(got, want), grid
             assert want.any()
