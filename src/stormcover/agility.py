@@ -14,41 +14,23 @@ target in :func:`line_of_sight` at some step; any other row is unseen
 under any slew, so, like a row without targets, it holds nadir or relaxes
 toward it.  The scorer tests the cone only at the steps in line of sight.
 
-The plan is greedy in time: each opportunity takes the best angles in the
-rate box around the previous opportunity's angles, by a multistart over a
-coarse grid, the previous angles and the box point nearest zero, then a
-projected descent from the winner.  The previous angles enter in two
-places only: they set the rate box, and they are one multistart
-candidate.  When every axis's rate budget spans the whole angle box, the
-box cannot depend on them, and the planner solves (satellite,
-opportunity) rows in three passes:
+Each opportunity takes the best angles in its box, by a multistart over
+a coarse grid, the previous angles and the box point nearest zero, then a
+projected descent from the winner.  When every axis's rate budget spans
+the whole angle box, the rate box cannot bind: each (satellite,
+opportunity) row is solved on its own in the full angle box, with zero in
+the previous angles' place, so every row has the same candidates, built
+once, and rows are solved in blocks.  When the rate box can bind, it is
+the box around the previous opportunity's angles, and the rows are solved
+greedily in time order, all satellites in step.
 
-- Guess: solve every row at once as if the previous angles were zero.
-  Every row then has the same box and so the same candidates, built once.
-- Check: with the box fixed, the previous angles are the only multistart
-  candidate that can differ from the guess's, so score that one candidate
-  alone, at its predecessor's guessed angles.  A row keeps its guessed
-  angles when its box is bitwise the guess's, its guessed winner is not
-  the previous angles' slot, and the previous angles score worse than that
-  winner by more than ``_CHECK_MARGIN`` per target direction: its winner is
-  then the guess's, and the descent is a pure function of the winner, the
-  box and the geometry.  The margin covers the rounding of a one-candidate
-  batch, whose matrix product can take another route than the full
-  multistart's; a row inside it goes to the replay, which is exact.
-- Replay: walk each satellite in time order from its first row the check
-  could not keep, solving rows again from their true previous angles,
-  until a row reproduces its guessed angles; the rows after it were
-  checked against the right predecessor.
-
-When the rate box can bind there is no guess, and the replay alone is the
-sequential greedy pass with all satellites in step.  Either way each row
-rounds exactly as in a one-satellite, one-opportunity run, so the
-schedules do not depend on the batching: rows are batched only with rows
-of the same target count, and the batched matrix products, row norms,
-sums and minima below were chosen to take the same floating-point route
-as their one-row forms.  The guess's shared (1, 345, 3) candidates are
-broadcast against every row's geometry, so each element still meets the
-same operands.
+Either way each row rounds exactly as in a one-satellite, one-opportunity
+run, so the schedules do not depend on the batching: rows are batched
+only with rows of the same target count, and the batched matrix products,
+row norms, sums and minima below were chosen to take the same
+floating-point route as their one-row forms.  The shared (1, 345, 3)
+candidates are broadcast against every row's geometry, so each element
+still meets the same operands.
 """
 
 from __future__ import annotations
@@ -80,8 +62,6 @@ __all__ = [
 _GRID_POINTS = 7
 _DESCENT_ITERS = 25
 _STEP_LADDER = 0.5 ** np.arange(22)
-# Candidate index of the previous angles in the multistart, after the grid.
-_PREV_SLOT = _GRID_POINTS**3
 # Multistart rows solved together: enough to amortize numpy's per-call cost,
 # few enough that the (rows, 345, 3) pointing vectors and (rows, 345, P) dot
 # products stay near half a megabyte.  On the 45 deg agile45 inputs (synth-01,
@@ -94,14 +74,6 @@ _BLOCK_ROWS = 64
 # took 0.63 s against 1.00 s for 64-row blocks, at 37.0 against 35.8 MB of
 # peak memory; one block per target count peaked at 45.5 MB.
 _DESCENT_ROWS = 512
-# Rounding allowance of the check, per target direction.  Scoring one
-# candidate alone takes another matrix-product route than the full
-# multistart, so a dot product can differ in its last bits: by at most one
-# ulp of 1 (1.5e-8 rad of arccos) on the 45 deg corpus.  Near a dot of +-1 a
-# gap of delta moves its arccos by about sqrt(2 * delta), so 1e-7 rad covers
-# a gap of about twenty ulps of 1.  A row's value sums one arccos per target
-# direction, so the allowance is multiplied by the row's direction count.
-_CHECK_MARGIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -121,14 +93,15 @@ class AgilityConfig:
     control_step: float
 
     def __post_init__(self) -> None:
-        if min(self.max_rate_x, self.max_rate_y, self.max_rate_z) < 0.0:
-            raise ValueError("slew rates must be non-negative")
+        # written so that NaN fails; an infinite rate is legal
+        if not np.all(self.rates >= 0.0):
+            raise ValueError(f"slew rates must be non-negative, got {tuple(self.rates.tolist())!r}")
         # A zero box is the same as not slewing, and the degraded reward
         # divides by the box.
         if not 0.0 < self.max_angle <= math.pi / 2.0:
             raise ValueError(f"max_angle must lie in (0, pi/2], got {self.max_angle!r}")
-        if self.control_step <= 0.0:
-            raise ValueError("control_step must be positive")
+        if not self.control_step > 0.0:
+            raise ValueError(f"control_step must be positive, got {self.control_step!r}")
 
     @property
     def rates(self) -> np.ndarray:
@@ -161,16 +134,12 @@ class SlewSchedule:
         return self.angles.shape[0]
 
     def is_feasible(self, config: AgilityConfig, tol: float = 1e-9) -> bool:
-        """Angle box and rate box, walked from the all-zeros origin."""
-        if np.any(np.abs(self.angles) > config.max_angle + tol):
-            return False
-        prev = np.zeros(3)
-        budget = config.rate_budget
-        for row in self.angles:
-            if np.any(np.abs(row - prev) > budget + tol):
-                return False
-            prev = row
-        return True
+        """Angle box and rate box, walked from the all-zeros origin; NaN
+        angles are infeasible."""
+        steps = np.abs(np.diff(self.angles, axis=0, prepend=np.zeros((1, 3))))
+        return bool(
+            np.all(np.abs(self.angles) <= config.max_angle + tol) and np.all(steps <= config.rate_budget + tol)
+        )
 
 
 @dataclass(frozen=True)
@@ -240,8 +209,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 def _candidates(prev: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The coarse grid, ``prev`` and the point nearest zero, per row.
 
-    Each of the R rows is one [lower, upper]^3 box; ``prev`` is candidate
-    ``_PREV_SLOT``, after the grid nodes.  Returns (R, 345, 3) angles.
+    Each of the R rows is one [lower, upper]^3 box; ``prev`` follows the
+    grid nodes.  Returns (R, 345, 3) angles.
     """
     axes = np.linspace(lower, upper, _GRID_POINTS, axis=-1)
     nodes = np.broadcast_arrays(
@@ -256,8 +225,7 @@ def _multistart(candidates: np.ndarray, nadirs: np.ndarray, target_dirs: np.ndar
     (1, 345, 3) shared by all R rows.
 
     Ties resolve toward the smallest total slew, then the lowest candidate
-    index.  Returns the (R,) winning candidate index, (R, 3) angles and (R,)
-    values.
+    index.  Returns the winners' (R, 3) angles and (R,) values.
     """
     values = _batched_objective(candidates, nadirs, target_dirs)
     slew = np.abs(candidates).sum(axis=-1)
@@ -267,7 +235,7 @@ def _multistart(candidates: np.ndarray, nadirs: np.ndarray, target_dirs: np.ndar
     tied = values == values.min(axis=-1, keepdims=True)
     first = np.argmin(np.where(tied, slew, np.inf), axis=-1)
     rows = np.arange(values.shape[0])
-    return first, np.broadcast_to(candidates, values.shape + (3,))[rows, first], values[rows, first]
+    return np.broadcast_to(candidates, values.shape + (3,))[rows, first], values[rows, first]
 
 
 def _descend(
@@ -364,15 +332,9 @@ def _box_cannot_bind(config: AgilityConfig) -> bool:
     """Does every axis's rate budget span the whole angle box?
 
     Then an opportunity's box is the full angle box whatever the angles
-    before it, and the previous angles enter only as one multistart
-    candidate.
+    before it, so it can be solved without them.
     """
     return bool(np.all(config.rate_budget >= 2.0 * config.max_angle))
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per last-axis row: are the two float rows bit-for-bit equal?"""
-    return (a.view(np.int64) == b.view(np.int64)).all(axis=-1)
 
 
 def optimize_slew_schedules(
@@ -384,13 +346,13 @@ def optimize_slew_schedules(
 ) -> List[SlewSchedule]:
     """Plan slew angles over all control opportunities for each satellite.
 
-    The plan is the greedy one: each opportunity, in time order, takes the
-    best angles inside the rate box around the previous opportunity's.
-    When the box cannot bind, every opportunity is solved at once with a
-    guessed previous of zero, checked against the guess of its
-    predecessor, and replayed in order only from where the guess mattered
-    (see the module docstring).  A satellite's schedule does not depend on
-    the others, nor on its place in ``orbits``.
+    When the rate box cannot bind, each opportunity takes the best angles
+    in the full angle box, solved on its own as if the previous angles were
+    zero, and all rows are solved in blocks.  When it can bind, the plan is
+    the greedy one: each opportunity, in time order, takes the best angles
+    inside the rate box around the previous opportunity's.  A satellite's
+    schedule does not depend on the others, nor on its place in
+    ``orbits``.
 
     Args:
         orbits: satellite elements at scenario epoch, one per schedule.
@@ -408,8 +370,9 @@ def optimize_slew_schedules(
     Returns:
         One feasible schedule per orbit, in order.  Its summed pointing
         objective, over the rows in sight, never exceeds the objective of
-        the all-zeros (nadir) schedule; when the greedy pass loses to
-        nadir, nadir itself is returned for that satellite.
+        the all-zeros (nadir) schedule; when the plan loses to nadir,
+        which only a binding rate box can cause, nadir itself is returned
+        for that satellite.
 
     Raises:
         ValueError: on rate/step mismatches, wrong target counts or an
@@ -445,87 +408,43 @@ def optimize_slew_schedules(
     def box(prev):
         return np.maximum(-bound, prev - budget), np.minimum(bound, prev + budget)
 
-    def unchanged(rows, first, lower, upper):
-        # The descent is a pure function of the winner, the box and the
-        # geometry, so a row whose winner and box are what the guess gave
-        # (and whose winner is not the previous angles) keeps its angles.
-        return (
-            (first == guess_first[rows])
-            & (first != _PREV_SLOT)
-            & _same_bits(lower, guess_lower)
-            & _same_bits(upper, guess_upper)
-        )
-
     angles = np.zeros((n_sats * n_opps, 3))
     values = np.zeros(n_sats * n_opps)
-    guess_first = np.full(n_sats * n_opps, -1)
-    guess_lower, guess_upper = box(np.zeros(3))
-    exact = np.zeros(n_sats * n_opps, dtype=bool)
     if _box_cannot_bind(config):
-        # Guess a previous of zero for every row, so every row has the same
-        # box and candidates; rows with nothing to chase stay at zero.
-        shared = _candidates(np.zeros((1, 3)), guess_lower[None], guess_upper[None])
+        # Every row has the full box and so the same candidates, with zero
+        # for the previous angles; rows with nothing to chase stay at zero.
+        lower, upper = box(np.zeros((n_sats * n_opps, 3)))
+        shared = _candidates(np.zeros((1, 3)), lower[:1], upper[:1])
         best = np.zeros((n_sats * n_opps, 3))
-        guess_val = np.zeros(n_sats * n_opps)
+        best_val = np.zeros(n_sats * n_opps)
         for count, rows in _blocks(counts, _BLOCK_ROWS):
             if count:
-                guess_first[rows], best[rows], guess_val[rows] = _multistart(shared, nadirs[rows], dirs[rows, :count])
+                best[rows], best_val[rows] = _multistart(shared, nadirs[rows], dirs[rows, :count])
         for count, rows in _blocks(counts, _DESCENT_ROWS):
             if count:
-                lower, upper = box(np.zeros((rows.size, 3)))
                 angles[rows], values[rows] = _descend(
-                    best[rows], guess_val[rows], nadirs[rows], dirs[rows, :count], lower, upper
+                    best[rows], best_val[rows], nadirs[rows], dirs[rows, :count], lower[rows], upper[rows]
                 )
-        # Check each row against its predecessor's guessed angles.  With the
-        # box unchanged only the previous angles' candidate can differ from
-        # the guess's multistart, so score it alone; it must lose to the
-        # guessed winner by more than the rounding margin.
-        before = np.zeros((n_sats, n_opps, 3))
-        before[:, 1:] = angles.reshape(n_sats, n_opps, 3)[:, :-1]
-        before = before.reshape(-1, 3)
-        for count, rows in _blocks(counts, counts.size):
-            lower, upper = box(before[rows])
-            exact[rows] = unchanged(rows, guess_first[rows], lower, upper)
-            if count:
-                at_prev = np.clip(before[rows], lower, upper)[:, None]
-                prev_val = _batched_objective(at_prev, nadirs[rows], dirs[rows, :count])[:, 0]
-                exact[rows] &= prev_val > guess_val[rows] + count * _CHECK_MARGIN
-
-    # Replay in time order, per satellite, from its first row the check could
-    # not keep; go on while the replayed angles differ from the guessed ones.
-    # While a satellite is back on its guess, the check's verdicts ahead of it
-    # hold.  Without a guess this is the plain greedy pass, in step.
-    open_at = np.where(exact.reshape(n_sats, n_opps), n_opps, np.arange(n_opps))
-    next_open = np.minimum.accumulate(open_at[:, ::-1], axis=1)[:, ::-1]
-    next_open = np.concatenate([next_open, np.full((n_sats, 1), n_opps)], axis=1)
-    sats = np.arange(n_sats)
-    at = np.zeros(n_sats, dtype=np.intp)
-    on_guess = np.ones(n_sats, dtype=bool)
-    while True:
-        at = np.where(on_guess, next_open[sats, at], at)
-        moving = np.flatnonzero(at < n_opps)
-        if moving.size == 0:
-            break
-        rows_now = moving * n_opps + at[moving]
-        prev_now = np.where((at[moving] > 0)[:, None], angles[rows_now - 1], 0.0)
-        for count in np.flatnonzero(np.bincount(counts[rows_now])):
-            pick = counts[rows_now] == count
-            rows, prev = rows_now[pick], prev_now[pick]
-            lower, upper = box(prev)
-            if count == 0:
-                # Nothing to chase: relax toward nadir as fast as the rate box allows.
-                new, new_val = np.clip(np.zeros(3), lower, upper), np.zeros(rows.size)
-            else:
-                candidates = _candidates(prev, lower, upper)
-                first, best, best_val = _multistart(candidates, nadirs[rows], dirs[rows, :count])
-                new, new_val = angles[rows], values[rows]
-                redo = ~unchanged(rows, first, lower, upper)
-                new[redo], new_val[redo] = _descend(
-                    best[redo], best_val[redo], nadirs[rows[redo]], dirs[rows[redo], :count], lower[redo], upper[redo]
-                )
-            on_guess[moving[pick]] = _same_bits(new, angles[rows])
-            angles[rows], values[rows] = new, new_val
-        at[moving] += 1
+    else:
+        # The greedy pass in time order, all satellites in step.
+        first_rows = np.arange(n_sats) * n_opps
+        prev = np.zeros((n_sats, 3))
+        for i in range(n_opps):
+            rows_now = first_rows + i
+            for count in np.flatnonzero(np.bincount(counts[rows_now])):
+                pick = counts[rows_now] == count
+                rows = rows_now[pick]
+                lower, upper = box(prev[pick])
+                if count == 0:
+                    # Nothing to chase: relax toward nadir as fast as the rate box allows.
+                    angles[rows] = np.clip(np.zeros(3), lower, upper)
+                else:
+                    candidates = _candidates(prev[pick], lower, upper)
+                    best, best_val = _multistart(candidates, nadirs[rows], dirs[rows, :count])
+                    angles[rows], values[rows] = _descend(
+                        best, best_val, nadirs[rows], dirs[rows, :count], lower, upper
+                    )
+            prev = angles[rows_now]
 
     nadir_values = np.zeros(n_sats * n_opps)
     for count, rows in _blocks(counts, counts.size):

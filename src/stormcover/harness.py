@@ -542,25 +542,26 @@ def _run_agile(ws: _TrackWorkspace) -> ModelResult:
     t0 = time.perf_counter()
     config = ws.config
     grid = ws.grid_for(1)
-    n_steps = grid.num_steps
-    n_points = ws.targets.num_points
-    active = [active_point_of_step(t, n_steps, n_points) for t in range(n_steps)]
-
-    spo = grid.steps_per_opportunity
-    opp_targets = []
-    for i in range(grid.num_opportunities):
-        lo = i * spo
-        hi = min(lo + spo, n_steps)
-        when = grid.opportunity_time(i)
-        points = sorted(set(active[lo:hi]))
-        opp_targets.append(
-            np.array([geodetic_to_eci(ws.targets.points[p], when) for p in points])
-        )
-
     acfg = config.agility
     orbits = [sc.elements for sc in config.satellites]
     positions, sight = zip(*(line_of_sight(orbit, ws.table, grid) for orbit in orbits))
-    schedules = tuple(optimize_slew_schedules(orbits, opp_targets, acfg, grid, np.array(sight)))
+    sight = np.array(sight)
+
+    # targets only for the opportunities some satellite has in line of sight:
+    # the planner reads no other
+    n_steps, n_points = grid.num_steps, ws.targets.num_points
+    spo = grid.steps_per_opportunity
+    seen_by_any = np.logical_or.reduceat(sight.any(axis=0), np.arange(0, n_steps, spo))
+    opp_targets = []
+    for i, seen in enumerate(seen_by_any):
+        if not seen:
+            opp_targets.append(np.zeros((0, 3)))
+            continue
+        steps = range(i * spo, min((i + 1) * spo, n_steps))
+        points = sorted({active_point_of_step(t, n_steps, n_points) for t in steps})
+        when = grid.opportunity_time(i)
+        opp_targets.append(np.array([geodetic_to_eci(ws.targets.points[p], when) for p in points]))
+    schedules = tuple(optimize_slew_schedules(orbits, opp_targets, acfg, grid, sight))
     total = 0.0
     for pos, seen, schedule in zip(positions, sight, schedules):
         visible = slewed_step_visibility(pos, schedule, ws.table, config.fov_half_angle, grid, seen)

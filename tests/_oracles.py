@@ -526,9 +526,10 @@ def schedule_violations(
     prev = np.zeros(3)
     for tau, row in enumerate(np.asarray(angles, float)):
         for axis in range(3):
-            if abs(row[axis]) > max_angle + tol:
+            # written so that a NaN angle is a violation
+            if not abs(row[axis]) <= max_angle + tol:
                 problems.append(f"opportunity {tau}: axis {axis} angle {row[axis]} exceeds {max_angle}")
-            if abs(row[axis] - prev[axis]) > rates[axis] * control_step + tol:
+            if not abs(row[axis] - prev[axis]) <= rates[axis] * control_step + tol:
                 problems.append(f"opportunity {tau}: axis {axis} rate exceeded")
         prev = row
     return problems
@@ -633,10 +634,12 @@ def optimize_one_opportunity(prev, nadir, target_dirs, lower, upper) -> tuple:
     return best, best_val
 
 
-def greedy_slew_schedule(positions, targets, rate_budget, max_angle) -> tuple:
+def greedy_slew_schedule(positions, targets, rate_budget, max_angle, chained=True) -> tuple:
     """One satellite's greedy schedule from its (n, 3) positions at the
     control opportunities; returns (angles (n, 3), objective).  Falls back
-    to the all-zeros schedule when the greedy total loses to nadir."""
+    to the all-zeros schedule when the greedy total loses to nadir.
+    Without ``chained`` every opportunity starts from previous angles of
+    zero."""
     n_opps = positions.shape[0]
     prev = np.zeros(3)
     rows = []
@@ -656,10 +659,19 @@ def greedy_slew_schedule(positions, targets, rate_budget, max_angle) -> tuple:
         greedy_total += value
         if dirs.shape[0]:
             nadir_total += float(slew_objective(np.zeros((1, 3)), nadir, dirs)[0])
-        prev = angles
+        if chained:
+            prev = angles
     if greedy_total > nadir_total:
         return np.zeros((n_opps, 3)), nadir_total
     return np.array(rows).reshape(n_opps, 3), greedy_total
+
+
+def independent_slew_schedule(positions, targets, max_angle) -> tuple:
+    """The schedule of a rate box that cannot bind: each opportunity solved
+    on its own, ``optimize_one_opportunity(np.zeros(3), ...)`` in the full
+    angle box; returns (angles (n, 3), objective) as
+    :func:`greedy_slew_schedule` does."""
+    return greedy_slew_schedule(positions, targets, np.full(3, math.inf), max_angle, chained=False)
 
 
 # ---------------------------------------------------------------------------

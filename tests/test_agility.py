@@ -214,7 +214,14 @@ class TestOptimizer:
             sched.angles, ZETA, (1e-5, 2e-5, 1e-5), 1800.0
         )
         assert violations == []
+        assert sched.is_feasible(config)
         assert sched.objective_value <= nadir_total + 1e-12
+        # NaN angles compare False against any bound, and are infeasible
+        for row in (0, len(sched) - 1):
+            broken = sched.angles.copy()
+            broken[row, 1] = np.nan
+            assert not SlewSchedule(broken).is_feasible(config)
+            assert oracles.schedule_violations(broken, ZETA, (1e-5, 2e-5, 1e-5), 1800.0)
 
     def test_empty_opportunities_relax_to_zero(self):
         grid = TimeGrid(duration=3600.0, step=300.0, control_step=1800.0)
@@ -232,16 +239,34 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             AgilityConfig(-1.0, 1.0, 1.0, ZETA, 1800.0)
 
+    @pytest.mark.parametrize("rates,step", [((1.0, math.nan, 1.0), 1800.0), ((1.0, 1.0, 1.0), math.nan)])
+    def test_nan_rate_or_step_rejected(self, rates, step):
+        with pytest.raises(ValueError, match="must be"):
+            AgilityConfig(*rates, ZETA, step)
 
-def oracle_schedules(orbits, targets, config, grid):
-    """(angles, objective) per orbit from the per-satellite reference planner."""
+    def test_infinite_rate_cannot_bind(self):
+        assert agility._box_cannot_bind(AgilityConfig(math.inf, math.inf, math.inf, ZETA, 1800.0))
+
+
+def box_cannot_bind(config):
+    """Does every axis's rate budget span the whole angle box?"""
+    return bool(np.all(config.rate_budget >= 2.0 * config.max_angle))
+
+
+def oracle_schedules(orbits, targets, config, grid, greedy=None):
+    """(angles, objective) per orbit from the per-satellite reference
+    planner: each opportunity on its own when the rate box cannot bind,
+    the sequential greedy pass when it can, or as ``greedy`` says."""
     epochs = np.array([grid.opportunity_time(i) for i in range(grid.num_opportunities)])
-    return [
-        oracles.greedy_slew_schedule(
-            eci_positions(orbit, epochs), targets, config.rate_budget, config.max_angle
-        )
-        for orbit in orbits
-    ]
+    greedy = not box_cannot_bind(config) if greedy is None else greedy
+    out = []
+    for orbit in orbits:
+        positions = eci_positions(orbit, epochs)
+        if greedy:
+            out.append(oracles.greedy_slew_schedule(positions, targets, config.rate_budget, config.max_angle))
+        else:
+            out.append(oracles.independent_slew_schedule(positions, targets, config.max_angle))
+    return out
 
 
 def step_sight(orbit, step_targets, grid):
@@ -257,13 +282,14 @@ def hidden_opportunities(sight, grid):
 
 
 def screened_oracle_schedules(orbits, targets, step_targets, config, grid):
-    """oracle_schedules with each opportunity that a satellite sees at none
-    of its steps stripped of its targets, for that satellite alone."""
+    """The sequential greedy oracle with each opportunity that a satellite
+    sees at none of its steps stripped of its targets, for that satellite
+    alone."""
     out = []
     for orbit in orbits:
         hidden = hidden_opportunities(step_sight(orbit, step_targets, grid)[1], grid)
         own = [np.zeros((0, 3)) if hidden[i] else t for i, t in enumerate(targets)]
-        out += oracle_schedules([orbit], own, config, grid)
+        out += oracle_schedules([orbit], own, config, grid, greedy=True)
     return out
 
 
@@ -293,6 +319,20 @@ def random_orbit(rng):
     return ClassicalOrbitalElements(
         rng.uniform(6800.0, 7400.0), 0.0, rng.uniform(0.3, 1.7), rng.uniform(0, 6.2), 0.0, rng.uniform(0, 6.2)
     )
+
+
+def geostationary_case(box_deg, off_deg):
+    """Two geostationary satellites over 60 one-minute opportunities, all
+    chasing one target ``off_deg`` off satellite 0's nadir, with a slew box
+    of ``box_deg`` that the rate cannot bind."""
+    grid = TimeGrid(duration=3600.0, step=60.0, control_step=60.0)
+    config = AgilityConfig(3.0 * DEG, 3.0 * DEG, 3.0 * DEG, box_deg * DEG, 60.0)
+    orbits = [
+        ClassicalOrbitalElements(42164.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        ClassicalOrbitalElements(42164.0, 0.0, 5 * DEG, 0.0, 0.0, 3 * DEG),
+    ]
+    target = surface_point_off_nadir(coe_to_state(orbits[0]).position, off_deg * DEG, 30 * DEG)
+    return orbits, [target[None, :]] * grid.num_opportunities, config, grid
 
 
 def binding_case():
@@ -425,20 +465,14 @@ class TestBatchedOptimizer:
         assert np.any(schedules[1].angles[2] != 0.0)
 
     # With a 25 deg box the middle grid node is not exactly zero, so next to
-    # nadir the guessed zero itself wins at the previous angles' slot.
+    # nadir the point nearest zero wins, in the previous angles' place.
     @pytest.mark.parametrize("box_deg,off_deg", [(35.0, 4.0), (25.0, 0.5)])
-    def test_winning_previous_angles_are_replayed(self, monkeypatch, box_deg, off_deg):
+    def test_winning_previous_angles_are_not_a_candidate(self, monkeypatch, box_deg, off_deg):
         # At geostationary radius with one-minute opportunities the pointing
-        # barely moves, so the previous angles win the multistart, which the
-        # guess of zero cannot know: those rows must be replayed in order.
-        grid = TimeGrid(duration=3600.0, step=60.0, control_step=60.0)
-        config = AgilityConfig(3.0 * DEG, 3.0 * DEG, 3.0 * DEG, box_deg * DEG, 60.0)
-        orbits = [
-            ClassicalOrbitalElements(42164.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            ClassicalOrbitalElements(42164.0, 0.0, 5 * DEG, 0.0, 0.0, 3 * DEG),
-        ]
-        target = surface_point_off_nadir(coe_to_state(orbits[0]).position, off_deg * DEG, 30 * DEG)
-        targets = [target[None, :]] * grid.num_opportunities
+        # barely moves, so the previous angles win the sequential multistart.
+        # The box cannot bind, so each opportunity is solved on its own and
+        # the schedule is the independent one, not the sequential one.
+        orbits, targets, config, grid = geostationary_case(box_deg, off_deg)
         winners = []
         winner = oracles.multistart_winner
 
@@ -448,10 +482,32 @@ class TestBatchedOptimizer:
             return found
 
         monkeypatch.setattr(oracles, "multistart_winner", recording)
-        expected = oracle_schedules(orbits, targets, config, grid)
+        sequential = oracle_schedules(orbits, targets, config, grid, greedy=True)
         assert oracles.PREV_SLOT in winners
         assert agility._box_cannot_bind(config)
-        assert_schedules_match(optimize_slew_schedules(orbits, targets, config, grid), expected)
+        schedules = optimize_slew_schedules(orbits, targets, config, grid)
+        assert_schedules_match(schedules, oracle_schedules(orbits, targets, config, grid))
+        assert not all(np.array_equal(s.angles, angles) for s, (angles, _) in zip(schedules, sequential))
+
+    @pytest.mark.parametrize("case", ["geostationary", "corpus"])
+    def test_emptied_opportunities_leave_the_other_rows_alone(self, case):
+        # With a box that cannot bind, no row depends on another: emptying
+        # the targets of a random half of the opportunities keeps every other
+        # row's angles bit for bit and puts the emptied rows at nadir.
+        if case == "geostationary":
+            orbits, targets, config, grid = geostationary_case(35.0, 4.0)
+        else:
+            scenario = ScenarioConfig()
+            grid, targets = corpus_opportunity_targets(default_corpus(20)[0], scenario)
+            orbits, config = [sc.elements for sc in scenario.satellites], scenario.agility
+        assert agility._box_cannot_bind(config)
+        emptied = np.random.default_rng(11).permutation(grid.num_opportunities) < grid.num_opportunities // 2
+        thinned = [np.zeros((0, 3)) if out else t for out, t in zip(emptied, targets)]
+        full = optimize_slew_schedules(orbits, targets, config, grid)
+        kept = optimize_slew_schedules(orbits, thinned, config, grid)
+        for a, b in zip(full, kept):
+            assert np.array_equal(b.angles[~emptied], a.angles[~emptied])
+            assert np.all(b.angles[emptied] == 0.0)
 
     def test_binding_rate_box_descends_each_row_once(self, monkeypatch):
         orbits, targets, config, grid = binding_case()
@@ -467,34 +523,9 @@ class TestBatchedOptimizer:
         assert_schedules_match(optimize_slew_schedules(orbits, targets, config, grid), expected)
         assert descended[0] <= len(orbits) * grid.num_opportunities
 
-    def test_guess_forced_on_a_binding_box_is_still_exact(self, monkeypatch):
-        # The guess assumes the full angle box; where the box binds, the
-        # check must see each changed box and the replay must redo its row.
-        orbits, targets, config, grid = binding_case()
-        expected = oracle_schedules(orbits, targets, config, grid)
-        monkeypatch.setattr(agility, "_box_cannot_bind", lambda config: True)
-        descended = count_descended_rows(monkeypatch)
-        assert_schedules_match(optimize_slew_schedules(orbits, targets, config, grid), expected)
-        # one guessed descent per row, then at most one replayed descent
-        assert descended[0] <= 2 * len(orbits) * grid.num_opportunities
-
     def test_no_orbits_no_schedules(self):
         grid = one_opportunity_grid()
         assert optimize_slew_schedules([], [np.zeros((0, 3))], default_config(), grid) == []
-
-
-def record_replayed_rows(monkeypatch):
-    """Patch the candidate builder to record the previous angles of every
-    row the replay solves; the guess builds its shared grid first."""
-    build = agility._candidates
-    calls = []
-
-    def recording(prev, lower, upper):
-        calls.append(prev.copy())
-        return build(prev, lower, upper)
-
-    monkeypatch.setattr(agility, "_candidates", recording)
-    return lambda: np.concatenate(calls[1:]) if len(calls) > 1 else np.zeros((0, 3))
 
 
 def full_box_rows(rows):
@@ -502,8 +533,9 @@ def full_box_rows(rows):
 
 
 class TestCheckPass:
-    """The one-candidate check and the shared guess grid, bit for bit
-    against the per-satellite planner in ``_oracles``."""
+    """The shared candidate grid of the rows solved on their own, and the
+    descent blocks, bit for bit against the per-satellite planner in
+    ``_oracles``."""
 
     def corpus_case(self):
         config = ScenarioConfig()
@@ -511,58 +543,6 @@ class TestCheckPass:
         orbits = [sc.elements for sc in config.satellites]
         expected = oracle_schedules(orbits, targets, config.agility, grid)
         return orbits, targets, config.agility, grid, expected
-
-    def test_infinite_margin_replays_every_row_to_the_same_schedules(self, monkeypatch):
-        orbits, targets, config, grid, expected = self.corpus_case()
-        replayed = record_replayed_rows(monkeypatch)
-        default = optimize_slew_schedules(orbits, targets, config, grid)
-        assert_schedules_match(default, expected)
-        assert replayed().shape[0] == 0
-        monkeypatch.setattr(agility, "_CHECK_MARGIN", math.inf)
-        replayed = record_replayed_rows(monkeypatch)
-        schedules = optimize_slew_schedules(orbits, targets, config, grid)
-        assert_schedules_match(schedules, expected)
-        assert_schedules_match(schedules, [(s.angles, s.objective_value) for s in default])
-        assert replayed().shape[0] == len(orbits) * sum(len(t) > 0 for t in targets)
-
-    def test_previous_angles_within_the_margin_are_replayed(self, monkeypatch):
-        # Opportunity 0 pulls the satellite near grid node N.  Opportunity
-        # 1's target lies between N's and those angles' pointing, closer to
-        # N by half the margin: N still wins the full multistart, yet the
-        # one-candidate check cannot tell, so the row must be replayed.
-        grid = TimeGrid(duration=3600.0, step=300.0, control_step=1800.0)
-        config = default_config()
-        orbit = ClassicalOrbitalElements(7000.0, 0.0, 40 * DEG, 10 * DEG, 0.0, 0.0)
-        pos = eci_positions(orbit, np.array([grid.opportunity_time(i) for i in range(2)]))
-        nadir = -pos / np.linalg.norm(pos, axis=1)[:, None]
-        axis = np.linspace(-ZETA, ZETA, 7)
-        node = (4, 2, 5)
-        n_index = node[0] * 49 + node[1] * 7 + node[2]
-        near = axis[list(node)] + np.array([0.9, -0.6, 0.4]) * DEG
-        first = pos[0] + 1000.0 * rotation_matrix(*near) @ nadir[0]
-        x0 = oracle_schedules([orbit], [first[None], np.zeros((0, 3))], config, grid)[0][0][0]
-        u_n = rotation_matrix(*axis[list(node)]) @ nadir[1]
-        u_x = rotation_matrix(*x0) @ nadir[1]
-        theta = oracles.angle_between(u_n, u_x)
-        phi = (theta - 0.5 * agility._CHECK_MARGIN) / 2.0
-        target = (math.sin(theta - phi) * u_n + math.sin(phi) * u_x) / math.sin(theta)
-        targets = [first[None], (pos[1] + 1000.0 * target)[None]]
-
-        lower, upper = full_box_rows(1)
-        dirs = agility._kept_directions(pos[None], targets, np.ones((1, 2), dtype=bool))[0][1:]
-        shared = agility._candidates(np.zeros((1, 3)), lower, upper)
-        won, _, won_val = agility._multistart(shared, nadir[1:], dirs)
-        alone = agility._batched_objective(x0[None, None], nadir[1:], dirs)[0, 0]
-        assert won[0] == n_index
-        assert 0.0 < alone - won_val[0] <= agility._CHECK_MARGIN
-        # the full multistart from those previous angles still picks N
-        assert agility._multistart(agility._candidates(x0[None], lower, upper), nadir[1:], dirs)[0][0] == n_index
-
-        replayed = record_replayed_rows(monkeypatch)
-        expected = oracle_schedules([orbit], targets, config, grid)
-        assert np.array_equal(expected[0][0][0], x0)
-        assert_schedules_match(optimize_slew_schedules([orbit], targets, config, grid), expected)
-        assert any(np.array_equal(prev, x0) for prev in replayed())
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_shared_grid_multistart_matches_per_row_candidates(self, count):
@@ -581,15 +561,17 @@ class TestCheckPass:
         got = agility._multistart(shared, nadirs, dirs)
         for a, b in zip(got, agility._multistart(own, nadirs, dirs)):
             assert np.array_equal(a, b)
+        indices = []
         for r in range(rows):
             index, angles, value = oracles.multistart_winner(np.zeros(3), nadirs[r], dirs[r], lower[r], upper[r])
-            assert (got[0][r], got[2][r]) == (index, value)
-            assert np.array_equal(got[1][r], angles)
+            assert got[1][r] == value
+            assert np.array_equal(got[0][r], angles)
+            indices.append(index)
         values = agility._batched_objective(shared, nadirs[:4], dirs[:4])
         for r in range(4):
-            tied = np.flatnonzero(values[r] == got[2][r])
-            assert tied.size >= 7 and tied[0] < got[0][r], (r, tied)
-            assert got[0][r] % 7 == 3 and shared[0, got[0][r], 2] == 0.0
+            tied = np.flatnonzero(values[r] == got[1][r])
+            assert tied.size >= 7 and tied[0] < indices[r], (r, tied)
+            assert indices[r] % 7 == 3 and shared[0, indices[r], 2] == 0.0
 
     def test_wide_descent_blocks_match_one_row_blocks(self, monkeypatch):
         orbits, targets, config, grid, expected = self.corpus_case()

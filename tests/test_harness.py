@@ -325,6 +325,13 @@ class TestParseConfig:
             parse_config("control_step_s = 700\nstep_s = 7\ntracks = synthetic:2\n")
 
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_bad_slew_rate_cites_line_and_key(self, value):
+        # nan < 0 is False, so a nan rate once reached the planner, which
+        # wrote nan angles for A and scored it 0
+        with pytest.raises(ValueError, match=r"config line 2: max_rate_deg_s .*slew rates must be non-negative"):
+            parse_config(f"step_s = 300\nmax_rate_deg_s = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_bad_budget_cites_line(self, value):
         # nan < 0 is False, so a nan budget once priced every transfer
         # infeasible and scored P1 at exactly B's reward
