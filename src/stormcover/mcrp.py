@@ -72,11 +72,6 @@ DEFAULT_NODE_LIMIT = 1_000_000
 # Joint-path cap for the exhaustive oracle.
 _EXHAUSTIVE_CAP = 10_000_000
 
-# Largest (rows, V, J) temporary of the completion frontiers, in float64
-# entries (4 MB).
-_FRONTIER_BLOCK = 1 << 19
-
-
 # ---------------------------------------------------------------------------
 # Rewards
 # ---------------------------------------------------------------------------
@@ -314,6 +309,36 @@ def _cell_words(visible: np.ndarray, act: np.ndarray) -> np.ndarray:
     return words
 
 
+def _frontier(edge: np.ndarray, minc: np.ndarray) -> np.ndarray:
+    """(K, I, V) minimum over t of edge[k, i, t] + minc[k, t, v], summed
+    only where minc is finite, since an infinite term cannot win.
+
+    minc rows are nondecreasing, so with each satellite's to-slots sorted
+    by the length of their finite prefix, column v sums the first n(v)
+    sorted slots, and each run of columns with one n is one (I, w, n) sum
+    and min.  A run whose minc block is all zero takes its edge columns'
+    row minimum plus 0.0, which turns -0.0 into +0.0 as the sum does; so
+    no minc entry is -0.0, and the exact min keeps the full sum's bits.
+    """
+    finite = np.count_nonzero(minc < np.inf, axis=2)
+    order = np.argsort(-finite, axis=1, kind="stable")
+    counts = np.count_nonzero(finite[:, None, :] > np.arange(minc.shape[2])[:, None], axis=2)
+    cand = np.full(edge.shape[:2] + minc.shape[2:], np.inf)
+    for k, row in enumerate(counts.tolist()):
+        to_slots = edge[k][:, order[k]]
+        sorted_minc = np.ascontiguousarray(minc[k][order[k]].T)
+        lo = 0
+        for n, run in itertools.groupby(row):
+            hi = lo + len(list(run))
+            block = sorted_minc[lo:hi, :n]
+            if block.any():
+                np.minimum.reduce(to_slots[:, None, :n] + block, axis=2, out=cand[k, :, lo:hi])
+            elif n:
+                cand[k, :, lo:hi] = np.minimum.reduce(to_slots[:, :n], axis=1)[:, None] + 0.0
+            lo = hi
+    return cand
+
+
 class _Instance:
     """Preprocessed solver input shared by both solve routes."""
 
@@ -343,38 +368,19 @@ class _Instance:
         self.zero_words = np.zeros(self.words.shape[-1], dtype=np.uint64)
 
         # Budget-relaxation tables: the cheapest way to appear in a slot at
-        # each stage, ignoring where the satellite came from.
-        self.cheapest_entry = []
-        self.entry_perm = []
-        self.entry_sorted = []
-        for k in range(n_sats):
-            ce_k, perm_k, sort_k = [], [], []
-            for s in range(n_stages):
-                ce = costs.stages[s][k].min(axis=0)
-                perm = np.argsort(ce, kind="stable")
-                ce_k.append(ce)
-                perm_k.append(perm)
-                sort_k.append([float(x) for x in ce[perm]])
-            self.cheapest_entry.append(ce_k)
-            self.entry_perm.append(perm_k)
-            self.entry_sorted.append(sort_k)
+        # each stage, ignoring where the satellite came from, as (K, S, J)
+        # arrays; entry_sorted holds the rows the search bisects as lists.
+        self.cheapest_entry = np.stack([c.min(axis=1) for c in costs.stages], axis=1)
+        self.entry_perm = np.argsort(self.cheapest_entry, axis=-1, kind="stable")
+        self.entry_sorted = np.take_along_axis(self.cheapest_entry, self.entry_perm, axis=-1).tolist()
 
         # Reachable-cell unions under the full budget, used for the
         # union-form bounds.  afford_from[k][s] ORs every slot row the
         # satellite could in principle afford at stages >= s.
-        self.afford_full = [
-            [self.cheapest_entry[k][s] <= self.budget[k] for s in range(n_stages)]
-            for k in range(n_sats)
-        ]
-        w64 = self.words.shape[-1]
-        self.afford_from = np.zeros((n_sats, n_stages + 1, w64), dtype=np.uint64)
-        for k in range(n_sats):
-            for s in range(n_stages - 1, -1, -1):
-                row = self.afford_from[k, s + 1].copy()
-                mask = self.afford_full[k][s]
-                if mask.any():
-                    row |= np.bitwise_or.reduce(self.words[k, s][mask], axis=0)
-                self.afford_from[k, s] = row
+        self.afford_full = self.cheapest_entry <= self.budget[:, None, None]
+        stage_union = np.bitwise_or.reduce(self.words, axis=2, where=self.afford_full[..., None], initial=0)
+        self.afford_from = np.zeros((n_sats, n_stages + 1, self.words.shape[-1]), dtype=np.uint64)
+        self.afford_from[:, :-1] = np.bitwise_or.accumulate(stage_union[:, ::-1], axis=1)[:, ::-1]
 
         # Completion frontiers, frozen against the empty union.  For each
         # satellite, trail_cost[k][s][j][v] is the least fuel stages s+1
@@ -384,36 +390,28 @@ class _Instance:
         # and the frontier prices budget accumulation across stages, which
         # per-stage maxima ignore.  Root gains only shrink as the union
         # grows, so these lookups stay admissible anywhere in the tree.
-        # Each stage's (J, V, J) sum is reduced along its contiguous last
-        # axis, the to-slot, in blocks of from-slot rows of at most
-        # _FRONTIER_BLOCK entries; min is exact, so the reduction order
-        # keeps the tables' bits.
+        # All satellites share one value axis; the columns past a
+        # satellite's own depth are +inf and are cut off its tables.
         root_pc = np.bitwise_count(self.words).sum(axis=-1).astype(np.int64)
+        depth = (root_pc.max(axis=2).sum(axis=1) + 1).tolist()
+        v_axis = np.arange(max(depth))
+        minc = np.where(v_axis <= root_pc[:, -1, :, None], 0.0, np.inf)
+        per_stage = []
+        for s in range(n_stages - 2, -1, -1):
+            cand = _frontier(np.asarray(costs.stages[s + 1], dtype=float), minc)
+            per_stage.append(cand)
+            minc = np.take_along_axis(cand, np.maximum(v_axis - root_pc[:, s, :, None], 0), axis=2)
+        per_stage.reverse()
+        total = (np.asarray(costs.stages[0][:, 0], dtype=float)[:, :, None] + minc).min(axis=1)
+        frames = [cand.min(axis=1).tolist() for cand in per_stage]
         self.trail_cost = []   # [k][s]: J nondecreasing cost-per-value rows
         self.trail_frame = []  # [k][s]: slot-independent row, min over slots
         self.root_cap = []     # [k]: best value a full-budget path can reach
-        for k in range(n_sats):
-            g = root_pc[k]
-            v_axis = np.arange(int(g.max(axis=1).sum()) + 1)
-            minc = np.where(v_axis[None, :] <= g[-1][:, None], 0.0, np.inf)
-            per_stage = []
-            for s in range(n_stages - 2, -1, -1):
-                edge = np.asarray(costs.stages[s + 1][k], dtype=float)
-                minc_t = np.ascontiguousarray(minc.T)
-                cand = np.empty((edge.shape[0], minc_t.shape[0]))
-                rows = max(1, _FRONTIER_BLOCK // minc_t.size)
-                for i in range(0, edge.shape[0], rows):
-                    cand[i : i + rows] = (edge[i : i + rows, None, :] + minc_t).min(axis=2)
-                per_stage.append(cand)
-                idx = np.maximum(v_axis[None, :] - g[s][:, None], 0)
-                minc = np.take_along_axis(cand, idx, axis=1)
-            per_stage.reverse()
-            entry = np.asarray(costs.stages[0][k][0], dtype=float)
-            total = (entry[:, None] + minc).min(axis=0)
-            cap = int(np.searchsorted(total, self.budget[k], side="right")) - 1
+        for k, v in enumerate(depth):
+            self.trail_cost.append([cand[k, :, :v].tolist() for cand in per_stage])
+            self.trail_frame.append([frame[k][:v] for frame in frames])
+            cap = int(np.searchsorted(total[k, :v], self.budget[k], side="right")) - 1
             self.root_cap.append(max(cap, 0))
-            self.trail_cost.append([cand.tolist() for cand in per_stage])
-            self.trail_frame.append([cand.min(axis=0).tolist() for cand in per_stage])
         self._arange_j = np.arange(self.J)
 
     def stage_cost(self, s: int, k: int, i: int, j: int) -> float:

@@ -432,19 +432,22 @@ def propagate(coe: ClassicalOrbitalElements, dt: float, include_j2: bool = True)
 # ---------------------------------------------------------------------------
 
 
-def geodetic_to_eci(point: GeodeticPoint, t: float) -> np.ndarray:
-    """Inertial position of a ground point at time ``t``.
+def geodetic_to_eci(point: GeodeticPoint, t) -> np.ndarray:
+    """Inertial position of a ground point at time ``t``, shape (3,), or at
+    an array of times, shape ``t.shape + (3,)``, with the same bits per time.
 
     Spherical Earth rotated by theta = rotation_rate * t, so the returned
     norm is exactly radius + altitude.
     """
-    theta = EARTH.rotation_rate_rad_s * t
+    theta = EARTH.rotation_rate_rad_s * np.asarray(t, dtype=float)
     lon = point.longitude + theta
     rho = EARTH.radius_km + point.altitude
-    clat = math.cos(point.latitude)
-    return np.array(
-        [rho * clat * math.cos(lon), rho * clat * math.sin(lon), rho * math.sin(point.latitude)]
-    )
+    rho_clat = rho * np.cos(point.latitude)
+    out = np.empty(lon.shape + (3,))
+    out[..., 0] = rho_clat * np.cos(lon)
+    out[..., 1] = rho_clat * np.sin(lon)
+    out[..., 2] = rho * np.sin(point.latitude)
+    return out
 
 
 def secular_angles(coe: ClassicalOrbitalElements, dt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

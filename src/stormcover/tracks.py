@@ -263,8 +263,7 @@ def target_eci_table(targets: TargetSet, grid: TimeGrid) -> np.ndarray:
         )
     out = np.empty((grid.num_steps, 3))
     for point, (lo, hi) in zip(targets.points, targets.windows):
-        for t in range(lo, hi):
-            out[t] = geodetic_to_eci(point, t * grid.step)
+        out[lo:hi] = geodetic_to_eci(point, np.arange(lo, hi) * grid.step)
     return out
 
 

@@ -1105,8 +1105,9 @@ def cell_words_gather(visible: np.ndarray, act: np.ndarray, pack_words) -> np.nd
 
 def instance_frontiers_loop(inst) -> tuple[list, list, list]:
     """(trail_cost, trail_frame, root_cap) of a solver instance, built as
-    the library built them before reducing along a contiguous axis: each
-    stage's whole (J, J, V) sum reduced along its middle (from-slot) axis.
+    the library built them before it summed only the finite frontier
+    entries: each stage's whole (J, J, V) sum, infinite terms included,
+    reduced along its middle (to-slot) axis, one satellite at a time.
 
     ``inst`` supplies the packed cell words, the cost matrix and budgets.
     """
@@ -1131,6 +1132,40 @@ def instance_frontiers_loop(inst) -> tuple[list, list, list]:
         trail_cost.append([cand.tolist() for cand in per_stage])
         trail_frame.append([cand.min(axis=0).tolist() for cand in per_stage])
     return trail_cost, trail_frame, root_cap
+
+
+def instance_budget_tables_loop(inst) -> tuple[list, list, list, list, np.ndarray]:
+    """(cheapest_entry, entry_perm, entry_sorted, afford_full, afford_from)
+    of a solver instance, built as the library built them before its
+    whole-array passes: one (satellite, stage) at a time, then one OR per
+    stage from the last stage back.
+
+    ``inst`` supplies the packed cell words, the cost matrix and budgets.
+    """
+    cheapest_entry, entry_perm, entry_sorted = [], [], []
+    for k in range(inst.K):
+        ce_k, perm_k, sort_k = [], [], []
+        for s in range(inst.S):
+            ce = inst.costs.stages[s][k].min(axis=0)
+            perm = np.argsort(ce, kind="stable")
+            ce_k.append(ce)
+            perm_k.append(perm)
+            sort_k.append([float(x) for x in ce[perm]])
+        cheapest_entry.append(ce_k)
+        entry_perm.append(perm_k)
+        entry_sorted.append(sort_k)
+    afford_full = [
+        [cheapest_entry[k][s] <= inst.budget[k] for s in range(inst.S)] for k in range(inst.K)
+    ]
+    afford_from = np.zeros((inst.K, inst.S + 1, inst.words.shape[-1]), dtype=np.uint64)
+    for k in range(inst.K):
+        for s in range(inst.S - 1, -1, -1):
+            row = afford_from[k, s + 1].copy()
+            mask = afford_full[k][s]
+            if mask.any():
+                row |= np.bitwise_or.reduce(inst.words[k, s][mask], axis=0)
+            afford_from[k, s] = row
+    return cheapest_entry, entry_perm, entry_sorted, afford_full, afford_from
 
 
 def merge_stages(full: np.ndarray, factor: int) -> np.ndarray:

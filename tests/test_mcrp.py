@@ -374,8 +374,11 @@ class TestLevelDominance:
             vis_density=vis_density, levels=[0.3, 0.6] if tied else None,
         )
         got = solve_mcrp(tensor, rewards, costs)
+        # the memo-free search can need more nodes than the default limit
+        # to prove what solve_mcrp proves: 1,541,484 on seed=2425,
+        # n_sats=4, n_stages=3, n_slots=5, t_stage=6, vis_density=0.5, tied
         with mock.patch.object(mcrp, "_Search", oracles.memo_free_search(mcrp._Search)):
-            want = solve_mcrp(tensor, rewards, costs)
+            want = solve_mcrp(tensor, rewards, costs, node_limit=4_000_000)
         assert got.objective == want.objective and got.paths == want.paths
         assert got.proven_optimal and want.proven_optimal
         assert got.objective_bound == want.objective_bound
@@ -397,9 +400,33 @@ class TestLevelDominance:
         assert runs["memo"][0] < runs["free"][0]
 
 
+def _repriced(rng, costs, price, share=0.3):
+    """The cost matrix with a random share of its edges priced ``price``:
+    +inf, as the periapsis guard prices the edges it excludes, or -0.0."""
+    stages = [c.copy() for c in costs.stages]
+    for c in stages:
+        c[rng.random(c.shape) < share] = price
+    return CostMatrix(stages=tuple(stages), budget=costs.budget)
+
+
+@pytest.fixture(scope="module")
+def reconfig30_instances():
+    """Every P1-U2 solver input of the reconfig30 benchmark's seed-0
+    tracks (synth-01, -06, -11) at 30 and 45 deg."""
+    out = []
+    for fov in (30.0, 45.0):
+        config = ScenarioConfig(fov_half_angle=math.radians(fov))
+        for i in (0, 5, 10):
+            ws = _TrackWorkspace(default_corpus(20)[i], config)
+            for name in ("P1", "P2", "P3", "P4", "U1", "U2"):
+                spec = MODEL_MATRIX[name]
+                out.append((ws.tensor_for(spec), ws.rewards_for(spec.num_stages), ws.costs_for(spec)))
+    return out
+
+
 class TestFrontiers:
-    """The completion frontiers against the whole-array reduction they
-    replaced, bit for bit."""
+    """The completion frontiers, summed over finite entries only, against
+    the whole-array sum they replaced, bit for bit."""
 
     @staticmethod
     def _assert_match(inst):
@@ -416,11 +443,10 @@ class TestFrontiers:
         vis_density=st.floats(0.1, 0.9),
         tied=st.booleans(),
         unreachable=st.booleans(),
-        block=st.sampled_from([1, 7, mcrp._FRONTIER_BLOCK]),
     )
     @settings(max_examples=150, deadline=None)
     def test_random_instances_match_oracle(
-        self, seed, n_sats, n_stages, n_slots, t_stage, vis_density, tied, unreachable, block
+        self, seed, n_sats, n_stages, n_slots, t_stage, vis_density, tied, unreachable
     ):
         rng = np.random.default_rng(seed)
         tensor, rewards, costs = random_instance(
@@ -428,22 +454,91 @@ class TestFrontiers:
             vis_density=vis_density, levels=[0.3, 0.6] if tied else None,
         )
         if unreachable:
-            # edges the periapsis guard excludes are priced +inf
-            stages = [c.copy() for c in costs.stages]
-            for c in stages:
-                c[rng.random(c.shape) < 0.3] = np.inf
-            costs = CostMatrix(stages=tuple(stages), budget=costs.budget)
-        with mock.patch.object(mcrp, "_FRONTIER_BLOCK", block):
-            self._assert_match(mcrp._Instance(tensor, rewards, costs))
+            costs = _repriced(rng, costs, np.inf)
+        self._assert_match(mcrp._Instance(tensor, rewards, costs))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sats=st.integers(1, 3),
+        n_stages=st.integers(2, 4),
+        n_slots=st.integers(1, 7),
+        t_stage=st.integers(1, 8),
+        unreachable=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_all_zero_last_stage_matches_oracle(
+        self, seed, n_sats, n_stages, n_slots, t_stage, unreachable
+    ):
+        # only the last stage sees cells, and every slot sees all of them,
+        # so the last stage's minc is zero everywhere: its frontier is one
+        # row minimum of the edges, and a -0.0 edge must come back +0.0
+        rng = np.random.default_rng(seed)
+        tensor, rewards, costs = random_instance(rng, n_sats, n_stages, n_slots, t_stage, 2)
+        tensor[:-1] = False
+        tensor[-1] = True
+        costs = _repriced(rng, costs, -0.0)
+        if unreachable:
+            costs = _repriced(rng, costs, np.inf)
+        inst = mcrp._Instance(tensor, rewards, costs)
+        gains = np.bitwise_count(inst.words).sum(axis=-1)
+        assert not gains[:, :-1].any() and np.all(gains[:, -1] == gains[:, -1, :1])
+        self._assert_match(inst)
+
+    def test_reconfig30_instances_match_oracle(self, reconfig30_instances):
+        for args in reconfig30_instances:
+            self._assert_match(mcrp._Instance(*args))
 
     def test_synth_20_u2_matches_oracle(self):
         ws = _TrackWorkspace(default_corpus(20)[19], ScenarioConfig())
         spec = MODEL_MATRIX["U2"]
         args = (ws.tensor_for(spec), ws.rewards_for(spec.num_stages), ws.costs_for(spec))
-        # one block per stage, and many
-        for block in (mcrp._FRONTIER_BLOCK, 1 << 12):
-            with mock.patch.object(mcrp, "_FRONTIER_BLOCK", block):
-                self._assert_match(mcrp._Instance(*args))
+        self._assert_match(mcrp._Instance(*args))
+
+
+class TestBudgetTables:
+    """The budget-relaxation tables, built in whole-array passes, against
+    the per-(satellite, stage) loops they replaced, bit for bit."""
+
+    @staticmethod
+    def _assert_match(inst):
+        cheapest, perm, ordered, full, union = oracles.instance_budget_tables_loop(inst)
+        for name, want in (
+            ("cheapest_entry", np.array(cheapest)),
+            ("entry_perm", np.array(perm)),
+            ("afford_full", np.array(full)),
+            ("afford_from", union),
+        ):
+            got = getattr(inst, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        # float repr round-trips and tells -0.0 from 0.0
+        assert repr(inst.entry_sorted) == repr(ordered)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sats=st.integers(1, 3),
+        n_stages=st.integers(1, 4),
+        n_slots=st.integers(1, 7),
+        t_stage=st.integers(1, 8),
+        vis_density=st.floats(0.1, 0.9),
+        tied=st.booleans(),
+        edges=st.sampled_from(["plain", "unreachable", "signed zeros"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_instances_match_oracle(
+        self, seed, n_sats, n_stages, n_slots, t_stage, vis_density, tied, edges
+    ):
+        rng = np.random.default_rng(seed)
+        tensor, rewards, costs = random_instance(
+            rng, n_sats, n_stages, n_slots, t_stage, int(rng.integers(1, 3)),
+            vis_density=vis_density, levels=[0.3, 0.6] if tied else None,
+        )
+        if edges != "plain":
+            costs = _repriced(rng, costs, np.inf if edges == "unreachable" else -0.0)
+        self._assert_match(mcrp._Instance(tensor, rewards, costs))
+
+    def test_reconfig30_instances_match_oracle(self, reconfig30_instances):
+        for args in reconfig30_instances:
+            self._assert_match(mcrp._Instance(*args))
 
 
 class TestCellWords:

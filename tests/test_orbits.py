@@ -289,6 +289,20 @@ class TestGeodetic:
         out = geodetic_to_eci(GeodeticPoint(lat, lon, alt), t)
         assert np.linalg.norm(out) == pytest.approx(EARTH.radius_km + alt, rel=1e-12)
 
+    @given(
+        lat=st.floats(-math.pi / 2, math.pi / 2),
+        lon=st.floats(-math.pi, math.pi - 1e-9),
+        alt=st.floats(0.0, 500.0),
+        times=st.lists(st.floats(0.0, 1e6), min_size=0, max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_array_of_times_matches_scalar_calls(self, lat, lon, alt, times):
+        point = GeodeticPoint(lat, lon, alt)
+        out = geodetic_to_eci(point, np.array(times))
+        assert out.shape == (len(times), 3)
+        want = [geodetic_to_eci(point, t).tobytes() for t in times]
+        assert [row.tobytes() for row in out] == want
+
 
 class TestBatchPropagation:
     def test_matches_scalar_path(self):

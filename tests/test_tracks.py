@@ -176,6 +176,20 @@ class TestTargets:
         norms = np.linalg.norm(table, axis=-1)
         assert np.allclose(norms, EARTH.radius_km, atol=1e-9)
 
+    def test_corpus_eci_tables_match_pointwise(self):
+        # one array call per activity window gives every step the bits of
+        # the scalar call at that step's time
+        for track in default_corpus(20):
+            grid = TimeGrid(duration=track.duration_seconds, step=300.0, control_step=1800.0, num_stages=1)
+            targets = track_to_targets(track, grid)
+            table = target_eci_table(targets, grid)
+            want = [
+                geodetic_to_eci(point, t * grid.step).tobytes()
+                for point, (lo, hi) in zip(targets.points, targets.windows)
+                for t in range(lo, hi)
+            ]
+            assert [row.tobytes() for row in table] == want, track.name
+
     def test_window_validation(self):
         from stormcover.orbits import GeodeticPoint
 
